@@ -7,14 +7,16 @@ lift a rank-one solution (pipeline), and cross-check against brute force
 """
 
 from .symmat import (EigDecomp, SymMat, eig_sym, eigvals_sym, gram, inner,
-                     is_psd, lambda_min, smat, svec, svec_scaled)
+                     is_psd, lambda_min)
 from .model import (BallGrid, ConstraintSet, DiscretizationConfig, GeoCop,
                     GeneralizedHyperbola, HyperbolaSeq, ParabolaMember,
                     ParabolaSet, build_family, constraint_set, discretize,
                     eval_quadratic, integer_grid, normalize)
 from .sdp import (SdpProblem, SdpSolution, relaxation_problem, solve,
                   solve_ab_certificate, solve_slater)
-from .certify import (CertReport, PairVerdict, certify, check_Bprime_Cprime,
+# certify() stays at exactsdp.certify.certify so that exactsdp.certify is the
+# submodule
+from .certify import (CertReport, PairVerdict, check_Bprime_Cprime,
                       check_condition_B, check_pair_B, check_structural,
                       classify)
 from .reduction import ReductionResult, facial_reduce, find_max_rank_point, remove_redundant

@@ -21,6 +21,7 @@ from . import sdp as sdpmod
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
+NOT_CERTIFIED = "not_certified"
 
 _REFUTE_FACTOR = 10.0
 
@@ -67,6 +68,7 @@ class StructuralReport:
     a4: bool
     a5: bool
     slater_margin: float = math.nan
+    slater_point: Optional[SymMat] = None  # optimal X of the Slater SDP
     a4_psd_members: tuple = ()
     a5_violations: tuple = ()
     a5_undecided: tuple = ()
@@ -132,6 +134,16 @@ def inclusion_status(a: SymMat, b: SymMat, tol: float, probes=None) -> str:
     return INCONCLUSIVE
 
 
+def _fold_status(verdicts) -> str:
+    """certified when every verdict is, not_certified when any is refuted,
+    inconclusive otherwise."""
+    if all(v.status == CERTIFIED for v in verdicts):
+        return CERTIFIED
+    if any(v.status == REFUTED for v in verdicts):
+        return NOT_CERTIFIED
+    return INCONCLUSIVE
+
+
 # --------------------------------------------------------------------------
 # condition (B)
 # --------------------------------------------------------------------------
@@ -183,13 +195,7 @@ def check_condition_B(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> Cond
             v = check_pair_B(s.members[i], s.members[j], tol)
             v.pair = (i, j)
             verdicts.append(v)
-    if all(v.status == CERTIFIED for v in verdicts):
-        status = CERTIFIED
-    elif any(v.status == REFUTED for v in verdicts):
-        status = "not_certified"
-    else:
-        status = INCONCLUSIVE
-    return ConditionBReport(status=status, pairs=tuple(verdicts))
+    return ConditionBReport(status=_fold_status(verdicts), pairs=tuple(verdicts))
 
 
 # --------------------------------------------------------------------------
@@ -318,12 +324,6 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                     continue
             c_members.append(MemberVerdict(index=idx, status=INCONCLUSIVE,
                                            value=sol.value if sol.status == "optimal" else math.nan))
-    if all(v.status == CERTIFIED for v in c_members):
-        c_status = CERTIFIED
-    elif any(v.status == REFUTED for v in c_members):
-        c_status = "not_certified"
-    else:
-        c_status = INCONCLUSIVE
 
     b_pairs = []
     for i in range(len(s.members)):
@@ -345,13 +345,8 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                                 witness=base.witness, margin=base.margin,
                                 witness_point=point)
             b_pairs.append(v)
-    if all(v.status == CERTIFIED for v in b_pairs):
-        b_status = CERTIFIED
-    elif any(v.status == REFUTED for v in b_pairs):
-        b_status = "not_certified"
-    else:
-        b_status = INCONCLUSIVE
-    return SliceReport(b_prime_status=b_status, c_prime_status=c_status,
+    return SliceReport(b_prime_status=_fold_status(b_pairs),
+                       c_prime_status=_fold_status(c_members),
                        b_prime_pairs=tuple(b_pairs), c_prime_members=tuple(c_members))
 
 
@@ -366,7 +361,7 @@ def _is_trivial_zero_set(s: ConstraintSet) -> bool:
 def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> StructuralReport:
     a1 = all(m.is_finite() for m in s.members)
     # (A-3): Slater point via max t s.t. X >= tI over the feasible slice
-    status, _, tstar = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
+    status, xstar, tstar = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
     a3 = status == "optimal" and tstar > tol
     # (A-4)
     psd_members = tuple(i for i, m in enumerate(s.members) if is_psd(m, tol))
@@ -388,6 +383,7 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> Struc
     return StructuralReport(
         a1=a1, a2=None, a3=a3, a4=a4, a5=a5,
         slater_margin=tstar if status == "optimal" else -math.inf,
+        slater_point=xstar if status == "optimal" else None,
         a4_psd_members=psd_members,
         a5_violations=tuple(violations),
         a5_undecided=tuple(undecided),
@@ -444,16 +440,16 @@ def certify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
         slice_rep = check_Bprime_Cprime(s, tol, pair_verdicts=cache)
     classification = None
     if cond_b.status == CERTIFIED:
-        classification = classify(s, tol)
+        classification = classify(s, tol, slater_point=structural.slater_point)
     geometric_path = cond_b.status == CERTIFIED
     slice_path = (slice_rep is not None
                   and slice_rep.b_prime_status == CERTIFIED
                   and slice_rep.c_prime_status == CERTIFIED)
     if geometric_path or slice_path:
         overall = CERTIFIED
-    elif cond_b.status == "not_certified" or (
-            slice_rep is not None and slice_rep.b_prime_status == "not_certified"):
-        overall = "not_certified"
+    elif cond_b.status == NOT_CERTIFIED or (
+            slice_rep is not None and slice_rep.b_prime_status == NOT_CERTIFIED):
+        overall = NOT_CERTIFIED
     else:
         overall = INCONCLUSIVE
     return CertReport(

@@ -13,7 +13,7 @@ import numpy as np
 from .certify import CERTIFIED, CertReport, certify
 from .model import GeoCop, normalize
 from .reduction import ReductionResult, facial_reduce, remove_redundant
-from .symmat import SymMat, eig_sym, gram, inner
+from .symmat import SymMat, canonical_sign, eig_sym, gram, inner
 from . import sdp as sdpmod
 
 CERTIFIED_EXACT = "certified_exact"
@@ -64,19 +64,11 @@ def _residuals_of_point(x: np.ndarray, p: GeoCop) -> float:
     return res
 
 
-def _canonical_sign(x: np.ndarray) -> np.ndarray:
-    scale = float(np.abs(x).max()) if x.size else 0.0
-    for v in x:
-        if abs(v) > 1e-9 * max(scale, 1e-300):
-            return x if v > 0 else -x
-    return x
-
-
 def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> RankOneResult:
     """Top-eigenvector extraction from an SDP optimum.
 
-    The vector is scaled so <H, x x^T> = 1 and sign canonicalized (first
-    significant coordinate positive).  When the top eigenvalue is not
+    The vector is scaled so <H, x x^T> = 1 and keeps the sign eig_sym gives
+    it (first significant coordinate positive).  When the top eigenvalue is not
     separated (ratio below 1e6), the SDP is re-solved once with the objective
     perturbed by eps * g g^T (seeded random unit g, eps = 1e-7 ||Q||_F) to
     break optimal-face ties, and the extraction retried.
@@ -91,7 +83,7 @@ def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineCon
         return RankOneResult(x=None, eigenratio=ratio, feas_residual=math.inf,
                              obj_gap=math.inf, confident=False,
                              note="top eigenvector cannot be scaled onto <H,X>=1")
-    x = _canonical_sign(v / math.sqrt(vhv))
+    x = v / math.sqrt(vhv)
     eta = inner(p.Q, x_sdp)
     feas = _residuals_of_point(x, p)
     gap = abs(float(x @ p.Q.to_dense() @ x) - eta)
@@ -181,7 +173,7 @@ def run_pipeline(p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> PipelineV
             lift_extra = p.lift_matrix()
             if lift_extra is not None:
                 lifted = lift_extra @ lifted
-            lifted = _canonical_sign(lifted)
+            lifted = canonical_sign(lifted)
     elif sol.status in ("infeasible", "unbounded"):
         notes.append("relaxation reported %s; no exactness claim is made" % sol.status)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .certify import CERTIFIED, inclusion_status, psd_probes
 from .model import ConstraintSet, GeoCop, constraint_set
-from .symmat import SymMat, eig_sym, inner, is_psd
+from .symmat import SymMat, canonical_sign, eig_sym, inner, is_psd
 from . import sdp as sdpmod
 
 _RANK_TOL = 1e-7
@@ -76,15 +76,6 @@ def _coordinate_candidate(vectors: np.ndarray):
     return None
 
 
-def _sign_fixed(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
-
-
 def _canonical_basis(vectors: np.ndarray) -> np.ndarray:
     """Coordinate 0/1 basis when aligned, else sign-fixed columns (no validation)."""
     coords = _coordinate_candidate(vectors)
@@ -93,7 +84,7 @@ def _canonical_basis(vectors: np.ndarray) -> np.ndarray:
         for k, i in enumerate(coords):
             basis[i, k] = 1.0
         return basis
-    return _sign_fixed(vectors)
+    return canonical_sign(vectors)
 
 
 def _validated_face_basis(vectors: np.ndarray, members, n: int, tol: float):
@@ -123,9 +114,8 @@ def _validated_face_basis(vectors: np.ndarray, members, n: int, tol: float):
             for k, i in enumerate(coords):
                 basis[i, k] = 1.0
             return basis, fsym
-    basis = _sign_fixed(vectors)
-    null = np.eye(n) - basis @ basis.T
-    return basis, SymMat.from_dense((null + null.T) / 2.0)
+    null = np.eye(n) - vectors @ vectors.T
+    return vectors, SymMat.from_dense((null + null.T) / 2.0)
 
 
 def _common_kernel_basis(mats, n: int) -> Optional[np.ndarray]:

@@ -1,7 +1,8 @@
 """Dense symmetric-matrix kernel.
 
-Packed upper-triangular storage, trace inner products, a cyclic-Jacobi
-eigensolver, PSD membership tests and rank-one builders.  Everything here is
+Packed upper-triangular storage, trace inner products, eigendecompositions
+through numpy's LAPACK (``eigh``/``eigvalsh``) with one sign rule for
+eigenvectors, PSD membership tests and rank-one builders.  Everything here is
 a pure function of its inputs; SymMat values are immutable and hashable.
 """
 from __future__ import annotations
@@ -11,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SQRT2 = math.sqrt(2.0)
-
-# Jacobi sweep cap and relative off-diagonal convergence threshold.
-_JACOBI_SWEEPS = 50
-_JACOBI_OFF_TOL = 1e-14
-
 DEFAULT_PSD_TOL = 1e-9
+
+# canonical_sign treats entries at or below this fraction of a vector's
+# largest magnitude as roundoff
+_SIGN_REL_TOL = 1e-9
 
 
 def packed_len(n: int) -> int:
@@ -139,108 +138,40 @@ def inner(a: SymMat, b: SymMat) -> float:
     return s
 
 
-def svec(x: SymMat) -> np.ndarray:
-    """Packed upper triangle as a vector (unscaled; exact inverse is smat)."""
-    return np.array(x.data, dtype=float)
+def canonical_sign(v) -> np.ndarray:
+    """Flip a vector, or each column of a matrix, so that its first entry
+    above 1e-9 * max|entry| is positive.
 
-
-def smat(v, n: int) -> SymMat:
-    """Exact inverse of svec."""
+    Eigenvectors are defined up to sign; this rule makes every basis reported
+    by the package a deterministic function of its input.  Zero vectors are
+    left as they are.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (packed_len(n),):
-        raise ValueError("packed length does not match n")
-    return SymMat(n, tuple(v))
-
-
-def svec_scaled(x: SymMat) -> np.ndarray:
-    """Isometric vectorization: off-diagonal entries carry sqrt(2).
-
-    Preserves inner products (svec_scaled(A) . svec_scaled(B) == inner(A, B)
-    up to roundoff); used by the SDP solver, not for exact round trips.
-    """
-    out = np.array(x.data, dtype=float)
-    k = 0
-    for i in range(x.n):
-        for j in range(i, x.n):
-            if i != j:
-                out[k] *= SQRT2
-            k += 1
-    return out
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool, sweeps: int = _JACOBI_SWEEPS):
-    """Cyclic Jacobi sweeps on a dense symmetric matrix.
-
-    Converges when the off-diagonal Frobenius mass drops below
-    1e-14 * ||A||_F.  Robust and deterministic at the small sizes used here.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n) if want_vectors else None
-    scale = math.sqrt(float((a * a).sum()))
-    if n == 1 or scale == 0.0:
-        return np.diag(a).copy(), v
-    tol = _JACOBI_OFF_TOL * scale
-    skip = 1e-30 * scale
-    for _ in range(sweeps):
-        off = a - np.diag(np.diag(a))
-        if math.sqrt(float((off * off).sum())) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
+    cols = v if v.ndim == 2 else v.reshape(-1, 1)
+    mags = np.abs(cols)
+    significant = mags > _SIGN_REL_TOL * np.maximum(mags.max(axis=0), 1e-300)
+    lead = cols[np.argmax(significant, axis=0), np.arange(cols.shape[1])]
+    out = cols * np.where(lead < 0.0, -1.0, 1.0)
+    return out if v.ndim == 2 else out.reshape(v.shape)
 
 
 def eig_sym(x: SymMat) -> EigDecomp:
-    """Full eigendecomposition of a SymMat via cyclic Jacobi rotations.
+    """Full eigendecomposition of a SymMat (LAPACK through numpy.linalg.eigh).
 
-    Eigenvalues come back sorted descending; eigenvector columns are sign
-    canonicalized (largest-magnitude component positive) so the result is a
-    deterministic function of the input.
+    Eigenvalues come back sorted descending; eigenvector columns follow
+    canonical_sign, so the result is a deterministic function of the input.
     """
     if not x.is_finite():
         raise ValueError("non-finite entries")
-    values, vectors = _jacobi(x.to_dense(), want_vectors=True)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
-    return EigDecomp(values=values, vectors=vectors)
+    values, vectors = np.linalg.eigh(x.to_dense())
+    return EigDecomp(values=values[::-1], vectors=canonical_sign(vectors[:, ::-1]))
 
 
 def eigvals_sym(x: SymMat) -> np.ndarray:
-    """Eigenvalues only (descending); skips the basis accumulation."""
+    """Eigenvalues only, sorted descending."""
     if not x.is_finite():
         raise ValueError("non-finite entries")
-    values, _ = _jacobi(x.to_dense(), want_vectors=False)
-    return np.sort(values)[::-1]
+    return np.linalg.eigvalsh(x.to_dense())[::-1]
 
 
 def lambda_min(x: SymMat) -> float:

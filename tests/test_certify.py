@@ -1,6 +1,10 @@
+import sys
+import types
+
 import numpy as np
 
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED,
+from exactsdp import sdp as sdpmod
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, certify,
                               check_Bprime_Cprime, check_condition_B,
                               check_pair_B, check_structural, classify)
 from exactsdp.model import constraint_set, eval_quadratic, normalize
@@ -185,3 +189,28 @@ def test_certificate_and_sdp_paths_agree_under_structure():
                     assert zeta >= -10.0 * TOL * scale
                 else:
                     assert zeta <= -TOL * scale
+
+
+def test_certify_solves_slater_once(monkeypatch):
+    s = normalize(constraint_set(3, fig2_members()))
+    calls = []
+    original = sdpmod.solve_slater
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sdpmod, "solve_slater", counting)
+    rep = certify(s, TOL, slice_conditions=False)
+    assert rep.condition_b.status == CERTIFIED
+    assert len(calls) == 1
+    # the shared Slater point gives what classify finds on its own
+    assert rep.classification == classify(s, TOL)
+    assert len(calls) == 2
+
+
+def test_package_certify_is_the_submodule():
+    import exactsdp
+    assert isinstance(exactsdp.certify, types.ModuleType)
+    assert exactsdp.certify is sys.modules["exactsdp.certify"]
+    assert exactsdp.certify.certify is certify

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from exactsdp.symmat import (SymMat, combine, eig_sym, eigvals_sym, gram, inner,
-                             is_psd, lambda_min, smat, svec, svec_scaled)
+from exactsdp.symmat import (SymMat, canonical_sign, combine, eig_sym, eigvals_sym,
+                             gram, inner, is_psd, lambda_min)
 from exactsdp.model import quadform_packed
 from exactsdp.gallery import ex61_matrices
 
@@ -12,6 +12,24 @@ from exactsdp.gallery import ex61_matrices
 def random_sym(rng, n):
     a = rng.standard_normal((n, n))
     return SymMat.from_dense((a + a.T) / 2.0)
+
+
+def assert_first_significant_positive(vectors):
+    """Each column's first entry above 1e-9 * max|entry| is positive."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        top = float(np.abs(col).max())
+        lead = next(v for v in col if abs(v) > 1e-9 * top)
+        assert lead > 0.0, (j, col)
+
+
+# top eigenvector +-(1, -1)/sqrt(2) with roundoff tilting either entry ahead
+TIED_MAGNITUDE = (
+    [[1.0, -1.0], [-1.0, 1.0]],
+    [[1.0, -1.0], [-1.0, 1.0 + 4e-16]],
+    [[1.0 + 4e-16, -1.0], [-1.0, 1.0]],
+    [[1.0, -1.0 + 2e-16], [-1.0 + 2e-16, 1.0]],
+)
 
 
 def test_packed_dense_roundtrip_bitwise():
@@ -23,24 +41,6 @@ def test_packed_dense_roundtrip_bitwise():
         assert x.data == y.data  # exact, not approx
     special = SymMat.from_dense([[0.1, -0.3], [-0.3, 1e-300]])
     assert SymMat.from_dense(special.to_dense()).data == special.data
-
-
-def test_smat_svec_exact():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        n = int(rng.integers(1, 7))
-        x = random_sym(rng, n)
-        assert smat(svec(x), n).data == x.data
-
-
-def test_svec_scaled_preserves_inner():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        a, b = random_sym(rng, n), random_sym(rng, n)
-        lhs = float(svec_scaled(a) @ svec_scaled(b))
-        ref = inner(a, b)
-        assert abs(lhs - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_inner_identity():
@@ -68,6 +68,14 @@ def test_eig_already_diagonal():
 def test_eig_offdiagonal_2x2():
     ed = eig_sym(SymMat.from_dense([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(ed.values, [1.0, -1.0], atol=1e-14)
+    assert_first_significant_positive(ed.vectors)
+    for dense in TIED_MAGNITUDE:
+        ed = eig_sym(SymMat.from_dense(dense))
+        assert abs(ed.values[0] - 2.0) <= 1e-14
+        top = ed.vectors[:, 0]
+        assert top[0] > 0.0 and top[1] < 0.0
+        assert np.allclose(top, [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)], atol=1e-14)
+        assert_first_significant_positive(ed.vectors)
 
 
 def test_eig_random_reconstruction():
@@ -82,6 +90,17 @@ def test_eig_random_reconstruction():
         assert np.linalg.norm(recon - d) <= 1e-10 * scale
         assert np.linalg.norm(ed.vectors.T @ ed.vectors - np.eye(n)) <= 1e-10
         assert all(ed.values[i] >= ed.values[i + 1] for i in range(n - 1))
+        assert_first_significant_positive(ed.vectors)
+
+
+def test_canonical_sign_vector_and_columns():
+    # a leading entry at roundoff level does not decide the sign
+    v = np.array([1e-12, -2.0, 1.0])
+    assert canonical_sign(v).tolist() == [-1e-12, 2.0, -1.0]
+    assert canonical_sign(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    cols = np.array([[0.0, -1.0], [-3.0, 2.0]])
+    assert canonical_sign(cols).tolist() == [[-0.0, 1.0], [3.0, -2.0]]
+    assert np.array_equal(canonical_sign(canonical_sign(cols)), canonical_sign(cols))
 
 
 def test_eig_deterministic():
