@@ -19,7 +19,7 @@ from .sdp import (SdpProblem, SdpSolution, relaxation_problem, solve,
 from .certify import (CertReport, PairVerdict, check_Bprime_Cprime,
                       check_condition_B, check_pair_B, check_structural,
                       classify)
-from .reduction import ReductionResult, facial_reduce, find_max_rank_point, remove_redundant
+from .reduction import ReductionResult, facial_reduce, remove_redundant
 from .oracle import OracleResult, solve_region_2d, solve_sphere
 from .pipeline import (PipelineConfig, PipelineVerdict, RankOneResult,
                        extract_rank_one, run_pipeline)

@@ -134,6 +134,14 @@ def inclusion_status(a: SymMat, b: SymMat, tol: float, probes=None) -> str:
     return INCONCLUSIVE
 
 
+def inclusion_table(n: int, members, tol: float) -> dict:
+    """inclusion_status over every ordered pair of members, with one probe
+    set: entry (i, j) says whether J+(members[j]) lies in J+(members[i])."""
+    probes = psd_probes(n, members)
+    return {(i, j): inclusion_status(a, b, tol, probes=probes)
+            for i, a in enumerate(members) for j, b in enumerate(members) if i != j}
+
+
 def _fold_status(verdicts) -> str:
     """certified when every verdict is, not_certified when any is refuted,
     inconclusive otherwise."""
@@ -358,27 +366,29 @@ def _is_trivial_zero_set(s: ConstraintSet) -> bool:
     return len(s.members) == 1 and all(v == 0.0 for v in s.members[0].data)
 
 
-def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> StructuralReport:
+def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
+                     slater: Optional[tuple] = None,
+                     inclusions: Optional[dict] = None) -> StructuralReport:
+    """(A-1), (A-3)..(A-5); (A-2) is deliberately unchecked.
+
+    `slater` is a (status, X, t) result of sdp.solve_slater on a set with the
+    same feasible slice, and `inclusions` an inclusion_table of s.members;
+    each is computed here when not given.
+    """
     a1 = all(m.is_finite() for m in s.members)
     # (A-3): Slater point via max t s.t. X >= tI over the feasible slice
-    status, xstar, tstar = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
+    if slater is None:
+        slater = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
+    status, xstar, tstar = slater
     a3 = status == "optimal" and tstar > tol
     # (A-4)
     psd_members = tuple(i for i, m in enumerate(s.members) if is_psd(m, tol))
     a4 = _is_trivial_zero_set(s) or not psd_members
     # (A-5)
-    violations = []
-    undecided = []
-    probes = psd_probes(s.n, s.members)
-    for i in range(len(s.members)):
-        for j in range(len(s.members)):
-            if i == j:
-                continue
-            st = inclusion_status(s.members[i], s.members[j], tol, probes=probes)
-            if st == CERTIFIED:
-                violations.append((i, j))
-            elif st == INCONCLUSIVE:
-                undecided.append((i, j))
+    if inclusions is None:
+        inclusions = inclusion_table(s.n, s.members, tol)
+    violations = [ij for ij in sorted(inclusions) if inclusions[ij] == CERTIFIED]
+    undecided = [ij for ij in sorted(inclusions) if inclusions[ij] == INCONCLUSIVE]
     a5 = len(s.members) <= 1 or not violations
     return StructuralReport(
         a1=a1, a2=None, a3=a3, a4=a4, a5=a5,
@@ -410,13 +420,7 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
             if quick > _REFUTE_FACTOR * tol * scale:
                 values.append(quick)
                 continue
-        prob = sdpmod.SdpProblem(
-            n=s.n,
-            objective=m.scale(-1.0),
-            eq_constraints=((SymMat.identity(s.n), 1.0),),
-            ineq_constraints=tuple((mm, ">=", 0.0) for mm in s.members),
-        )
-        sol = sdpmod.solve(prob, tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.slice_max_problem(m, s.members), tol=min(tol, 1e-9))
         val = -sol.value if sol.status == "optimal" else math.inf
         values.append(val)
         if exposing is None and sol.status == "optimal" and val <= tol * scale:
@@ -431,8 +435,10 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
 # --------------------------------------------------------------------------
 
 def certify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
-            slice_conditions: bool = True) -> CertReport:
-    structural = check_structural(s, tol)
+            slice_conditions: bool = True, slater: Optional[tuple] = None,
+            inclusions: Optional[dict] = None) -> CertReport:
+    """All checks on s; `slater` and `inclusions` go to check_structural."""
+    structural = check_structural(s, tol, slater=slater, inclusions=inclusions)
     cond_b = check_condition_B(s, tol)
     slice_rep = None
     if slice_conditions and s.n >= 2:

@@ -307,7 +307,7 @@ def run_case(case_id: str, tol: float = 1e-8) -> dict:
                        and np.array_equal(pb, [[-1, -2], [-2, -1]])
                        and np.array_equal(pc, [[1, 2], [2, 1]]))
         checks.append(_check("projections", proj_ok, "entrywise match", "published"))
-        pruned, removed = remove_redundant(rr.reduced.bset, tol)
+        pruned, removed, _ = remove_redundant(rr.reduced.bset, tol)
         checks.append(_check("pruned", removed == (0,) and len(pruned.members) == 2,
                              "removed=%s" % (removed,), "published"))
         rep = check_condition_B(pruned, tol)

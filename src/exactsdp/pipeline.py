@@ -5,7 +5,7 @@ value is still reported (as a lower bound only, with no exactness claim)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,8 @@ _EIGENRATIO_CONFIDENT = 1e6
 class PipelineConfig:
     tol: float = sdpmod.DEFAULT_TOL
     cert_tol: float = sdpmod.DEFAULT_TOL
-    max_iter: int = sdpmod.DEFAULT_MAX_ITER
     seed: int = 0
     retry_rank_one: bool = True
-    slice_conditions: bool = True
 
 
 @dataclass
@@ -104,14 +102,11 @@ def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineCon
     eps = 1e-4 * max(p.Q.norm(), 1.0)
     q_pert = p.Q.add(gram(g), eps)
     sol = sdpmod.solve(sdpmod.relaxation_problem(
-        GeoCop(n=p.n, Q=q_pert, H=p.H, bset=p.bset)),
-        tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
+        GeoCop(n=p.n, Q=q_pert, H=p.H, bset=p.bset)), tol=min(cfg.tol, 1e-10))
     if sol.status != "optimal" or sol.X is None:
         result.note = "perturbation retry failed: %s" % sol.status
         return result
-    retried = extract_rank_one(sol.X, p, cfg=PipelineConfig(
-        tol=cfg.tol, cert_tol=cfg.cert_tol, max_iter=cfg.max_iter,
-        seed=cfg.seed, retry_rank_one=False))
+    retried = extract_rank_one(sol.X, p, cfg=replace(cfg, retry_rank_one=False))
     retried.retried = True
     # confidence gap is judged against the unperturbed optimum
     retried.obj_gap = abs(float(retried.x @ p.Q.to_dense() @ retried.x) - eta) \
@@ -155,13 +150,15 @@ def run_pipeline(p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> PipelineV
                                exactness=RELAXATION_ONLY, lifted_x=None,
                                value=math.inf, stage_notes=tuple(notes))
 
-    pruned, removed = remove_redundant(rr.reduced.bset, cfg.cert_tol)
+    pruned, removed, inclusions = remove_redundant(rr.reduced.bset, cfg.cert_tol)
     rr.pruned_indices = removed
     problem = GeoCop(n=rr.reduced_n, Q=rr.reduced.Q, H=rr.reduced.H, bset=pruned,
                      lift=p.lift)
 
-    cert = certify(pruned, cfg.cert_tol, slice_conditions=cfg.slice_conditions and problem.n >= 2)
-    sol = sdpmod.solve(sdpmod.relaxation_problem(problem), tol=cfg.tol, max_iter=cfg.max_iter)
+    # pruning keeps the feasible slice, so facial reduction's last Slater
+    # solve answers (A-3) for the pruned set too
+    cert = certify(pruned, cfg.cert_tol, slater=rr.slater, inclusions=inclusions)
+    sol = sdpmod.solve(sdpmod.relaxation_problem(problem), tol=cfg.tol)
 
     rank_one = None
     lifted = None

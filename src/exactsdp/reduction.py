@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .certify import CERTIFIED, inclusion_status, psd_probes
+from .certify import CERTIFIED, inclusion_table
 from .model import ConstraintSet, GeoCop, constraint_set
-from .symmat import SymMat, canonical_sign, eig_sym, inner, is_psd
+from .symmat import SymMat, canonical_sign, eig_sym, is_psd
 from . import sdp as sdpmod
 
 _RANK_TOL = 1e-7
@@ -36,6 +36,9 @@ class ReductionResult:
     pruned_indices: tuple = ()
     dropped_zero_members: tuple = ()
     rounds: int = 0
+    # (status, X, t) of the last sdp.solve_slater call, made on exactly
+    # reduced.bset; None when the feasible cone collapsed to {O}
+    slater: Optional[tuple] = None
 
     def lift_matrix(self, x: SymMat) -> SymMat:
         xd = self.basis @ x.to_dense() @ self.basis.T
@@ -43,22 +46,6 @@ class ReductionResult:
 
     def lift_vector(self, v) -> np.ndarray:
         return self.basis @ np.asarray(v, dtype=float)
-
-
-def find_max_rank_point(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
-    """Max-rank point of the trace-one feasible slice and its Slater margin.
-
-    Solves max t s.t. X >= tI, <B,X> >= 0, trace X = 1.  Interior-point
-    iterates approach the relative interior of the optimal face, so the
-    returned X* has maximal rank among optimizers; face(X*) is the minimal
-    face of the PSD cone containing the feasible cone.
-    """
-    status, x, t = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
-    if status == "infeasible":
-        return None, -math.inf
-    if status not in ("optimal", "max_iter") or x is None:
-        raise RuntimeError("max-rank detection failed with solver status %r" % status)
-    return x, t
 
 
 def _coordinate_candidate(vectors: np.ndarray):
@@ -102,13 +89,7 @@ def _validated_face_basis(vectors: np.ndarray, members, n: int, tol: float):
         for i in comp:
             f[i, i] = 1.0
         fsym = SymMat.from_dense(f)
-        prob = sdpmod.SdpProblem(
-            n=n,
-            objective=fsym.scale(-1.0),
-            eq_constraints=((SymMat.identity(n), 1.0),),
-            ineq_constraints=tuple((m, ">=", 0.0) for m in members),
-        )
-        sol = sdpmod.solve(prob, tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.slice_max_problem(fsym, members), tol=min(tol, 1e-9))
         if sol.status == "optimal" and -sol.value <= 10.0 * tol:
             basis = np.zeros((n, len(coords)))
             for k, i in enumerate(coords):
@@ -148,10 +129,11 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
     cur_members = list(p.bset.members)
     cur_n = n0
     dropped = []
-    tstar = math.nan
     rounds = 0
 
-    for _ in range(n0 + 1):
+    # every pass that does not break shrinks cur_n, so the loop ends with a
+    # Slater solve on the final members or with cur_n == 0
+    while True:
         # directions annihilated by every data matrix carry no information
         kb = _common_kernel_basis([cur_Q, cur_H] + cur_members, cur_n)
         if kb is not None and kb.shape[1] < cur_n:
@@ -165,14 +147,20 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
             if cur_n == 0:
                 break
 
-        sset = constraint_set(cur_n, cur_members) if cur_members else constraint_set(
-            cur_n, [SymMat.zeros(cur_n)])
-        xstar, tstar = find_max_rank_point(sset, tol)
-        if xstar is None:
+        # max t s.t. X >= tI, <B,X> >= 0, trace X = 1: interior-point iterates
+        # approach the relative interior of the optimal face, so X* has maximal
+        # rank among optimizers and face(X*) is the minimal face of the PSD
+        # cone containing the feasible cone
+        slater = sdpmod.solve_slater(cur_members or [SymMat.zeros(cur_n)], cur_n,
+                                     tol=min(tol, 1e-9))
+        status, xstar, tstar = slater
+        if status == "infeasible":
             # feasible cone is {O}
             cur_n = 0
             rounds += 1
             break
+        if status not in ("optimal", "max_iter"):
+            raise RuntimeError("max-rank detection failed with solver status %r" % status)
         if tstar > tol:
             break
         ed = eig_sym(xstar)
@@ -221,6 +209,7 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
         slater_margin=tstar,
         dropped_zero_members=tuple(dropped),
         rounds=rounds,
+        slater=slater,
     )
 
 
@@ -231,28 +220,24 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
     cone inside A's (then A's inequality adds nothing), and when A is psd
     (its inequality holds on the whole PSD cone).  Within an equivalence
     class (mutual inclusion) the lexicographically smallest packed
-    representation is kept.  Returns (pruned_set, removed_indices).
+    representation is kept.  Returns (pruned_set, removed_indices,
+    inclusions), where inclusions is the inclusion table of the non-psd
+    members re-indexed to the pruned set (see certify.inclusion_table).
     """
     members = list(s.members)
+    zero_set = constraint_set(s.n, [SymMat.zeros(s.n)], provenance=s.provenance)
     if _all_zero(members):
-        return constraint_set(s.n, [SymMat.zeros(s.n)], provenance=s.provenance), tuple()
-    removed = set()
-    psd_mask = [is_psd(m, tol) for m in members]
-    for i, flag in enumerate(psd_mask):
-        if flag:
-            removed.add(i)
+        return zero_set, tuple(), {}
+    removed = {i for i, m in enumerate(members) if is_psd(m, tol)}
     if len(removed) == len(members):
         # every inequality holds on all of S^n_+: canonical trivial set {O}
-        return constraint_set(s.n, [SymMat.zeros(s.n)], provenance=s.provenance), tuple(
-            sorted(removed))
+        return zero_set, tuple(sorted(removed)), {}
 
     alive = [i for i in range(len(members)) if i not in removed]
-    probes = psd_probes(s.n, [members[i] for i in alive])
+    table = inclusion_table(s.n, [members[i] for i in alive], tol)
+    # included[a, b]: J+(members[b]) subset of J+(members[a]) ?
+    included = {(alive[i], alive[j]): st for (i, j), st in table.items()}
     order = sorted(alive, key=lambda i: members[i].data)
-
-    def included(inner_idx, outer_idx):
-        # J+(members[inner_idx]) subset of J+(members[outer_idx]) ?
-        return inclusion_status(members[outer_idx], members[inner_idx], tol, probes=probes)
 
     for a in order:
         if a in removed:
@@ -260,11 +245,9 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
         for b in order:
             if a == b or b in removed or a in removed:
                 continue
-            st = included(b, a)
-            if st != CERTIFIED:
+            if included[a, b] != CERTIFIED:
                 continue
-            back = included(a, b)
-            if back == CERTIFIED:
+            if included[b, a] == CERTIFIED:
                 # equivalence class: keep the lexicographically smaller packed rep
                 keep, drop = (a, b) if members[a].data <= members[b].data else (b, a)
                 removed.add(drop)
@@ -272,10 +255,12 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
                 removed.add(a)
             if a in removed:
                 break
-    kept = [m for i, m in enumerate(members) if i not in removed]
-    if not kept:
-        kept = [SymMat.zeros(s.n)]
-    return constraint_set(s.n, kept, provenance=s.provenance), tuple(sorted(removed))
+    kept = [i for i in range(len(members)) if i not in removed]
+    position = {i: k for k, i in enumerate(kept)}
+    survivors = {(position[a], position[b]): st for (a, b), st in included.items()
+                 if a in position and b in position}
+    return (constraint_set(s.n, [members[i] for i in kept], provenance=s.provenance),
+            tuple(sorted(removed)), survivors)
 
 
 def _all_zero(members) -> bool:

@@ -56,6 +56,7 @@ class SdpSolution:
     iterations: int = 0
     certificate: Optional[dict] = None
     mu_history: tuple = ()
+    slack: Optional[np.ndarray] = None  # the w >= 0 block (slacks of ">=" rows)
 
 
 # --------------------------------------------------------------------------
@@ -144,8 +145,10 @@ def _step_to_boundary_vec(v, dv):
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def _conic_solve(d: _ConicData, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Returns dict with status, X, w, y, Smat, z, value, dual_value, residuals."""
+def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+    """Solve the conic data; multipliers of the first n_eq rows are reported
+    as dual_eq and the rest as dual_ineq."""
     n, p, m = d.n, d.p, len(d.b)
     nu = n + p
 
@@ -401,30 +404,30 @@ def _conic_solve(d: _ConicData, tol: float = DEFAULT_TOL, max_iter: int = DEFAUL
         best = (pres, dresr, gap, pobj, dobj)
     pres, dresr, gap, pobj, dobj = best if best is not None else current_metrics()
 
-    # undo scaling
-    def unscale_duals(yvec):
-        return yvec * rho_c / rho
-
-    out = {
-        "status": status,
-        "iterations": it,
-        "mu_history": tuple(mu_hist),
-        "residuals": (pres, dresr, gap),
-        "X": pt.X / pt.tau if n else np.zeros((0, 0)),
-        "w": pt.w / pt.tau if p else np.zeros(0),
-        "y": unscale_duals(pt.y / pt.tau),
-        "value": pobj * rho_c,
-        "dual_value": dobj * rho_c,
-        "certificate": None,
-    }
+    # undo scaling; duals of ">="-form rows are the nonnegative slack
+    # multipliers ("<=" rows were negated on entry, so theirs stay nonnegative)
+    y = pt.y / pt.tau * rho_c / rho
+    X = SymMat.from_dense(_sym(pt.X / pt.tau))
+    certificate = None
     if status == "infeasible":
-        out["certificate"] = {"kind": "primal_infeasible", "y": unscale_duals(pt.y)}
-        out["X"] = None
+        certificate = {"kind": "primal_infeasible", "y": pt.y * rho_c / rho}
+        X = None
     elif status == "unbounded":
-        ray = pt.X.copy() if n else np.zeros((0, 0))
-        out["certificate"] = {"kind": "dual_infeasible", "X": ray, "w": pt.w.copy()}
-        out["X"] = None
-    return out
+        certificate = {"kind": "dual_infeasible", "X": pt.X.copy(), "w": pt.w.copy()}
+        X = None
+    return SdpSolution(
+        status=status,
+        X=X,
+        dual_eq=y[:n_eq],
+        dual_ineq=y[n_eq:],
+        value=pobj * rho_c,
+        dual_value=dobj * rho_c,
+        residuals=(pres, dresr, gap),
+        iterations=it,
+        certificate=certificate,
+        mu_history=tuple(mu_hist),
+        slack=pt.w / pt.tau,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -464,7 +467,7 @@ def _assemble(p: SdpProblem):
         Aw=np.array(rows_w).reshape(len(rhs), n_slack),
         b=np.array(rhs, dtype=float),
     )
-    return d, len(eqs), n_slack
+    return d, len(eqs)
 
 
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
@@ -474,24 +477,8 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
         raise ValueError("tol must be positive")
     if not p.objective.is_finite():
         raise ValueError("non-finite objective")
-    d, n_eq, n_slack = _assemble(p)
-    res = _conic_solve(d, tol=tol, max_iter=max_iter)
-    y = res["y"]
-    # duals of ">="-form rows are the nonnegative slack multipliers; "<=" rows
-    # were negated on entry, so their reported multiplier stays nonnegative too
-    X = SymMat.from_dense(_sym(res["X"])) if res["X"] is not None else None
-    return SdpSolution(
-        status=res["status"],
-        X=X,
-        dual_eq=np.asarray(y[:n_eq]),
-        dual_ineq=np.asarray(y[n_eq:]),
-        value=res["value"],
-        dual_value=res["dual_value"],
-        residuals=res["residuals"],
-        iterations=res["iterations"],
-        certificate=res["certificate"],
-        mu_history=res["mu_history"],
-    )
+    d, n_eq = _assemble(p)
+    return _conic_solve(d, n_eq, tol=tol, max_iter=max_iter)
 
 
 # --------------------------------------------------------------------------
@@ -525,6 +512,17 @@ def inclusion_problem(a: SymMat, b: SymMat) -> SdpProblem:
         objective=a,
         eq_constraints=((SymMat.identity(a.n), 1.0),),
         ineq_constraints=((b, ">=", 0.0),),
+    )
+
+
+def slice_max_problem(f: SymMat, members) -> SdpProblem:
+    """max <F,X> over the trace-one feasible slice, posed as
+    min <-F,X> s.t. trace X = 1, <B,X> >= 0 for all members."""
+    return SdpProblem(
+        n=f.n,
+        objective=f.scale(-1.0),
+        eq_constraints=((SymMat.identity(f.n), 1.0),),
+        ineq_constraints=tuple((m, ">=", 0.0) for m in members),
     )
 
 
@@ -569,12 +567,12 @@ def slater_data(members, n: int) -> _ConicData:
 
 def solve_slater(members, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Returns (status, X_star, t_star): max-rank feasible point and its margin."""
-    res = _conic_solve(slater_data(members, n), tol=tol, max_iter=max_iter)
-    if res["status"] not in ("optimal", "max_iter"):
-        return res["status"], None, -math.inf
-    t = float(res["w"][0])
-    X = _sym(res["X"] + t * np.eye(n))
-    return res["status"], SymMat.from_dense(X), t
+    sol = _conic_solve(slater_data(members, n), 1, tol=tol, max_iter=max_iter)
+    if sol.status not in ("optimal", "max_iter"):
+        return sol.status, None, -math.inf
+    t = float(sol.slack[0])
+    X = _sym(sol.X.to_dense() + t * np.eye(n))
+    return sol.status, SymMat.from_dense(X), t
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_criterion_1_worked_example_end_to_end():
     assert np.array_equal(pb, [[-1, -2], [-2, -1]])
     assert np.array_equal(pc, [[1, 2], [2, 1]])
     # pruning keeps exactly {B, C}
-    pruned, removed = remove_redundant(rr.reduced.bset, 1e-8)
+    pruned, removed, _ = remove_redundant(rr.reduced.bset, 1e-8)
     assert removed == (0,) and len(pruned.members) == 2
     # pairwise condition certified with (1, 1) at margin zero
     rep = check_condition_B(pruned, 1e-8)

@@ -7,12 +7,13 @@ from exactsdp import sdp as sdpmod
 from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, certify,
                               check_Bprime_Cprime, check_condition_B,
                               check_pair_B, check_structural, classify)
-from exactsdp.model import constraint_set, eval_quadratic, normalize
+from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
+from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import eq10_problem, solve, solve_ab_certificate
 from exactsdp.symmat import SymMat, inner, is_psd, lambda_min
-from exactsdp.gallery import (FIG1_COMBOS, ex61_matrices, ex61_reduced_matrices,
-                              fig1_member, fig2_members, hyperbola_family,
-                              overlap_disks)
+from exactsdp.gallery import (FIG1_COMBOS, build_case, ex61_matrices,
+                              ex61_reduced_matrices, fig1_member, fig2_members,
+                              hyperbola_family, overlap_disks)
 
 TOL = 1e-8
 
@@ -214,3 +215,35 @@ def test_package_certify_is_the_submodule():
     assert isinstance(exactsdp.certify, types.ModuleType)
     assert exactsdp.certify is sys.modules["exactsdp.certify"]
     assert exactsdp.certify.certify is certify
+
+
+def _verdicts(rep):
+    st = rep.structural
+    out = [rep.overall, st.a1, st.a2, st.a3, st.a4, st.a5, st.a4_psd_members,
+           st.a5_violations, st.a5_undecided, rep.condition_b.status,
+           [(v.pair, v.status) for v in rep.condition_b.pairs]]
+    if rep.slice_conditions is not None:
+        sc = rep.slice_conditions
+        out += [sc.b_prime_status, sc.c_prime_status,
+                [(v.pair, v.status) for v in sc.b_prime_pairs],
+                [(m.index, m.status) for m in sc.c_prime_members]]
+    if rep.classification is not None:
+        out += [rep.classification.case, rep.classification.exposing_index]
+    return out
+
+
+def test_certify_with_reduction_answers_matches_own_answers():
+    # the Slater point of facial reduction and pruning's inclusion table give
+    # the verdicts certify() reaches when it answers both questions itself
+    bsets = [build_case("ex6.1-reduced").problem.bset,
+             constraint_set(3, fig2_members()), overlap_disks()]
+    for bset in bsets:
+        n = bset.n
+        prob = GeoCop(n=n, Q=SymMat.identity(n), H=SymMat.identity(n), bset=normalize(bset))
+        rr = facial_reduce(prob, TOL)
+        pruned, _, inclusions = remove_redundant(rr.reduced.bset, TOL)
+        reused = certify(pruned, TOL, slater=rr.slater, inclusions=inclusions)
+        own = certify(pruned, TOL)
+        assert _verdicts(reused) == _verdicts(own)
+        assert abs(reused.structural.slater_margin - own.structural.slater_margin) <= 1e-6
+        assert reused.structural.slater_margin == rr.slater_margin

@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 
+import exactsdp.certify as certmod
+from exactsdp import sdp as sdpmod
 from exactsdp.docio import verdict_doc
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.oracle import solve_sphere
 from exactsdp.pipeline import (PipelineConfig, extract_rank_one, run_pipeline)
-from exactsdp.symmat import SymMat, gram, inner
+from exactsdp.symmat import SymMat, gram, inner, is_psd
 from exactsdp.gallery import (build_case, ex61_matrices, ex63_congruence,
                               overlap_disks)
 
@@ -120,3 +123,38 @@ def test_collapsed_cone_reports_infeasible_path():
     assert v.reduction.reduced_n == 0
     assert v.exactness == "relaxation_only"
     assert v.value == math.inf
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name, wherever an exactsdp module binds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("exactsdp") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_pipeline_solves_slater_only_in_facial_reduction(monkeypatch):
+    calls = _count_calls(monkeypatch, sdpmod, "solve_slater")
+    v = run_pipeline(build_case("ex6.1").problem, CFG)
+    assert v.cert.structural.a3
+    # one Slater solve per reduction round plus the final one on the
+    # reduced members; the structural checks reuse the final one
+    assert v.reduction.rounds == 1
+    assert len(calls) == v.reduction.rounds + 1 == 2
+    assert v.cert.structural.slater_margin == v.reduction.slater_margin
+
+
+def test_pipeline_tests_inclusion_only_in_pruning(monkeypatch):
+    calls = _count_calls(monkeypatch, certmod, "inclusion_status")
+    v = run_pipeline(build_case("fig2").problem, CFG)
+    assert v.cert.structural.a5
+    k = sum(not is_psd(m, CFG.cert_tol) for m in v.reduction.reduced.bset.members)
+    assert k >= 2
+    assert len(calls) == k * (k - 1)

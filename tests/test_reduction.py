@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 
-from exactsdp.certify import check_structural
+from exactsdp.certify import check_structural, inclusion_status
 from exactsdp.model import GeoCop, constraint_set, normalize
-from exactsdp.reduction import facial_reduce, find_max_rank_point, remove_redundant
-from exactsdp.sdp import relaxation_problem, solve
+from exactsdp.reduction import facial_reduce, remove_redundant
+from exactsdp.sdp import relaxation_problem, solve, solve_slater
 from exactsdp.symmat import SymMat, eig_sym, gram, inner, is_psd
 from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices, fig2_members
 
@@ -20,14 +20,14 @@ def ex61_problem():
 
 
 def test_max_rank_trivial_cone():
-    x, t = find_max_rank_point(constraint_set(3, [SymMat.zeros(3)]), TOL)
+    _, x, t = solve_slater([SymMat.zeros(3)], 3, tol=1e-9)
     assert abs(t - 1.0 / 3.0) <= 1e-6
     assert np.allclose(x.to_dense(), np.eye(3) / 3.0, atol=1e-6)
 
 
 def test_max_rank_on_flat_cone():
     a, b, c = ex61_matrices()
-    x, t = find_max_rank_point(constraint_set(4, [a, b, c]), TOL)
+    _, x, t = solve_slater([a, b, c], 4, tol=1e-9)
     assert t <= TOL
     ed = eig_sym(x)
     keep = ed.values > 1e-7 * ed.values[0]
@@ -39,7 +39,8 @@ def test_max_rank_on_flat_cone():
 
 
 def test_max_rank_infeasible():
-    x, t = find_max_rank_point(constraint_set(2, [SymMat.identity(2).scale(-1.0)]), TOL)
+    status, x, t = solve_slater([SymMat.identity(2).scale(-1.0)], 2, tol=1e-9)
+    assert status == "infeasible"
     assert x is None and t == -math.inf
 
 
@@ -130,14 +131,14 @@ def test_feasibility_transport_and_lifting():
 
 def test_post_reduction_structure():
     rr = facial_reduce(ex61_problem(), TOL)
-    pruned, _ = remove_redundant(rr.reduced.bset, TOL)
+    pruned, _, _ = remove_redundant(rr.reduced.bset, TOL)
     rep = check_structural(pruned, TOL)
     assert rep.a3 and rep.a4 and rep.a5
 
 
 def test_remove_redundant_drops_psd_member():
     rr = facial_reduce(ex61_problem(), TOL)
-    pruned, removed = remove_redundant(rr.reduced.bset, TOL)
+    pruned, removed, _ = remove_redundant(rr.reduced.bset, TOL)
     assert removed == (0,)
     kept = [m.to_dense().tolist() for m in pruned.members]
     assert [[-1, -2], [-2, -1]] in kept and [[1, 2], [2, 1]] in kept
@@ -145,20 +146,42 @@ def test_remove_redundant_drops_psd_member():
 
 def test_remove_redundant_scale_class():
     b, _ = ex61_reduced_matrices()
-    s, removed = remove_redundant(constraint_set(2, [b, b.scale(2.0)]), TOL)
+    s, removed, _ = remove_redundant(constraint_set(2, [b, b.scale(2.0)]), TOL)
     assert len(s.members) == 1 and len(removed) == 1
 
 
 def test_remove_redundant_zero_set():
-    s, removed = remove_redundant(constraint_set(2, [SymMat.zeros(2)]), TOL)
+    s, removed, inclusions = remove_redundant(constraint_set(2, [SymMat.zeros(2)]), TOL)
     assert len(s.members) == 1 and s.members[0].data == (0.0, 0.0, 0.0)
+    assert inclusions == {}
 
 
 def test_pruning_preserves_relaxation_value():
     prob = ex61_problem()
     rr = facial_reduce(prob, TOL)
-    pruned, _ = remove_redundant(rr.reduced.bset, TOL)
+    pruned, _, _ = remove_redundant(rr.reduced.bset, TOL)
     full = solve(relaxation_problem(rr.reduced), tol=1e-9)
     less = solve(relaxation_problem(
         GeoCop(n=rr.reduced_n, Q=rr.reduced.Q, H=rr.reduced.H, bset=pruned)), tol=1e-9)
     assert abs(full.value - less.value) <= 1e-6 * (1.0 + abs(full.value))
+
+
+def test_remove_redundant_returns_survivor_inclusions():
+    # every ordered pair of survivors, with the status inclusion_status gives
+    prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]), H=SymMat.identity(3),
+                  bset=normalize(constraint_set(3, fig2_members())))
+    pruned, _, inclusions = remove_redundant(prob.bset, TOL)
+    k = len(pruned.members)
+    assert sorted(inclusions) == [(i, j) for i in range(k) for j in range(k) if i != j]
+    for (i, j), st in inclusions.items():
+        assert st == inclusion_status(pruned.members[i], pruned.members[j], TOL)
+
+
+def test_facial_reduce_keeps_final_slater_solve():
+    rr = facial_reduce(ex61_problem(), TOL)
+    status, x, t = rr.slater
+    assert status == "optimal" and t == rr.slater_margin
+    # it is the Slater solve on exactly the reduced members
+    again = solve_slater(rr.reduced.bset.members, rr.reduced_n, tol=1e-9)
+    assert again[0] == status and again[2] == t
+    assert again[1].data == x.data
