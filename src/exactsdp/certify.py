@@ -3,8 +3,11 @@
 Structural conditions (A-1)..(A-5), the pairwise condition (B) through
 (alpha, beta) certificates with SDP refutation fallback, the slice
 conditions (B)'/(C)' on the z = 1 sections, and the boundary-member
-classification.  Every check is a pure per-pair / per-member computation, so
-callers may evaluate pairs in parallel and aggregate deterministically.
+classification.  The pair layer (condition (B)) and the inclusion layer
+((A-5) and pruning) run over all pairs at once on dense stacks: one batched
+golden section, one stacked PSD test and one probe pass, in the operation
+order of the one-pair calls, so a verdict does not depend on which other
+pairs were batched with it.  Only the pairs these leave open get an SDP.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .model import ConstraintSet, quadform_packed
-from .symmat import SymMat, combine, gram, inner, is_psd, lambda_min
+from .symmat import (SymMat, dense_stack, gram, inner, inner_packed, is_psd,
+                     lambda_min_stack, packed_stack)
 from . import sdp as sdpmod
 
 CERTIFIED = "certified"
@@ -110,36 +114,68 @@ def psd_probes(n: int, members, seed: int = 12345, count: int = 32):
     return probes
 
 
-def inclusion_status(a: SymMat, b: SymMat, tol: float, probes=None) -> str:
-    """Is J+(B) a subset of J+(A)?  'certified' / 'refuted' / 'inconclusive'.
+def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
+    """Is J+(members[j]) a subset of J+(members[i])?  One status per ordered
+    pair (i, j): 'certified' / 'refuted' / 'inconclusive'.
 
-    Probes can only disprove; confirmation runs the trace-normalized SDP
+    A - B psd is sufficient; a probe X with <B,X> >= 0 and <A,X> clearly
+    negative refutes.  Both tests run on all pairs at once, and only the
+    pairs they leave open go to the trace-normalized SDP
     min <A,X> s.t. <B,X> >= 0 (nonnegative value means inclusion).
     """
-    scale_a = max(1.0, a.norm())
-    if is_psd(a.add(b, -1.0), tol):  # A - B psd is sufficient
-        return CERTIFIED
+    if tol < 0.0:
+        raise ValueError("tol must be nonnegative")
+    n = members[0].n
+    packed = packed_stack(members, n)
+    ia = np.array([i for i, _ in pairs], dtype=int)
+    ib = np.array([j for _, j in pairs], dtype=int)
+    diff = packed[ia] - packed[ib]
+    diff_psd = (lambda_min_stack(dense_stack(diff, n))
+                >= -tol * np.maximum(1.0, np.sqrt(inner_packed(diff, diff, n))))
+    scale = np.maximum(1.0, np.sqrt(inner_packed(packed, packed, n)))
+    xs = packed_stack(probes, n)
+    vals = inner_packed(packed[:, None, :], xs[None, :, :], n)  # <member, probe>
+    probe_scale = np.maximum(1.0, np.sqrt(inner_packed(xs, xs, n)))
+    clearly_negative = vals < -_REFUTE_FACTOR * tol * scale[:, None] * probe_scale
+    probed_out = ((vals >= 0.0)[ib] & clearly_negative[ia]).any(axis=1)
+    out = []
+    for (i, j), psd, refuted in zip(pairs, diff_psd.tolist(), probed_out.tolist()):
+        if psd:
+            out.append(CERTIFIED)
+            continue
+        if refuted:
+            out.append(REFUTED)
+            continue
+        sol = sdpmod.solve(sdpmod.inclusion_problem(members[i], members[j]), tol=min(tol, 1e-9))
+        scale_a = float(scale[i])
+        if sol.status != "optimal":
+            out.append(INCONCLUSIVE)
+        elif sol.value >= -tol * scale_a:
+            out.append(CERTIFIED)
+        elif sol.value <= -_REFUTE_FACTOR * tol * scale_a:
+            out.append(REFUTED)
+        else:
+            out.append(INCONCLUSIVE)
+    return out
+
+
+def inclusion_status(a: SymMat, b: SymMat, tol: float, probes=None) -> str:
+    """Is J+(B) a subset of J+(A)?  The one-pair call of the batched
+    inclusion layer; probes default to psd_probes over (A, B)."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
     if probes is None:
         probes = psd_probes(a.n, (a, b))
-    for x in probes:
-        if inner(b, x) >= 0.0 and inner(a, x) < -_REFUTE_FACTOR * tol * scale_a * max(1.0, x.norm()):
-            return REFUTED
-    sol = sdpmod.solve(sdpmod.inclusion_problem(a, b), tol=min(tol, 1e-9))
-    if sol.status != "optimal":
-        return INCONCLUSIVE
-    if sol.value >= -tol * scale_a:
-        return CERTIFIED
-    if sol.value <= -_REFUTE_FACTOR * tol * scale_a:
-        return REFUTED
-    return INCONCLUSIVE
+    return _inclusion_statuses((a, b), [(0, 1)], tol, probes)[0]
 
 
 def inclusion_table(n: int, members, tol: float) -> dict:
-    """inclusion_status over every ordered pair of members, with one probe
+    """Inclusion status of every ordered pair of members, with one probe
     set: entry (i, j) says whether J+(members[j]) lies in J+(members[i])."""
-    probes = psd_probes(n, members)
-    return {(i, j): inclusion_status(a, b, tol, probes=probes)
-            for i, a in enumerate(members) for j, b in enumerate(members) if i != j}
+    pairs = [(i, j) for i in range(len(members)) for j in range(len(members)) if i != j]
+    if not pairs:
+        return {}
+    return dict(zip(pairs, _inclusion_statuses(members, pairs, tol, psd_probes(n, members))))
 
 
 def _fold_status(verdicts) -> str:
@@ -164,32 +200,46 @@ def _canonical_witness(x: SymMat) -> SymMat:
     return SymMat(x.n, cleaned)
 
 
-def check_pair_B(a: SymMat, b: SymMat, tol: float = sdpmod.DEFAULT_TOL) -> PairVerdict:
-    """Decide J_0(B) subset of J_+(A) for one pair.
+def _pair_verdicts(members, pairs, tol: float) -> list:
+    """Decide J_0(B) subset of J_+(A) for each pair (i, j), A = members[i].
 
-    Tries the (alpha, beta) psd-combination certificate first; on failure
-    solves the trace-normalized refutation SDP min <A,X> s.t. <B,X> <= 0 and
-    reports its minimizer as a witness when the value is clearly negative.
+    One batched (alpha, beta) search covers every pair; a pair it leaves
+    without a certificate gets the trace-normalized refutation SDP
+    min <A,X> s.t. <B,X> <= 0, whose minimizer is reported as a witness when
+    the value is clearly negative.
     """
+    n = members[0].n
+    dense = dense_stack(packed_stack(members, n), n)
+    norms = [m.norm() for m in members]
+    scales = [norms[i] + norms[j] for i, j in pairs]
+    certs = sdpmod.ab_certificates(dense[[i for i, _ in pairs]], dense[[j for _, j in pairs]],
+                                   np.array(scales), tol)
+    verdicts = []
+    for (i, j), scale, cert in zip(pairs, scales, certs):
+        if cert is not None:
+            tau, lam = cert
+            verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, tau),
+                                        margin=lam / max(scale, 1.0)))
+            continue
+        a, b = members[i], members[j]
+        sol = sdpmod.solve(sdpmod.eq10_problem(a, b), tol=min(tol, 1e-9))
+        scale_a = max(1.0, norms[i])
+        if sol.status == "optimal" and sol.value <= -_REFUTE_FACTOR * tol * scale_a:
+            verdicts.append(PairVerdict(pair=(i, j), status=REFUTED,
+                                        witness=_canonical_witness(sol.X),
+                                        margin=sol.value / scale_a))
+        else:
+            margin = sol.value / scale_a if sol.status == "optimal" else math.nan
+            verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE, margin=margin))
+    return verdicts
+
+
+def check_pair_B(a: SymMat, b: SymMat, tol: float = sdpmod.DEFAULT_TOL) -> PairVerdict:
+    """Decide J_0(B) subset of J_+(A) for one pair: the one-pair call of
+    check_condition_B's batched search and refutation."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    scale = a.norm() + b.norm()
-    cert = sdpmod.solve_ab_certificate(a, b, tol)
-    if cert is not None:
-        alpha, beta = cert
-        margin = lambda_min(combine(alpha, a, beta, b)) / max(scale, 1.0)
-        return PairVerdict(pair=(0, 1), status=CERTIFIED, certificate=(alpha, beta), margin=margin)
-    sol = sdpmod.solve(sdpmod.eq10_problem(a, b), tol=min(tol, 1e-9))
-    scale_a = max(1.0, a.norm())
-    if sol.status == "optimal" and sol.value <= -_REFUTE_FACTOR * tol * scale_a:
-        return PairVerdict(
-            pair=(0, 1),
-            status=REFUTED,
-            witness=_canonical_witness(sol.X),
-            margin=sol.value / scale_a,
-        )
-    margin = sol.value / scale_a if sol.status == "optimal" else math.nan
-    return PairVerdict(pair=(0, 1), status=INCONCLUSIVE, margin=margin)
+    return _pair_verdicts((a, b), [(0, 1)], tol)[0]
 
 
 def check_condition_B(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> ConditionBReport:
@@ -197,12 +247,8 @@ def check_condition_B(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> Cond
     in the pair, so one certificate settles both orientations."""
     if len(s.members) == 0:
         raise ValueError("empty constraint set")
-    verdicts = []
-    for i in range(len(s.members)):
-        for j in range(i + 1, len(s.members)):
-            v = check_pair_B(s.members[i], s.members[j], tol)
-            v.pair = (i, j)
-            verdicts.append(v)
+    k = len(s.members)
+    verdicts = _pair_verdicts(s.members, [(i, j) for i in range(k) for j in range(i + 1, k)], tol)
     return ConditionBReport(status=_fold_status(verdicts), pairs=tuple(verdicts))
 
 
@@ -235,26 +281,30 @@ def find_negative_point(b: SymMat, tol: float):
             break
     if best is None:
         return None
-    u = _polish_point(best, lambda x: float(_slice_values(b, x[None, :])[0]))
+    u = _polish_point(best, lambda pts: _slice_values(b, pts))
     return tuple(float(v) for v in u)
 
 
 def _polish_point(u0, f, steps: int = 60):
+    """Descend on f from u0 by central-difference gradient steps.
+
+    f maps an (m, d) stack of points to their m values; each step evaluates
+    the whole 2d-point stencil in one call and the candidate in another.
+    """
     u = np.array(u0, dtype=float)
-    fu = f(u)
+    fu = f(u[None, :])[0]
     h = 1e-5
+    d = u.size
+    stencil = h * np.eye(d)
     step = 0.25 * max(1.0, float(np.linalg.norm(u)))
     for _ in range(steps):
-        g = np.zeros_like(u)
-        for i in range(u.size):
-            e = np.zeros_like(u)
-            e[i] = h
-            g[i] = (f(u + e) - f(u - e)) / (2 * h)
+        fs = f(np.concatenate([u + stencil, u - stencil]))
+        g = (fs[:d] - fs[d:]) / (2 * h)
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
         cand = u - step * g / gn
-        fc = f(cand)
+        fc = f(cand[None, :])[0]
         if fc < fu:
             u, fu = cand, fc
             step *= 1.3
@@ -279,11 +329,9 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
         if mask.any():
             cand = pts[mask]
             u0 = cand[int(np.argmin(qa[mask]))]
-            # descend on max(q_b, q_a + margin) to push q_a well negative
-            def fobj(x):
-                row = x[None, :]
-                return max(float(_slice_values(b, row)[0]), float(_slice_values(a, row)[0]))
-            u = _polish_point(u0, fobj, steps=40)
+            # descend on max(q_b, q_a) to push q_a well negative
+            u = _polish_point(u0, lambda x: np.maximum(_slice_values(b, x), _slice_values(a, x)),
+                              steps=40)
             row = u[None, :]
             if float(_slice_values(b, row)[0]) <= tol and float(_slice_values(a, row)[0]) < -tol:
                 return tuple(float(v) for v in u)
@@ -333,14 +381,12 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
             c_members.append(MemberVerdict(index=idx, status=INCONCLUSIVE,
                                            value=sol.value if sol.status == "optimal" else math.nan))
 
+    if pair_verdicts is None:
+        pair_verdicts = {v.pair: v for v in check_condition_B(s, tol).pairs}
     b_pairs = []
     for i in range(len(s.members)):
         for j in range(i + 1, len(s.members)):
-            base = None
-            if pair_verdicts is not None:
-                base = pair_verdicts.get((i, j))
-            if base is None:
-                base = check_pair_B(s.members[i], s.members[j], tol)
+            base = pair_verdicts[(i, j)]
             if base.status == CERTIFIED:
                 v = PairVerdict(pair=(i, j), status=CERTIFIED,
                                 certificate=base.certificate, margin=base.margin)

@@ -109,6 +109,8 @@ def parse_problem(data) -> tuple:
         raise DocError("$.H", "missing normalization matrix")
     q = _matrix(doc["Q"], n, "$.Q")
     h = _matrix(doc["H"], n, "$.H")
+    if all(v == 0.0 for v in h.data):
+        raise DocError("$.H", "all-zero matrix: <H, xx^T> = 1 has no solution")
     members = []
     cons = doc.get("constraints", [])
     if not isinstance(cons, list):

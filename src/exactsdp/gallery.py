@@ -354,22 +354,14 @@ def run_case(case_id: str, tol: float = 1e-8) -> dict:
                              and verdict.rank_one is not None and verdict.rank_one.confident,
                              "exactness=%s" % verdict.exactness, "derived"))
     elif case_id == "ex6.2-ball":
-        members = case.problem.bset.members
-        npairs = len(members) * (len(members) - 1) // 2
-        checks.append(_check("pair_count", npairs == 300, "pairs=%d" % npairs, "trivial"))
-        bad = 0
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if sdpmod.solve_ab_certificate(members[i], members[j], tol) is None:
-                    bad += 1
+        pairs = check_condition_B(case.problem.bset, tol).pairs
+        checks.append(_check("pair_count", len(pairs) == 300, "pairs=%d" % len(pairs),
+                             "trivial"))
+        bad = sum(v.certificate is None for v in pairs)
         checks.append(_check("pairs_certified", bad == 0, "failed pairs=%d" % bad, "published"))
     elif case_id == "ex6.3":
-        members = case.problem.members
-        bad = 0
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if check_pair_B(members[i], members[j], tol).status != CERTIFIED:
-                    bad += 1
+        pairs = check_condition_B(case.problem, tol).pairs
+        bad = sum(v.status != CERTIFIED for v in pairs)
         checks.append(_check("pairs_certified", bad == 0, "failed pairs=%d" % bad, "published"))
         fam = hyperbola_family()
         bbar = fam.limit_member(abar=fam.breakpoints[-1])

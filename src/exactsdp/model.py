@@ -69,18 +69,6 @@ def integer_grid(box: Sequence[Sequence[float]]):
 
 
 @dataclass(frozen=True)
-class ExplicitFamily:
-    kind = "explicit"
-    members: tuple
-
-    def realize(self, n: int):
-        for m in self.members:
-            if m.n != n:
-                raise ValueError("explicit member has dimension %d, expected %d" % (m.n, n))
-        return list(self.members)
-
-
-@dataclass(frozen=True)
 class BallGrid:
     """Complement-of-disk constraints q(u,z) = ||u - t z||^2 - r^2 z^2, t in T."""
 
@@ -376,5 +364,5 @@ def discretize(f, cfg: DiscretizationConfig, k: int, n: int) -> ConstraintSet:
             split=f.split,
         )
         return build_family(sub, n)
-    # explicit / parabola sets are already finite
+    # parabola sets are already finite
     return build_family(f, n)

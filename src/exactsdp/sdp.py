@@ -3,11 +3,15 @@
 Solves min <C,X> + c.w  s.t.  linear rows on (X, w),  X psd,  w >= 0
 through a homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, which yields infeasibility/unboundedness
-certificates as a by-product.  Also hosts the 1-D concave search for the
-(alpha, beta) pair certificate and the small auxiliary SDP formulations used
-by the certification and reduction stages.
+certificates as a by-product.  Also hosts the (alpha, beta) pair-certificate
+search, a golden section over the concave 1-D function that runs for a whole
+stack of pairs at once, and the small auxiliary SDP formulations used by the
+certification and reduction stages.
 
-Instance sizes here are tiny (n <= ~10, <= ~60 rows); robustness beats speed.
+Each SDP here is small (n <= ~10, <= ~60 rows) and is solved densely.  The
+pair search takes one stacked eigenvalue call per golden-section step for
+all pairs together, so its per-call overhead grows with the number of
+steps, not with the number of pairs times steps.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .model import GeoCop
-from .symmat import SymMat, combine, lambda_min
+from .symmat import SymMat, lambda_min_stack
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -583,55 +587,85 @@ _GOLDEN_ITERS = 120
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):
-    """Search for alpha, beta > 0 with alpha*A + beta*B psd.
+def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float = DEFAULT_TOL):
+    """Search, for every pair p, for alpha, beta > 0 with alpha*A[p] + beta*B[p] psd.
 
+    A and B are (P, n, n) dense stacks and scale[p] = ||A[p]|| + ||B[p]||.
     lambda_min(A + tau B)/(1 + tau) equals lambda_min(mu A + (1-mu) B) at
     mu = 1/(1+tau), which is concave in mu (a min of linear functionals), so
-    a golden-section search over mu in (0,1) finds the global maximum.  On
-    success returns (1.0, tau); tau is snapped to a nearby simple decimal
-    when that does not hurt the certificate.  Returns None when the global
-    maximum is certifiably below -tol * (||A|| + ||B||).
+    a golden-section search over mu in (0,1) finds the global maximum.  All
+    pairs step together: each step is one stacked eigvalsh, and np.where
+    applies the scalar branch rule per pair.  tau is then snapped to a
+    nearby simple decimal when that does not hurt the certificate.
+
+    Returns one entry per pair: (tau, lambda_min(A + tau B)) for the
+    certificate (1, tau), or None when the global maximum is certifiably
+    below -tol * scale.
     """
-    if a.n != b.n:
+    if A.shape != B.shape:
         raise ValueError("dimension mismatch")
-    if a.data == b.data:
+    if np.all(A == B, axis=(1, 2)).any():
         raise ValueError("the pair certificate needs two distinct matrices")
-    scale = a.norm() + b.norm()
-    if scale == 0.0:
-        return 1.0, 1.0  # O + O is psd
+    P = A.shape[0]
+    if P == 0:
+        return []
 
     def phi(mu):
-        return lambda_min(combine(mu, a, 1.0 - mu, b))
+        return lambda_min_stack(mu[:, None, None] * A + (1.0 - mu)[:, None, None] * B)
 
-    lo, hi = 0.0, 1.0
+    lo, hi = np.zeros(P), np.ones(P)
     c = hi - _INVPHI * (hi - lo)
     e = lo + _INVPHI * (hi - lo)
     fc, fe = phi(c), phi(e)
     for _ in range(_GOLDEN_ITERS):
-        if fc >= fe:
-            hi, e, fe = e, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = phi(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + _INVPHI * (hi - lo)
-            fe = phi(e)
-    mu = (lo + hi) / 2.0
-    mu = min(max(mu, 1e-12), 1.0 - 1e-12)
-    tau = (1.0 - mu) / mu
+        left = fc >= fe  # keep [lo, e]; otherwise keep [c, hi]
+        hi = np.where(left, e, hi)
+        lo = np.where(left, lo, c)
+        step = _INVPHI * (hi - lo)
+        x = np.where(left, hi - step, lo + step)
+        fx = phi(x)
+        c, e = np.where(left, x, e), np.where(left, c, x)
+        fc, fe = np.where(left, fx, fe), np.where(left, fc, fx)
+    mu = np.minimum(np.maximum((lo + hi) / 2.0, 1e-12), 1.0 - 1e-12)
+    taus = ((1.0 - mu) / mu).tolist()
+    scales = [float(v) for v in scale]
 
-    candidates = []
-    for t in (float(round(tau)), round(tau, 1), round(tau, 3), round(tau, 6),
-              round(tau, 9), round(tau, 12), tau):
-        if t > 0.0 and t not in candidates:
-            candidates.append(t)
-    evaluated = [(t, lambda_min(combine(1.0, a, t, b)) / (1.0 + t)) for t in candidates]
-    best_val = max(v for _, v in evaluated)
-    for t, v in evaluated:  # earliest = simplest within snapping slack
-        if v >= best_val - 1e-12 * scale:
-            tau, val = t, v
-            break
-    if val * (1.0 + tau) >= -tol * scale:
-        return 1.0, tau
-    return None
+    owner, cands, spans = [], [], []
+    for p, tau in enumerate(taus):
+        if scales[p] == 0.0:
+            tried = [1.0]  # O + O is psd
+        else:
+            tried = []
+            for t in (float(round(tau)), round(tau, 1), round(tau, 3), round(tau, 6),
+                      round(tau, 9), round(tau, 12), tau):
+                if t > 0.0 and t not in tried:
+                    tried.append(t)
+        spans.append(range(len(cands), len(cands) + len(tried)))
+        owner += [p] * len(tried)
+        cands += tried
+    t = np.array(cands)
+    combos = B[owner]
+    combos *= t[:, None, None]
+    combos += A[owner]  # A + t B, in place: one (candidates, n, n) temporary less
+    lam = lambda_min_stack(combos)
+    lams, vals = lam.tolist(), (lam / (1.0 + t)).tolist()
+
+    out = []
+    for rows, s in zip(spans, scales):
+        best_val = max(vals[r] for r in rows)
+        # earliest = simplest within snapping slack
+        r = next(r for r in rows if vals[r] >= best_val - 1e-12 * s)
+        tau = cands[r]
+        ok = s == 0.0 or vals[r] * (1.0 + tau) >= -tol * s
+        out.append((tau, lams[r]) if ok else None)
+    return out
+
+
+def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):
+    """The pair certificate of one pair (see ab_certificates): (1.0, tau) with
+    A + tau B psd within tol * (||A|| + ||B||), or None."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    cert = ab_certificates(a.to_dense()[None], b.to_dense()[None],
+                           np.array([a.norm() + b.norm()]), tol)[0]
+    return None if cert is None else (1.0, cert[0])

@@ -93,15 +93,8 @@ class SymMat:
         return self.data[k]
 
     def norm(self) -> float:
-        """Frobenius norm (off-diagonal entries count twice)."""
-        s = 0.0
-        k = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                v = self.data[k]
-                s += v * v if i == j else 2.0 * v * v
-                k += 1
-        return math.sqrt(s)
+        """Frobenius norm, sqrt(<A,A>) (off-diagonal entries count twice)."""
+        return math.sqrt(inner(self, self))
 
     def scale(self, c: float) -> "SymMat":
         return SymMat(self.n, tuple(c * v for v in self.data))
@@ -136,6 +129,42 @@ def inner(a: SymMat, b: SymMat) -> float:
             s += v if i == j else 2.0 * v
             k += 1
     return s
+
+
+# --------------------------------------------------------------------------
+# stacks: the batched twins of to_dense, inner and lambda_min.  Each runs the
+# scalar function's operations in the same order, so a layer that works on a
+# whole stack returns bitwise what a loop over single matrices would.
+# --------------------------------------------------------------------------
+
+def packed_stack(mats, n: int) -> np.ndarray:
+    """(k, n(n+1)/2) array of the packed entries of k SymMats in S^n."""
+    return np.array([m.data for m in mats], dtype=float).reshape(len(mats), packed_len(n))
+
+
+def dense_stack(packed: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, n) dense matrices from (..., n(n+1)/2) packed rows."""
+    idx = np.empty((n, n), dtype=int)
+    for k, (i, j) in enumerate(_packed_indices(n)):
+        idx[i, j] = idx[j, i] = k
+    return packed[..., idx]
+
+
+def inner_packed(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """<A,B> for packed rows a and b (leading axes broadcast), accumulated in
+    packed order exactly as inner() does."""
+    s = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for k, (i, j) in enumerate(_packed_indices(n)):
+        v = a[..., k] * b[..., k]
+        s = s + (v if i == j else 2.0 * v)
+    return s
+
+
+def lambda_min_stack(mats: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every matrix in a (P, n, n) dense stack."""
+    if not np.isfinite(mats).all():
+        raise ValueError("non-finite entries")
+    return np.linalg.eigvalsh(mats)[..., 0]
 
 
 def canonical_sign(v) -> np.ndarray:

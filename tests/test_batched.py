@@ -1,0 +1,294 @@
+"""The batched pair and inclusion layers against the one-pair code they replace.
+
+The reference functions below are the scalar loops the batched layers
+replaced, as they were: one golden section per pair with one
+lambda_min per step, and one inner product per probe.  The batched layers
+promise the same operations in the same order, so results are compared
+bitwise (repr tells -0.0 from 0.0), not within a tolerance.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from exactsdp import sdp as sdpmod
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _polish_point,
+                              _slice_values, check_condition_B, inclusion_status,
+                              inclusion_table, psd_probes)
+from exactsdp.gallery import ball_family, disk_member, ex61_matrices, fig2_members
+from exactsdp.model import build_family, constraint_set, normalize
+from exactsdp.sdp import solve_ab_certificate
+from exactsdp.symmat import (SymMat, combine, dense_stack, inner, inner_packed, is_psd,
+                             lambda_min, lambda_min_stack, packed_stack)
+
+TOL = 1e-8
+
+# --------------------------------------------------------------------------
+# reference implementations: the scalar loops before batching
+# --------------------------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _ref_norm(x):
+    s = 0.0
+    k = 0
+    for i in range(x.n):
+        for j in range(i, x.n):
+            v = x.data[k]
+            s += v * v if i == j else 2.0 * v * v
+            k += 1
+    return math.sqrt(s)
+
+
+def _ref_ab_certificate(a, b, tol):
+    """Scalar golden section; returns (tau, margin as check_pair_B reported
+    it) or None."""
+    scale = _ref_norm(a) + _ref_norm(b)
+
+    def phi(mu):
+        return lambda_min(combine(mu, a, 1.0 - mu, b))
+
+    lo, hi = 0.0, 1.0
+    c = hi - _INVPHI * (hi - lo)
+    e = lo + _INVPHI * (hi - lo)
+    fc, fe = phi(c), phi(e)
+    for _ in range(120):
+        if fc >= fe:
+            hi, e, fe = e, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = phi(c)
+        else:
+            lo, c, fc = c, e, fe
+            e = lo + _INVPHI * (hi - lo)
+            fe = phi(e)
+    mu = (lo + hi) / 2.0
+    mu = min(max(mu, 1e-12), 1.0 - 1e-12)
+    tau = (1.0 - mu) / mu
+    candidates = []
+    for t in (float(round(tau)), round(tau, 1), round(tau, 3), round(tau, 6),
+              round(tau, 9), round(tau, 12), tau):
+        if t > 0.0 and t not in candidates:
+            candidates.append(t)
+    evaluated = [(t, lambda_min(combine(1.0, a, t, b)) / (1.0 + t)) for t in candidates]
+    best_val = max(v for _, v in evaluated)
+    for t, v in evaluated:
+        if v >= best_val - 1e-12 * scale:
+            tau, val = t, v
+            break
+    if val * (1.0 + tau) >= -tol * scale:
+        return tau, lambda_min(combine(1.0, a, tau, b)) / max(scale, 1.0)
+    return None
+
+
+def _ref_inclusion_status(a, b, tol, probes):
+    """Scalar probe loop, then the inclusion SDP."""
+    scale_a = max(1.0, _ref_norm(a))
+    diff = a.add(b, -1.0)
+    if lambda_min(diff) >= -tol * max(1.0, _ref_norm(diff)):
+        return CERTIFIED
+    for x in probes:
+        if inner(b, x) >= 0.0 and inner(a, x) < -10.0 * tol * scale_a * max(1.0, _ref_norm(x)):
+            return REFUTED
+    sol = sdpmod.solve(sdpmod.inclusion_problem(a, b), tol=min(tol, 1e-9))
+    if sol.status != "optimal":
+        return INCONCLUSIVE
+    if sol.value >= -tol * scale_a:
+        return CERTIFIED
+    if sol.value <= -10.0 * tol * scale_a:
+        return REFUTED
+    return INCONCLUSIVE
+
+
+def _ref_polish_point(u0, f, steps=60):
+    u = np.array(u0, dtype=float)
+    fu = f(u)
+    h = 1e-5
+    step = 0.25 * max(1.0, float(np.linalg.norm(u)))
+    for _ in range(steps):
+        g = np.zeros_like(u)
+        for i in range(u.size):
+            e = np.zeros_like(u)
+            e[i] = h
+            g[i] = (f(u + e) - f(u - e)) / (2 * h)
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        cand = u - step * g / gn
+        fc = f(cand)
+        if fc < fu:
+            u, fu = cand, fc
+            step *= 1.3
+        else:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return u
+
+
+# --------------------------------------------------------------------------
+# bitwise agreement on the paper's sets
+# --------------------------------------------------------------------------
+
+SETS = {
+    "ball25": lambda: normalize(build_family(ball_family(), 3)),
+    "fig2": lambda: constraint_set(3, fig2_members()),
+    "ex6.1": lambda: constraint_set(4, ex61_matrices()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_pair_layer_matches_scalar_search(name):
+    s = SETS[name]()
+    rep = check_condition_B(s, TOL)
+    k = len(s.members)
+    assert [v.pair for v in rep.pairs] == [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for v in rep.pairs:
+        ref = _ref_ab_certificate(s.members[v.pair[0]], s.members[v.pair[1]], TOL)
+        if ref is None:
+            assert v.certificate is None and v.status != CERTIFIED
+        else:
+            assert v.status == CERTIFIED
+            assert repr(v.certificate) == repr((1.0, ref[0]))
+            assert repr(v.margin) == repr(ref[1])
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_inclusion_table_matches_scalar_probe_loop(name):
+    s = SETS[name]()
+    table = inclusion_table(s.n, s.members, TOL)
+    probes = psd_probes(s.n, s.members)
+    k = len(s.members)
+    assert sorted(table) == [(i, j) for i in range(k) for j in range(k) if i != j]
+    for (i, j), st_ in table.items():
+        assert st_ == _ref_inclusion_status(s.members[i], s.members[j], TOL, probes), (i, j)
+
+
+def test_one_pair_calls_match_scalar_code():
+    s = SETS["ex6.1"]()
+    a, b, c = s.members
+    for x, y in ((a, b), (b, c), (a, c), (c, a)):
+        ref = _ref_ab_certificate(x, y, TOL)
+        got = solve_ab_certificate(x, y, TOL)
+        assert repr(got) == repr(None if ref is None else (1.0, ref[0]))
+        assert inclusion_status(x, y, TOL) == _ref_inclusion_status(
+            x, y, TOL, psd_probes(4, (x, y)))
+
+
+def test_pair_layer_rejects_duplicates_and_keeps_vacuous_sets():
+    a, b, _ = ex61_matrices()
+    with pytest.raises(ValueError):
+        check_condition_B(constraint_set(4, [a, b, a]), TOL)
+    assert check_condition_B(constraint_set(4, [a]), TOL).pairs == ()
+    assert inclusion_table(4, [a], TOL) == {}
+
+
+def test_stack_helpers_match_scalar_kernels():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 5):
+        mats = [SymMat.from_dense((g + g.T) / 2.0)
+                for g in rng.standard_normal((4, n, n))]
+        packed = packed_stack(mats, n)
+        dense = dense_stack(packed, n)
+        products = inner_packed(packed[:, None, :], packed[None, :, :], n)
+        lmins = lambda_min_stack(dense)
+        for i, m in enumerate(mats):
+            assert np.array_equal(dense[i], m.to_dense())
+            assert repr(float(lmins[i])) == repr(lambda_min(m))
+            assert repr(m.norm()) == repr(_ref_norm(m))
+            for j, other in enumerate(mats):
+                assert repr(float(products[i, j])) == repr(float(inner(m, other)))
+    with pytest.raises(ValueError):
+        lambda_min_stack(np.full((1, 2, 2), np.nan))
+
+
+def test_polish_point_evaluates_each_stencil_in_one_call():
+    b = disk_member((0.3, -0.2), 0.5)
+    shapes = []
+
+    def f(pts):
+        shapes.append(pts.shape)
+        return _slice_values(b, pts)
+
+    u0 = np.array([0.1, 0.05])
+    u = _polish_point(u0, f, steps=10)
+    d = u0.size
+    assert shapes[0] == (1, d)
+    assert shapes[1::2] == [(2 * d, d)] * len(shapes[1::2])
+    assert shapes[2::2] == [(1, d)] * len(shapes[2::2])
+    assert len(shapes) == 1 + 2 * 10
+    ref = _ref_polish_point(u0, lambda x: float(_slice_values(b, x[None, :])[0]), steps=10)
+    assert repr(u.tolist()) == repr(ref.tolist())
+
+
+# --------------------------------------------------------------------------
+# properties: member order and positive scaling
+# --------------------------------------------------------------------------
+
+def _disk_family(draw):
+    centers = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=2, max_size=5, unique=True))
+    # radii 0.3 and 0.8 keep every pair of integer-centred disks clear of
+    # tangency (|t_i - t_j| is never 0.6, 1.1 or 1.6, nor 0.5 for nesting)
+    radii = draw(st.lists(st.sampled_from([0.3, 0.8]), min_size=len(centers),
+                          max_size=len(centers)))
+    return [disk_member(c, r) for c, r in zip(centers, radii)]
+
+
+def _indefinite_family(draw):
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    members = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        d = rng.uniform(0.5, 2.0, 3) * np.array([1.0, -1.0, rng.choice([-1.0, 1.0])])
+        members.append(SymMat.from_dense(q @ np.diag(d) @ q.T))
+    return members
+
+
+@st.composite
+def _families(draw, build):
+    members = build(draw)
+    perm = draw(st.permutations(range(len(members))))
+    idx = draw(st.integers(0, len(members) - 1))
+    factor = draw(st.sampled_from([0.2, 0.5, 3.0, 7.0]))
+    return members, perm, idx, factor
+
+
+def _verdicts(members):
+    s = constraint_set(members[0].n, members)
+    return ({v.pair: v.status for v in check_condition_B(s, TOL).pairs},
+            inclusion_table(s.n, s.members, TOL))
+
+
+def _check_invariance(members, perm, idx, factor):
+    pairs, table = _verdicts(members)
+    assert not any(is_psd(m, TOL) for m in members)
+
+    permuted_pairs, permuted_table = _verdicts([members[p] for p in perm])
+    for (a, b), status in permuted_pairs.items():
+        assert status == pairs[tuple(sorted((perm[a], perm[b])))]
+    for (a, b), status in permuted_table.items():
+        assert status == table[perm[a], perm[b]]
+
+    scaled = list(members)
+    scaled[idx] = members[idx].scale(factor)
+    assert _verdicts(scaled) == (pairs, table)
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY_SETTINGS
+@given(_families(_disk_family))
+def test_disk_families_invariant_under_order_and_scaling(case):
+    _check_invariance(*case)
+
+
+@PROPERTY_SETTINGS
+@given(_families(_indefinite_family))
+def test_indefinite_families_invariant_under_order_and_scaling(case):
+    _check_invariance(*case)

@@ -51,6 +51,16 @@ def test_certify_inconclusive_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+def test_zero_H_exit_one(tmp_path, capsys):
+    # <H, xx^T> = 1 has no solution when H = O: an error, not a verdict
+    prob = GeoCop(n=3, Q=SymMat.identity(3), H=SymMat.zeros(3), bset=overlap_disks())
+    path = write_problem(tmp_path, prob)
+    code, out, err = run(["pipeline", "--input", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert "$.H" in err
+
+
 def test_missing_field_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "Q": {"upper": ["1","0","1"]}}')

@@ -152,9 +152,11 @@ def test_pipeline_solves_slater_only_in_facial_reduction(monkeypatch):
 
 
 def test_pipeline_tests_inclusion_only_in_pruning(monkeypatch):
-    calls = _count_calls(monkeypatch, certmod, "inclusion_status")
+    calls = _count_calls(monkeypatch, certmod, "inclusion_table")
     v = run_pipeline(build_case("fig2").problem, CFG)
     assert v.cert.structural.a5
     k = sum(not is_psd(m, CFG.cert_tol) for m in v.reduction.reduced.bset.members)
     assert k >= 2
-    assert len(calls) == k * (k - 1)
+    # one table over the non-psd members, built by pruning and reused by (A-5)
+    assert len(calls) == 1
+    assert len(calls[0][1]) == k

@@ -1,10 +1,12 @@
 """Verdict-level fields of `exactsdp pipeline` on docs/examples, pinned.
 
 The snapshot holds what a run decides (statuses, structural flags, the
-reduction's shape, the value to 1e-9 and the signs of the lifted point), not
-the last digits of margins or multipliers, so a refactor that keeps every
-verdict passes and one that drifts a verdict fails.  Regenerate it only when
-a verdict change is intended:
+reduction's shape, the value to 1e-9 and the signs of the lifted point), so
+a refactor that drifts a verdict fails.  It also holds every condition (B)
+pair's certificate (alpha, beta) and margin as exact floats: the pair layer
+is meant to return bitwise what the one-pair search returns, and a change of
+operation order shows up there first.  Regenerate it only when a verdict or
+pair-certificate change is intended:
 
     PYTHONPATH=src python tests/test_verdict_snapshot.py > tests/verdict_snapshot.json
 """
@@ -52,7 +54,11 @@ def verdict_fields(doc: dict) -> dict:
         out["overall"] = cert["overall"]
         out.update({k: st[k] for k in ("a1", "a2", "a3", "a4", "a5")})
         out["condition_b"] = cert["condition_b"]["status"]
-        out["condition_b_pairs"] = _statuses(cert["condition_b"]["pairs"])
+        pairs = cert["condition_b"]["pairs"]
+        out["condition_b_pairs"] = _statuses(pairs)
+        out["condition_b_certificates"] = [
+            [float(p["alpha"]), float(p["beta"])] if "alpha" in p else None for p in pairs]
+        out["condition_b_margins"] = [float(p["margin"]) for p in pairs]
         sc = cert.get("slice_conditions")
         if sc is not None:
             out["b_prime"] = sc["b_prime"]
@@ -83,6 +89,9 @@ def test_pipeline_verdicts_match_snapshot(name):
     assert math.isfinite(value) == math.isfinite(want)
     if math.isfinite(want):
         assert abs(value - want) <= 1e-9
+    # repr tells -0.0 from 0.0 and matches nan to nan
+    for key in ("condition_b_certificates", "condition_b_margins"):
+        assert repr(got.pop(key)) == repr(expected.pop(key)), key
     assert got == expected
 
 
