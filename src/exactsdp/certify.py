@@ -2,7 +2,8 @@
 
 Structural conditions (A-1)..(A-5), the pairwise condition (B) through
 (alpha, beta) certificates with SDP refutation fallback, the slice
-conditions (B)'/(C)' on the z = 1 sections, and the boundary-member
+conditions (B)'/(C)' on the z = 1 sections ((C)' in closed form, through
+the Schur complement of each member), and the boundary-member
 classification.  The pair layer (condition (B)) and the inclusion layer
 ((A-5) and pruning) run over all pairs at once on dense stacks: one batched
 golden section, one stacked PSD test and one probe pass, in the operation
@@ -339,12 +340,36 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     return None
 
 
+def slice_infimum(b: SymMat, tol: float) -> float:
+    """inf over u of q(u, 1, B), in closed form.
+
+    With B = [[P, c], [c', s]], q(u, 1, B) = u'Pu + 2c'u + s.  Its infimum is
+    -inf when P has a negative eigenvalue or c has a component in ker P, and
+    s - c' P^+ c otherwise (the Schur complement; the single-constraint case
+    of the S-lemma).  Eigenvalues and components within tol * max(1, ||B||)
+    of zero count as zero.
+    """
+    if b.n < 2:
+        raise ValueError("the slice infimum needs n >= 2")
+    a = b.to_dense()
+    cut = tol * max(1.0, b.norm())
+    lam, vecs = np.linalg.eigh(a[:-1, :-1])
+    w = vecs.T @ a[:-1, -1]
+    flat = np.abs(lam) <= cut
+    if (lam < -cut).any() or (np.abs(w[flat]) > cut).any():
+        return -math.inf
+    keep = ~flat
+    return float(a[-1, -1] - np.sum(w[keep] ** 2 / lam[keep]))
+
+
 def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                         pair_verdicts: Optional[dict] = None) -> SliceReport:
-    """(C)' per member through the corner SDP min <B,X> s.t. X_nn = 1 (the
-    single-constraint relaxation is exact); (B)' per pair through the
-    sufficient conic route J_-(B) subset of J_+(A), with slice witness points
-    reported for refutations when n-1 <= 3.
+    """(C)' per member through the closed-form slice infimum (slice_infimum):
+    certified when it is at most -10 tol * max(1, ||B||), with a numeric
+    witness point u, refuted when it is at least -tol * max(1, ||B||), and
+    inconclusive in between.  (B)' per pair through the sufficient conic
+    route J_-(B) subset of J_+(A), with slice witness points reported for
+    refutations when n-1 <= 3.
 
     A conic refutation alone does not disprove the slice condition (the two
     are equivalent only under lower semicontinuity of the slice map), so a
@@ -358,28 +383,13 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     c_members = []
     for idx, m in enumerate(s.members):
         scale = max(1.0, m.norm())
-        sol = sdpmod.solve(sdpmod.corner_problem(m), tol=min(tol, 1e-9))
-        if sol.status == "unbounded" or (
-                sol.status == "optimal" and sol.value <= -_REFUTE_FACTOR * tol * scale):
-            point = find_negative_point(m, tol)
-            value = -math.inf if sol.status == "unbounded" else sol.value
-            c_members.append(MemberVerdict(index=idx, status=CERTIFIED, value=value,
-                                           witness_point=point))
-        elif sol.status == "optimal" and sol.value >= -tol * scale:
-            c_members.append(MemberVerdict(index=idx, status=REFUTED, value=sol.value))
+        value = slice_infimum(m, tol)
+        if value <= -_REFUTE_FACTOR * tol * scale:
+            status, point = CERTIFIED, find_negative_point(m, tol)
         else:
-            # stalled or borderline solve: a numeric point with a clearly
-            # negative slice value is decisive evidence on its own (the solver
-            # cannot certify unboundedness when no improving ray exists)
-            point = find_negative_point(m, tol)
-            if point is not None:
-                q = float(_slice_values(m, np.asarray(point)[None, :])[0])
-                if q <= -_REFUTE_FACTOR * tol * scale:
-                    c_members.append(MemberVerdict(index=idx, status=CERTIFIED, value=q,
-                                                   witness_point=point))
-                    continue
-            c_members.append(MemberVerdict(index=idx, status=INCONCLUSIVE,
-                                           value=sol.value if sol.status == "optimal" else math.nan))
+            status, point = (REFUTED if value >= -tol * scale else INCONCLUSIVE), None
+        c_members.append(MemberVerdict(index=idx, status=status, value=value,
+                                       witness_point=point))
 
     if pair_verdicts is None:
         pair_verdicts = {v.pair: v for v in check_condition_B(s, tol).pairs}

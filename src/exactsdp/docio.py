@@ -41,6 +41,29 @@ def _num(value, path: str) -> float:
     return out
 
 
+def _int(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DocError(path, "expected an integer")
+
+
+def _object(node, path: str) -> dict:
+    if not isinstance(node, dict):
+        raise DocError(path, "expected an object")
+    return node
+
+
+def _list(node, path: str) -> list:
+    if not isinstance(node, list):
+        raise DocError(path, "expected a list")
+    return node
+
+
+def _nums(node, path: str) -> tuple:
+    return tuple(_num(v, "%s[%d]" % (path, i)) for i, v in enumerate(_list(node, path)))
+
+
 def _matrix(node, n: int, path: str) -> SymMat:
     if not isinstance(node, dict) or "upper" not in node:
         raise DocError(path, "expected {\"upper\": [...]} with the row-major upper triangle")
@@ -51,36 +74,44 @@ def _matrix(node, n: int, path: str) -> SymMat:
 
 
 def _family(node, n: int, path: str):
+    node = _object(node, path)
     kind = node.get("kind")
     if kind == "ball_grid":
         if "centers" in node:
-            centers = tuple(tuple(_num(v, path + ".centers") for v in c) for c in node["centers"])
+            cp = path + ".centers"
+            centers = tuple(_nums(c, "%s[%d]" % (cp, i))
+                            for i, c in enumerate(_list(node["centers"], cp)))
         elif "center_box" in node:
-            box = [(_num(lo, path + ".center_box"), _num(hi, path + ".center_box"))
-                   for lo, hi in node["center_box"]]
+            box = []
+            for i, pair in enumerate(_list(node["center_box"], path + ".center_box")):
+                bp = "%s.center_box[%d]" % (path, i)
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise DocError(bp, "expected [lo, hi]")
+                box.append(_nums(pair, bp))
             centers = tuple(integer_grid(box))
         else:
             raise DocError(path, "ball_grid needs centers or center_box")
         return BallGrid(centers=centers, radius=_num(node.get("radius"), path + ".radius"))
     if kind == "hyperbola_seq":
-        bp = tuple(_num(v, path + ".breakpoints") for v in node.get("breakpoints", []))
-        return HyperbolaSeq(breakpoints=bp, r2=_num(node.get("r2"), path + ".r2"))
+        return HyperbolaSeq(breakpoints=_nums(node.get("breakpoints", []), path + ".breakpoints"),
+                            r2=_num(node.get("r2"), path + ".r2"))
     if kind == "parabola_set":
         members = []
-        for i, m in enumerate(node.get("members", [])):
+        for i, m in enumerate(_list(node.get("members", []), path + ".members")):
             mp = "%s.members[%d]" % (path, i)
-            lam = tuple(_num(v, mp + ".lambdas") for v in m.get("lambdas", []))
-            sign = int(m.get("sign", 1))
+            m = _object(m, mp)
             transform = None
             if m.get("transform") is not None:
-                transform = tuple(_num(v, mp + ".transform") for v in m["transform"])
-            members.append(ParabolaMember(lambdas=lam, sign=sign, transform=transform))
+                transform = _nums(m["transform"], mp + ".transform")
+            members.append(ParabolaMember(lambdas=_nums(m.get("lambdas", []), mp + ".lambdas"),
+                                          sign=_int(m.get("sign", 1), mp + ".sign"),
+                                          transform=transform))
         return ParabolaSet(members=tuple(members))
     if kind == "generalized_hyperbola":
         return GeneralizedHyperbola(
-            lambdas=tuple(_num(v, path + ".lambdas") for v in node.get("lambdas", [])),
-            sigmas=tuple(_num(v, path + ".sigmas") for v in node.get("sigmas", [])),
-            split=int(node.get("split", 1)),
+            lambdas=_nums(node.get("lambdas", []), path + ".lambdas"),
+            sigmas=_nums(node.get("sigmas", []), path + ".sigmas"),
+            split=_int(node.get("split", 1), path + ".split"),
         )
     raise DocError(path + ".kind", "unknown family kind %r" % (kind,))
 
@@ -101,7 +132,7 @@ def parse_problem(data) -> tuple:
     if "n" not in doc:
         raise DocError("$.n", "missing dimension")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DocError("$.n", "need a positive integer")
     if "Q" not in doc:
         raise DocError("$.Q", "missing objective matrix")
@@ -112,13 +143,9 @@ def parse_problem(data) -> tuple:
     if all(v == 0.0 for v in h.data):
         raise DocError("$.H", "all-zero matrix: <H, xx^T> = 1 has no solution")
     members = []
-    cons = doc.get("constraints", [])
-    if not isinstance(cons, list):
-        raise DocError("$.constraints", "expected a list")
-    for i, c in enumerate(cons):
+    for i, c in enumerate(_list(doc.get("constraints", []), "$.constraints")):
         path = "$.constraints[%d]" % i
-        if not isinstance(c, dict):
-            raise DocError(path, "expected an object")
+        c = _object(c, path)
         if "matrix" in c:
             members.append(_matrix(c["matrix"], n, path + ".matrix"))
         elif "family" in c:
@@ -135,28 +162,28 @@ def parse_problem(data) -> tuple:
         members = [SymMat.zeros(n)]
     lift = None
     if doc.get("lift_matrix") is not None:
-        lm = doc["lift_matrix"]
-        rows = int(lm.get("rows", 0))
-        entries = [_num(v, "$.lift_matrix.entries") for v in lm.get("entries", [])]
+        lm = _object(doc["lift_matrix"], "$.lift_matrix")
+        rows = _int(lm.get("rows", 0), "$.lift_matrix.rows")
+        entries = _nums(lm.get("entries", []), "$.lift_matrix.entries")
         if rows <= 0 or len(entries) != rows * n:
             raise DocError("$.lift_matrix", "need rows x n entries")
-        lift = (rows, n, tuple(entries))
+        lift = (rows, n, entries)
     restrict = None
     if doc.get("restrict_matrix") is not None:
-        rm = doc["restrict_matrix"]
-        cols = int(rm.get("cols", 0))
-        entries = [_num(v, "$.restrict_matrix.entries") for v in rm.get("entries", [])]
+        rm = _object(doc["restrict_matrix"], "$.restrict_matrix")
+        cols = _int(rm.get("cols", 0), "$.restrict_matrix.cols")
+        entries = _nums(rm.get("entries", []), "$.restrict_matrix.entries")
         if cols <= 0 or len(entries) != n * cols:
             raise DocError("$.restrict_matrix", "need n x cols entries")
-        restrict = (n, cols, tuple(entries))
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise DocError("$.options", "expected an object")
+        restrict = (n, cols, entries)
+    options = _object(doc.get("options", {}), "$.options")
     opts = {
         "tol": _num(options.get("tol", "1e-8"), "$.options.tol"),
-        "seed": int(options.get("seed", 0)),
-        "samples": int(options.get("samples", 200_000)),
+        "seed": _int(options.get("seed", 0), "$.options.seed"),
+        "samples": _int(options.get("samples", 200_000), "$.options.samples"),
     }
+    if opts["tol"] <= 0.0:
+        raise DocError("$.options.tol", "need a positive tolerance")
     problem = GeoCop(n=n, Q=q, H=h, bset=constraint_set(n, members), lift=lift,
                      restrict_to=restrict)
     return problem, opts

@@ -82,13 +82,7 @@ FIG1_COMBOS = {
 
 def disk_member(center, radius: float) -> SymMat:
     """Complement-of-disk slice constraint ||u - t||^2 - r^2 >= 0."""
-    t = np.asarray(center, dtype=float)
-    n = t.size + 1
-    a = np.eye(n)
-    a[:-1, -1] = -t
-    a[-1, :-1] = -t
-    a[-1, -1] = float(t @ t) - radius * radius
-    return SymMat.from_dense(a)
+    return BallGrid(centers=(center,), radius=radius).member(center, len(center) + 1)
 
 
 def fig2_members():

@@ -5,7 +5,7 @@ value is still reported (as a lower bound only, with no exactness claim)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ class PipelineConfig:
     tol: float = sdpmod.DEFAULT_TOL
     cert_tol: float = sdpmod.DEFAULT_TOL
     seed: int = 0
-    retry_rank_one: bool = True
 
 
 @dataclass
@@ -62,14 +61,12 @@ def _residuals_of_point(x: np.ndarray, p: GeoCop) -> float:
     return res
 
 
-def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> RankOneResult:
-    """Top-eigenvector extraction from an SDP optimum.
-
-    The vector is scaled so <H, x x^T> = 1 and keeps the sign eig_sym gives
-    it (first significant coordinate positive).  When the top eigenvalue is not
-    separated (ratio below 1e6), the SDP is re-solved once with the objective
-    perturbed by eps * g g^T (seeded random unit g, eps = 1e-7 ||Q||_F) to
-    break optimal-face ties, and the extraction retried.
+def top_eigenvector(x_sdp: SymMat, p: GeoCop, eta: Optional[float] = None) -> RankOneResult:
+    """One-shot extraction: the top eigenvector of x_sdp, scaled so
+    <H, x x^T> = 1, keeping the sign eig_sym gives it (first significant
+    coordinate positive).  It is confident when the top eigenvalue is
+    separated (ratio at least 1e6), x is feasible within 1e-6 and x^T Q x is
+    within 1e-6 relative of eta, which defaults to <Q, x_sdp>.
     """
     ed = eig_sym(x_sdp)
     lam1 = float(ed.values[0])
@@ -82,14 +79,25 @@ def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineCon
                              obj_gap=math.inf, confident=False,
                              note="top eigenvector cannot be scaled onto <H,X>=1")
     x = v / math.sqrt(vhv)
-    eta = inner(p.Q, x_sdp)
+    if eta is None:
+        eta = inner(p.Q, x_sdp)
     feas = _residuals_of_point(x, p)
     gap = abs(float(x @ p.Q.to_dense() @ x) - eta)
     confident = (ratio >= _EIGENRATIO_CONFIDENT and feas <= 1e-6
                  and gap <= 1e-6 * (1.0 + abs(eta)))
-    result = RankOneResult(x=x, eigenratio=ratio, feas_residual=feas,
-                           obj_gap=gap, confident=confident)
-    if confident or not cfg.retry_rank_one:
+    return RankOneResult(x=x, eigenratio=ratio, feas_residual=feas,
+                         obj_gap=gap, confident=confident)
+
+
+def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> RankOneResult:
+    """top_eigenvector, retried at most once: when the extraction yields a
+    vector but is not confident, the SDP is re-solved with the objective
+    perturbed by eps * g g^T (seeded random unit g, eps = 1e-4 max(1, ||Q||_F))
+    to break optimal-face ties, and the new optimum's top eigenvector is
+    judged against the unperturbed optimum <Q, x_sdp>.
+    """
+    result = top_eigenvector(x_sdp, p)
+    if result.confident or result.x is None:
         return result
     # tie-break: interior-point optima sit in the relative interior of the
     # optimal face; a psd perturbation selects one of its extreme points.
@@ -106,14 +114,8 @@ def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineCon
     if sol.status != "optimal" or sol.X is None:
         result.note = "perturbation retry failed: %s" % sol.status
         return result
-    retried = extract_rank_one(sol.X, p, cfg=replace(cfg, retry_rank_one=False))
+    retried = top_eigenvector(sol.X, p, eta=inner(p.Q, x_sdp))
     retried.retried = True
-    # confidence gap is judged against the unperturbed optimum
-    retried.obj_gap = abs(float(retried.x @ p.Q.to_dense() @ retried.x) - eta) \
-        if retried.x is not None else math.inf
-    retried.confident = (retried.eigenratio >= _EIGENRATIO_CONFIDENT
-                         and retried.feas_residual <= 1e-6
-                         and retried.obj_gap <= 1e-6 * (1.0 + abs(eta)))
     return retried
 
 

@@ -8,10 +8,13 @@ search, a golden section over the concave 1-D function that runs for a whole
 stack of pairs at once, and the small auxiliary SDP formulations used by the
 certification and reduction stages.
 
-Each SDP here is small (n <= ~10, <= ~60 rows) and is solved densely.  The
-pair search takes one stacked eigenvalue call per golden-section step for
-all pairs together, so its per-call overhead grows with the number of
-steps, not with the number of pairs times steps.
+Each SDP here is small (n <= ~10, <= ~60 rows) and is solved densely.  It
+has n >= 1 and at least one row (SdpProblem refuses a problem without
+rows); the w block may be empty, and numpy's zero-size arrays carry that
+case through the same code path as every other, with no branch on a
+dimension.  The pair search takes one stacked eigenvalue call per
+golden-section step for all pairs together, so its per-call overhead grows
+with the number of steps, not with the number of pairs times steps.
 """
 from __future__ import annotations
 
@@ -35,16 +38,18 @@ class SdpProblem:
     n: int
     objective: SymMat
     eq_constraints: tuple = ()    # of (SymMat, rhs)
-    ineq_constraints: tuple = ()  # of (SymMat, sense in {">=", "<=", "=="}, rhs)
+    ineq_constraints: tuple = ()  # of (SymMat, sense in {">=", "<="}, rhs)
 
     def __post_init__(self):
         if self.objective.n != self.n:
             raise ValueError("objective dimension mismatch")
+        if not self.eq_constraints and not self.ineq_constraints:
+            raise ValueError("an SDP needs at least one constraint row")
         for m, rhs in self.eq_constraints:
             if m.n != self.n or not math.isfinite(rhs):
                 raise ValueError("bad equality constraint")
         for m, sense, rhs in self.ineq_constraints:
-            if m.n != self.n or sense not in (">=", "<=", "==") or not math.isfinite(rhs):
+            if m.n != self.n or sense not in (">=", "<=") or not math.isfinite(rhs):
                 raise ValueError("bad inequality constraint")
 
 
@@ -98,16 +103,16 @@ class _Point:
 
 
 def _apply_A(d: _ConicData, X, w):
-    out = np.einsum("iab,ab->i", d.Am, X) if d.n else np.zeros(len(d.b))
-    if d.p:
-        out = out + d.Aw @ w
-    return out
+    return np.einsum("iab,ab->i", d.Am, X) + d.Aw @ w
 
 
 def _apply_At(d: _ConicData, y):
-    mat = np.einsum("i,iab->ab", y, d.Am) if d.n else np.zeros((0, 0))
-    vec = d.Aw.T @ y if d.p else np.zeros(0)
-    return mat, vec
+    return np.einsum("i,iab->ab", y, d.Am), d.Aw.T @ y
+
+
+def _objective(d: _ConicData, X, w) -> float:
+    """<Cm,X> + cw.w"""
+    return float((d.Cm * X).sum()) + float(d.cw @ w)
 
 
 def _pair_norm(mat, vec):
@@ -149,19 +154,30 @@ def _step_to_boundary_vec(v, dv):
     return float(np.min(-v[neg] / dv[neg]))
 
 
+def _step_to_boundary(pt, sigma, G, Ginv, dX, dw, dS, dz, dtau, dkappa):
+    """Largest step along the direction that keeps every cone block closed."""
+    return min(
+        _step_to_boundary_psd(sigma, Ginv @ dX @ Ginv.T),
+        _step_to_boundary_psd(sigma, G.T @ dS @ G),
+        _step_to_boundary_vec(pt.w, dw),
+        _step_to_boundary_vec(pt.z, dz),
+        -pt.tau / dtau if dtau < 0 else math.inf,
+        -pt.kappa / dkappa if dkappa < 0 else math.inf,
+    )
+
+
 def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve the conic data; multipliers of the first n_eq rows are reported
-    as dual_eq and the rest as dual_ineq."""
+    as dual_eq and the rest as dual_ineq.  n >= 1 and at least one row; the
+    w block may be empty (p = 0)."""
     n, p, m = d.n, d.p, len(d.b)
     nu = n + p
 
     # row/objective scaling for conditioning; undone on exit
-    rho = np.array([max(_pair_norm(d.Am[i] if n else np.zeros((0, 0)),
-                                   d.Aw[i] if p else np.zeros(0)), 1e-12)
-                    for i in range(m)])
-    Am = d.Am / rho[:, None, None] if n else d.Am
-    Aw = d.Aw / rho[:, None] if p else d.Aw
+    rho = np.array([max(_pair_norm(d.Am[i], d.Aw[i]), 1e-12) for i in range(m)])
+    Am = d.Am / rho[:, None, None]
+    Aw = d.Aw / rho[:, None]
     b = d.b / rho
     rho_c = max(1.0, _pair_norm(d.Cm, d.cw))
     Cm = d.Cm / rho_c
@@ -197,8 +213,8 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         sw = pt.z / pt.tau
         pres_v = _apply_A(ds, xhat_m, xhat_w) - b
         atm, atw = _apply_At(ds, yhat)
-        dres = _pair_norm(atm + sm - Cm, (atw + sw - cw) if p else np.zeros(0))
-        pobj = float((Cm * xhat_m).sum()) + float(cw @ xhat_w)
+        dres = _pair_norm(atm + sm - Cm, atw + sw - cw)
+        pobj = _objective(ds, xhat_m, xhat_w)
         dobj = float(b @ yhat)
         pres = float(np.linalg.norm(pres_v)) / (1.0 + norm_b)
         dresr = dres / (1.0 + norm_c)
@@ -229,11 +245,11 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         by = float(b @ pt.y)
         if by > 1e-10:
             atm, atw = _apply_At(ds, pt.y)
-            res = _pair_norm(atm + pt.S, (atw + pt.z) if p else np.zeros(0))
+            res = _pair_norm(atm + pt.S, atw + pt.z)
             if res <= _INF_CERT_TOL * by:
                 status = "infeasible"
                 break
-        cx = float((Cm * pt.X).sum()) + float(cw @ pt.w)
+        cx = _objective(ds, pt.X, pt.w)
         if cx < -1e-10:
             res = float(np.linalg.norm(_apply_A(ds, pt.X, pt.w)))
             if res <= _INF_CERT_TOL * (-cx):
@@ -249,8 +265,8 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         Rp = _apply_A(ds, pt.X, pt.w) - b * pt.tau
         Rd_m, Rd_w = _apply_At(ds, pt.y)
         Rd_m = Rd_m + pt.S - Cm * pt.tau
-        Rd_w = (Rd_w + pt.z - cw * pt.tau) if p else np.zeros(0)
-        Rg = float((Cm * pt.X).sum()) + float(cw @ pt.w) - float(b @ pt.y) + pt.kappa
+        Rd_w = Rd_w + pt.z - cw * pt.tau
+        Rg = _objective(ds, pt.X, pt.w) - float(b @ pt.y) + pt.kappa
 
         try:
             G, Ginv, sigma = _nt_scaling(pt.X, pt.S)
@@ -258,73 +274,51 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
             status = "numerical"
             break
         W = G @ G.T
-        D = pt.w / pt.z if p else np.zeros(0)
+        D = pt.w / pt.z
 
         # Schur complement, shared by predictor and corrector
-        if n:
-            WAW = np.einsum("ab,ibc,cd->iad", W, Am, W)
-            M = np.einsum("iab,jab->ij", WAW, Am)
-        else:
-            WAW = Am
-            M = np.zeros((m, m))
-        if p:
-            M = M + (Aw * D[None, :]) @ Aw.T
+        WAW = np.einsum("ab,ibc,cd->iad", W, Am, W)
+        M = np.einsum("iab,jab->ij", WAW, Am)
+        M = M + (Aw * D[None, :]) @ Aw.T
         try:
-            evals, evecs = np.linalg.eigh(_sym(M)) if m else (np.zeros(0), np.zeros((0, 0)))
+            evals, evecs = np.linalg.eigh(_sym(M))
         except np.linalg.LinAlgError:
             status = "numerical"
             break
-        cut = (float(evals.max()) if m else 0.0) * 1e-14 + 1e-300
+        cut = float(evals.max()) * 1e-14 + 1e-300
         inv_e = np.where(evals > cut, 1.0 / np.maximum(evals, cut), 0.0)
 
         def msolve(r):
-            if not m:
-                return r
             sol = evecs @ (inv_e * (evecs.T @ r))
             sol = sol + evecs @ (inv_e * (evecs.T @ (r - M @ sol)))
             return sol
 
-        WCW = W @ Cm @ W if n else Cm
-        k_c = (np.einsum("iab,ab->i", Am, WCW) if n else np.zeros(m))
-        if p:
-            k_c = k_c + Aw @ (D * cw)
-        q_cc = float((Cm * WCW).sum()) + (float(cw @ (D * cw)) if p else 0.0)
-        WRdW = W @ Rd_m @ W if n else Rd_m
-        g2 = (np.einsum("iab,ab->i", Am, WRdW) if n else np.zeros(m))
-        if p:
-            g2 = g2 + Aw @ (D * Rd_w)
-        q2 = float((Cm * WRdW).sum()) + (float(cw @ (D * Rd_w)) if p else 0.0)
+        WCW = W @ Cm @ W
+        k_c = _apply_A(ds, WCW, D * cw)
+        q_cc = _objective(ds, WCW, D * cw)
+        WRdW = W @ Rd_m @ W
+        g2 = _apply_A(ds, WRdW, D * Rd_w)
+        q2 = _objective(ds, WRdW, D * Rd_w)
         u2 = msolve(k_c + b)
 
         def direction(sig_c, corr):
             """corr = None (predictor) or scaled affine products (corrector)."""
             one_ms = 1.0 - sig_c
-            if n:
-                Rc = -np.diag(sigma * sigma)
-                if corr is not None:
-                    Rc = Rc - corr[0]
-                if sig_c:
-                    Rc = Rc + sig_c * mu * np.eye(n)
-                Psi = 2.0 * Rc / (sigma[:, None] + sigma[None, :])
-                GPsiG = G @ Psi @ G.T
-            else:
-                GPsiG = np.zeros((0, 0))
-            if p:
-                rc_w = sig_c * mu - pt.w * pt.z
-                if corr is not None:
-                    rc_w = rc_w - corr[1]
-                gw = rc_w / pt.z
-            else:
-                rc_w = np.zeros(0)
-                gw = np.zeros(0)
+            Rc = -np.diag(sigma * sigma)
+            rc_w = sig_c * mu - pt.w * pt.z
             rc_tau = sig_c * mu - pt.tau * pt.kappa
             if corr is not None:
+                Rc = Rc - corr[0]
+                rc_w = rc_w - corr[1]
                 rc_tau = rc_tau - corr[2]
+            if sig_c:
+                Rc = Rc + sig_c * mu * np.eye(n)
+            Psi = 2.0 * Rc / (sigma[:, None] + sigma[None, :])
+            GPsiG = G @ Psi @ G.T
+            gw = rc_w / pt.z
 
-            g1 = (np.einsum("iab,ab->i", Am, GPsiG) if n else np.zeros(m))
-            if p:
-                g1 = g1 + Aw @ gw
-            q1 = float((Cm * GPsiG).sum()) + (float(cw @ gw) if p else 0.0)
+            g1 = _apply_A(ds, GPsiG, gw)
+            q1 = _objective(ds, GPsiG, gw)
             u1 = msolve(-g1 - one_ms * g2 - one_ms * Rp)
 
             denom = float((k_c - b) @ u2) - q_cc - pt.kappa / pt.tau
@@ -333,66 +327,35 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
             dtau = numer / denom
             dy = u1 + dtau * u2
             atm, atw = _apply_At(ds, dy)
-            if n:
-                dS = _sym(-one_ms * Rd_m + Cm * dtau - atm)
-                dX = _sym(GPsiG - W @ dS @ W)
-            else:
-                dS = np.zeros((0, 0))
-                dX = np.zeros((0, 0))
-            dz = (-one_ms * Rd_w + cw * dtau - atw) if p else np.zeros(0)
-            dw = (gw - D * dz) if p else np.zeros(0)
+            dS = _sym(-one_ms * Rd_m + Cm * dtau - atm)
+            dX = _sym(GPsiG - W @ dS @ W)
+            dz = -one_ms * Rd_w + cw * dtau - atw
+            dw = gw - D * dz
             dkappa = (rc_tau - pt.kappa * dtau) / pt.tau
             return dX, dw, dy, dS, dz, dtau, dkappa
 
         # predictor
-        aff = direction(0.0, None)
-        dXa, dwa, _, dSa, dza, dta, dka = aff
-        alpha_aff = min(
-            _step_to_boundary_psd(sigma, Ginv @ dXa @ Ginv.T) if n else math.inf,
-            _step_to_boundary_psd(sigma, G.T @ dSa @ G) if n else math.inf,
-            _step_to_boundary_vec(pt.w, dwa) if p else math.inf,
-            _step_to_boundary_vec(pt.z, dza) if p else math.inf,
-            -pt.tau / dta if dta < 0 else math.inf,
-            -pt.kappa / dka if dka < 0 else math.inf,
-            1.0,
-        )
-        comp_aff = (float(((pt.X + alpha_aff * dXa) * (pt.S + alpha_aff * dSa)).sum()) if n else 0.0)
-        if p:
-            comp_aff += float((pt.w + alpha_aff * dwa) @ (pt.z + alpha_aff * dza))
-        comp_aff += (pt.tau + alpha_aff * dta) * (pt.kappa + alpha_aff * dka)
+        dXa, dwa, _, dSa, dza, dta, dka = direction(0.0, None)
+        alpha_aff = min(_step_to_boundary(pt, sigma, G, Ginv, dXa, dwa, dSa, dza, dta, dka),
+                        1.0)
+        comp_aff = (float(((pt.X + alpha_aff * dXa) * (pt.S + alpha_aff * dSa)).sum())
+                    + float((pt.w + alpha_aff * dwa) @ (pt.z + alpha_aff * dza))
+                    + (pt.tau + alpha_aff * dta) * (pt.kappa + alpha_aff * dka))
         sig_c = min(max((max(comp_aff, 0.0) / comp) ** 3, 1e-12), 0.999)
 
         # corrector
-        if n:
-            dxs = Ginv @ dXa @ Ginv.T
-            dss = G.T @ dSa @ G
-            corr_m = _sym(dxs @ dss)
-        else:
-            corr_m = None
-        corr = (corr_m if n else np.zeros((0, 0)),
-                dwa * dza if p else np.zeros(0),
-                dta * dka)
+        corr = (_sym((Ginv @ dXa @ Ginv.T) @ (G.T @ dSa @ G)), dwa * dza, dta * dka)
         dX, dw, dy, dS, dz, dtau, dkappa = direction(sig_c, corr)
-
-        alpha = min(
-            _step_to_boundary_psd(sigma, Ginv @ dX @ Ginv.T) if n else math.inf,
-            _step_to_boundary_psd(sigma, G.T @ dS @ G) if n else math.inf,
-            _step_to_boundary_vec(pt.w, dw) if p else math.inf,
-            _step_to_boundary_vec(pt.z, dz) if p else math.inf,
-            -pt.tau / dtau if dtau < 0 else math.inf,
-            -pt.kappa / dkappa if dkappa < 0 else math.inf,
-        )
+        alpha = _step_to_boundary(pt, sigma, G, Ginv, dX, dw, dS, dz, dtau, dkappa)
         alpha = min(_STEP_FRACTION * alpha, 1.0)
         if not math.isfinite(alpha) or alpha <= 1e-10:
             status = "numerical"
             break
 
-        if n:
-            pt.X = _sym(pt.X + alpha * dX)
-            pt.S = _sym(pt.S + alpha * dS)
-        if p:
-            pt.w = pt.w + alpha * dw
-            pt.z = pt.z + alpha * dz
+        pt.X = _sym(pt.X + alpha * dX)
+        pt.S = _sym(pt.S + alpha * dS)
+        pt.w = pt.w + alpha * dw
+        pt.z = pt.z + alpha * dz
         pt.y = pt.y + alpha * dy
         pt.tau += alpha * dtau
         pt.kappa += alpha * dkappa
@@ -438,40 +401,26 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
 # public SdpProblem interface
 # --------------------------------------------------------------------------
 
+def _slack_block(n_eq: int, k: int) -> np.ndarray:
+    """[0; -I]: rows after the first n_eq subtract their own slack."""
+    return np.vstack([np.zeros((n_eq, k)), np.diag(np.full(k, -1.0))])
+
+
 def _assemble(p: SdpProblem):
-    n = p.n
-    rows_m, rows_w, rhs = [], [], []
-    ineq_rows = []  # positions of rows that carry a slack
-    eqs = list(p.eq_constraints)
-    ineqs = []
-    for mat, sense, r in p.ineq_constraints:
-        if sense == "==":
-            eqs.append((mat, r))
-        elif sense == ">=":
-            ineqs.append((mat, r))
-        else:
-            ineqs.append((mat.scale(-1.0), -r))
-    n_slack = len(ineqs)
-    for mat, r in eqs:
-        rows_m.append(mat.to_dense())
-        rows_w.append(np.zeros(n_slack))
-        rhs.append(r)
-    for j, (mat, r) in enumerate(ineqs):
-        rows_m.append(mat.to_dense())
-        wrow = np.zeros(n_slack)
-        wrow[j] = -1.0
-        rows_w.append(wrow)
-        rhs.append(r)
+    ineqs = [(mat, r) if sense == ">=" else (mat.scale(-1.0), -r)
+             for mat, sense, r in p.ineq_constraints]
+    rows = list(p.eq_constraints) + ineqs
+    n_eq, k = len(p.eq_constraints), len(ineqs)
     d = _ConicData(
-        n=n,
-        p=n_slack,
+        n=p.n,
+        p=k,
         Cm=p.objective.to_dense(),
-        cw=np.zeros(n_slack),
-        Am=np.array(rows_m).reshape(len(rhs), n, n),
-        Aw=np.array(rows_w).reshape(len(rhs), n_slack),
-        b=np.array(rhs, dtype=float),
+        cw=np.zeros(k),
+        Am=np.array([mat.to_dense() for mat, _ in rows]),
+        Aw=_slack_block(n_eq, k),
+        b=np.array([r for _, r in rows], dtype=float),
     )
-    return d, len(eqs)
+    return d, n_eq
 
 
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
@@ -530,13 +479,6 @@ def slice_max_problem(f: SymMat, members) -> SdpProblem:
     )
 
 
-def corner_problem(b: SymMat) -> SdpProblem:
-    """min <B,X> s.t. X_nn = 1, X psd; decides whether q(., 1, B) dips below 0."""
-    n = b.n
-    e = SymMat.from_dense(np.outer(*(np.eye(n)[-1],) * 2))
-    return SdpProblem(n=n, objective=b, eq_constraints=((e, 1.0),))
-
-
 def slater_data(members, n: int) -> _ConicData:
     """max t s.t. X >= t I, <B,X> >= 0, trace X = 1  via  Z = X - t I psd.
 
@@ -545,17 +487,8 @@ def slater_data(members, n: int) -> _ConicData:
     mats = [m.to_dense() for m in members]
     k = len(mats)
     p = 1 + k
-    rows_m = [np.eye(n)] + mats
-    rows_w = []
-    rhs = [1.0] + [0.0] * k
-    wrow = np.zeros(p)
-    wrow[0] = float(n)
-    rows_w.append(wrow)  # trace Z + n t = 1
-    for j, m in enumerate(mats):
-        wr = np.zeros(p)
-        wr[0] = float(np.trace(m))
-        wr[1 + j] = -1.0
-        rows_w.append(wr)  # <B,Z> + t tr(B) - s_j = 0
+    # trace Z + n t = 1;  <B_j,Z> + t tr(B_j) - s_j = 0
+    t_col = np.array([float(n)] + [float(np.trace(m)) for m in mats])
     cw = np.zeros(p)
     cw[0] = -1.0
     return _ConicData(
@@ -563,9 +496,9 @@ def slater_data(members, n: int) -> _ConicData:
         p=p,
         Cm=np.zeros((n, n)),
         cw=cw,
-        Am=np.array(rows_m),
-        Aw=np.array(rows_w),
-        b=np.array(rhs),
+        Am=np.array([np.eye(n)] + mats),
+        Aw=np.column_stack([t_col, _slack_block(1, k)]),
+        b=np.array([1.0] + [0.0] * k),
     )
 
 

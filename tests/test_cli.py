@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from exactsdp import cli, docio
 from exactsdp.gallery import build_case, overlap_disks
@@ -67,6 +68,36 @@ def test_missing_field_exit_one(tmp_path, capsys):
     code, _, err = run(["certify", "--input", str(bad)], capsys)
     assert code == 1
     assert "$.H" in err
+
+
+_GOOD = {"n": 3, "Q": {"upper": ["1", "0", "0", "-1", "0", "0"]},
+         "H": {"upper": ["1", "0", "0", "1", "0", "1"]},
+         "constraints": [{"matrix": {"upper": ["1", "0", "0", "1", "0", "-0.25"]}}]}
+
+_MALFORMED = {
+    "boolean_n": ({"n": True}, "$.n"),
+    "lift_matrix": ({"lift_matrix": [1, 2, 3]}, "$.lift_matrix"),
+    "restrict_matrix": ({"restrict_matrix": "L"}, "$.restrict_matrix"),
+    "family": ({"constraints": [{"family": 5}]}, "$.constraints[0].family"),
+    "centers": ({"constraints": [{"family": {"kind": "ball_grid", "centers": [3],
+                                             "radius": "0.5"}}]},
+                "$.constraints[0].family.centers[0]"),
+    "zero_tol": ({"options": {"tol": "0"}}, "$.options.tol"),
+    "negative_tol": ({"options": {"tol": "-1"}}, "$.options.tol"),
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "reduce", "solve", "oracle", "pipeline"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_exit_one(tmp_path, capsys, command, case):
+    # every subcommand reports the JSON path of a malformed node, never a traceback
+    patch, path = _MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_GOOD, **patch}))
+    code, out, err = run([command, "--input", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: %s:" % path)
 
 
 def test_solve_and_out_file(tmp_path, capsys):

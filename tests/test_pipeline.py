@@ -8,7 +8,7 @@ from exactsdp import sdp as sdpmod
 from exactsdp.docio import verdict_doc
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.oracle import solve_sphere
-from exactsdp.pipeline import (PipelineConfig, extract_rank_one, run_pipeline)
+from exactsdp.pipeline import PipelineConfig, run_pipeline, top_eigenvector
 from exactsdp.symmat import SymMat, gram, inner, is_psd
 from exactsdp.gallery import (build_case, ex61_matrices, ex63_congruence,
                               overlap_disks)
@@ -39,7 +39,7 @@ def test_extract_rank_one_pure():
     x = np.array([3.0, 4.0]) / 5.0
     p = GeoCop(n=2, Q=SymMat.zeros(2), H=SymMat.identity(2),
                bset=constraint_set(2, [SymMat.zeros(2)]))
-    r = extract_rank_one(gram(x), p, PipelineConfig(retry_rank_one=False))
+    r = top_eigenvector(gram(x), p)
     assert r.eigenratio == math.inf
     assert np.allclose(np.abs(r.x), x)
 
@@ -47,8 +47,7 @@ def test_extract_rank_one_pure():
 def test_extract_tied_spectrum_not_confident_without_retry():
     p = GeoCop(n=2, Q=SymMat.zeros(2), H=SymMat.identity(2),
                bset=constraint_set(2, [SymMat.zeros(2)]))
-    r = extract_rank_one(SymMat.identity(2).scale(0.5), p,
-                         PipelineConfig(retry_rank_one=False))
+    r = top_eigenvector(SymMat.identity(2).scale(0.5), p)
     assert not r.confident and r.eigenratio == 1.0
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from exactsdp.model import GeoCop, constraint_set
-from exactsdp.sdp import (SdpProblem, eq10_problem, relaxation_problem, solve,
-                          solve_ab_certificate, solve_slater)
+from exactsdp.sdp import (SdpProblem, _assemble, eq10_problem, relaxation_problem,
+                          solve, solve_ab_certificate, solve_slater)
 from exactsdp.symmat import SymMat, combine, eigvals_sym, lambda_min
 from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices
 
@@ -73,12 +73,12 @@ def test_unbounded_detection():
 
 
 def test_mixed_senses_and_weak_duality():
-    # min X11 + X22 s.t. X11 >= 1, X12 <= 0.25, trace X == 2
+    # min X11 + X22 s.t. trace X = 2, X11 >= 1, X12 <= 0.25
     e11 = SymMat.from_dense([[1.0, 0.0], [0.0, 0.0]])
     e12 = SymMat.from_dense([[0.0, 0.5], [0.5, 0.0]])
     prob = SdpProblem(n=2, objective=SymMat.identity(2),
-                      ineq_constraints=((e11, ">=", 1.0), (e12, "<=", 0.25),
-                                        (SymMat.identity(2), "==", 2.0)))
+                      eq_constraints=((SymMat.identity(2), 2.0),),
+                      ineq_constraints=((e11, ">=", 1.0), (e12, "<=", 0.25)))
     sol = solve(prob, tol=1e-9)
     assert sol.status == "optimal"
     assert abs(sol.value - 2.0) <= 1e-7
@@ -87,13 +87,38 @@ def test_mixed_senses_and_weak_duality():
 
 
 def test_rejects_bad_inputs():
+    trace_one = ((SymMat.identity(2), 1.0),)
     with pytest.raises(ValueError):
-        SdpProblem(n=2, objective=SymMat.identity(3))
-    with pytest.raises(ValueError):
-        solve(SdpProblem(n=2, objective=SymMat.identity(2)), tol=0.0)
+        SdpProblem(n=2, objective=SymMat.identity(3), eq_constraints=trace_one)
+    prob = SdpProblem(n=2, objective=SymMat.identity(2), eq_constraints=trace_one)
+    with pytest.raises(ValueError, match="tol"):
+        solve(prob, tol=0.0)
     with pytest.raises(ValueError):
         SdpProblem(n=2, objective=SymMat.identity(2),
                    ineq_constraints=((SymMat.identity(2), ">", 0.0),))
+    with pytest.raises(ValueError):
+        SdpProblem(n=2, objective=SymMat.identity(2),
+                   ineq_constraints=((SymMat.identity(2), "==", 1.0),))
+
+
+def test_rejects_problem_without_rows():
+    # every SDP has at least one row; the interior-point core relies on it
+    with pytest.raises(ValueError, match="row"):
+        SdpProblem(n=2, objective=SymMat.identity(2))
+
+
+def test_equality_rows_come_first_in_conic_data():
+    # ">=" rows subtract a slack, "<=" rows are negated first; equality rows
+    # carry no slack: the w block of the conic data is [0; -I]
+    e11 = SymMat.from_dense([[1.0, 0.0], [0.0, 0.0]])
+    prob = SdpProblem(n=2, objective=SymMat.identity(2),
+                      eq_constraints=((SymMat.identity(2), 2.0),),
+                      ineq_constraints=((e11, ">=", 1.0), (e11, "<=", 3.0)))
+    d, n_eq = _assemble(prob)
+    assert n_eq == 1 and d.p == 2
+    assert np.array_equal(d.Aw, [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(d.b, [2.0, 1.0, -3.0])
+    assert np.array_equal(d.Am[2], -e11.to_dense())
 
 
 def test_ab_certificate_opposite_pair():

@@ -1,0 +1,176 @@
+"""The closed-form slice infimum behind condition (C)'.
+
+The reference below is the corner SDP min <B,X> s.t. X_nn = 1, X psd that
+(C)' used to solve per member, together with the rule that turned its
+status into a verdict, including the grid-search fallback for stalled
+solves.  It is kept here only to check slice_infimum against it.
+"""
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from exactsdp import docio
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _slice_values,
+                              check_Bprime_Cprime, find_negative_point, slice_infimum)
+from exactsdp.gallery import build_case, list_cases
+from exactsdp.model import GeoCop, constraint_set, normalize
+from exactsdp.sdp import SdpProblem, solve
+from exactsdp.symmat import SymMat
+
+TOL = 1e-8
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
+
+
+def corner_solve(b: SymMat):
+    """min <B,X> s.t. X_nn = 1, X psd: an SDP with no inequality rows."""
+    e = np.zeros((b.n, b.n))
+    e[-1, -1] = 1.0
+    return solve(SdpProblem(n=b.n, objective=b, eq_constraints=((SymMat.from_dense(e), 1.0),)),
+                 tol=min(TOL, 1e-9))
+
+
+def corner_status(b: SymMat, sol) -> str:
+    scale = max(1.0, b.norm())
+    if sol.status == "unbounded" or (sol.status == "optimal" and sol.value <= -10 * TOL * scale):
+        return CERTIFIED
+    if sol.status == "optimal" and sol.value >= -TOL * scale:
+        return REFUTED
+    point = find_negative_point(b, TOL)
+    if point is not None:
+        q = float(_slice_values(b, np.asarray(point)[None, :])[0])
+        if q <= -10 * TOL * scale:
+            return CERTIFIED
+    return INCONCLUSIVE
+
+
+def fixture_members():
+    sets = []
+    for case_id in list_cases():
+        case = build_case(case_id)
+        for prob in (case.problem, getattr(case, "reference", None)):
+            if prob is not None:
+                sets.append(prob.bset if isinstance(prob, GeoCop) else prob)
+    for name in sorted(os.listdir(EXAMPLES)):
+        with open(os.path.join(EXAMPLES, name), "rb") as fh:
+            sets.append(docio.parse_problem(fh.read())[0].bset)
+    members = []
+    for s in sets:
+        members += list(s.members) + list(normalize(s).members)
+    return [m for m in members if m.n >= 2]
+
+
+def test_matches_corner_sdp_on_every_fixture_member():
+    members = fixture_members()
+    assert len(members) >= 100
+    seen = set()
+    for b in members:
+        sol = corner_solve(b)
+        seen.add(sol.status)
+        value = slice_infimum(b, TOL)
+        scale = max(1.0, b.norm())
+        verdict = check_Bprime_Cprime(constraint_set(b.n, [b]), TOL).c_prime_members[0]
+        assert verdict.status == corner_status(b, sol)
+        assert verdict.value == value
+        if sol.status == "optimal":
+            assert abs(value - sol.value) <= 1e-7 * scale
+        elif sol.status == "unbounded":
+            assert value == -math.inf
+    assert {"optimal", "unbounded"} <= seen
+
+
+def test_parabola_member_is_unbounded_below():
+    # q(u, 1) = u2^2 - u1: P = diag(0, 1) is singular and c leaves its range
+    b = SymMat.from_dense([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
+    assert slice_infimum(b, TOL) == -math.inf
+    verdict = check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0]
+    assert verdict.status == CERTIFIED and verdict.value == -math.inf
+    u = np.asarray(verdict.witness_point)
+    assert float(_slice_values(b, u[None, :])[0]) < 0.0
+
+
+def test_singular_psd_block_with_c_in_range_is_finite():
+    # P = R diag(2, 0) R^T, c = P v, s = v'Pv + 1: the infimum is exactly 1
+    t = 0.3
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    p = rot @ np.diag([2.0, 0.0]) @ rot.T
+    v = np.array([0.7, -1.1])
+    c = p @ v
+    a = np.zeros((3, 3))
+    a[:2, :2] = p
+    a[:2, 2] = a[2, :2] = c
+    a[2, 2] = float(v @ p @ v) + 1.0
+    b = SymMat.from_dense(a)
+    assert abs(slice_infimum(b, TOL) - 1.0) <= 1e-12
+    assert check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0].status == REFUTED
+
+
+def test_identity_is_refuted():
+    b = SymMat.identity(3)
+    assert slice_infimum(b, TOL) == 1.0
+    assert check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0].status == REFUTED
+
+
+def test_rejects_dimension_one():
+    with pytest.raises(ValueError):
+        slice_infimum(SymMat.identity(1), TOL)
+
+
+# --------------------------------------------------------------------------
+# invariance properties
+# --------------------------------------------------------------------------
+
+_entry = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _member(draw):
+    """A member whose P block is well away from singular."""
+    n = draw(st.integers(2, 4))
+    a = np.array(draw(st.lists(_entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    a = (a + a.T) / 2.0
+    assume(np.abs(np.linalg.eigvalsh(a[:-1, :-1])).min() >= 0.05)
+    return SymMat.from_dense(a)
+
+
+@st.composite
+def _affine(draw, n):
+    """M = [[L, t], [0, 1]] with the singular values of L at least 0.2."""
+    d = n - 1
+    lmat = np.array(draw(st.lists(_entry, min_size=d * d, max_size=d * d))).reshape(d, d)
+    assume(np.linalg.svd(lmat, compute_uv=False).min() >= 0.2)
+    m = np.eye(n)
+    m[:d, :d] = lmat
+    m[:d, d] = draw(st.lists(_entry, min_size=d, max_size=d))
+    return m
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                             suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _close(x, y, scale):
+    if math.isinf(x) or math.isinf(y):
+        return x == y
+    return abs(x - y) <= 1e-7 * scale
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_invariant_under_affine_change_of_slice_variable(data):
+    # q(u, 1, M'BM) = q(Lu + t, 1, B), so both have the same infimum
+    b = data.draw(_member())
+    m = data.draw(_affine(b.n))
+    moved = SymMat.from_dense(m.T @ b.to_dense() @ m)
+    v, w = slice_infimum(b, TOL), slice_infimum(moved, TOL)
+    assert _close(v, w, max(1.0, b.norm(), moved.norm(), abs(v)))
+
+
+@PROPERTY_SETTINGS
+@given(_member(), st.floats(0.01, 100.0))
+def test_scales_with_positive_factor(b, kappa):
+    v, w = slice_infimum(b, TOL), slice_infimum(b.scale(kappa), TOL)
+    assert _close(kappa * v, w, kappa * max(1.0, b.norm(), abs(v)))
