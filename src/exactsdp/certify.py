@@ -268,24 +268,6 @@ def _slice_values(b: SymMat, pts: np.ndarray) -> np.ndarray:
     return quadform_packed(b, coords)
 
 
-def find_negative_point(b: SymMat, tol: float):
-    """Numeric witness u with q(u, 1, B) < 0, or None.  Grid plus descent."""
-    d = b.n - 1
-    per_axis = 41 if d <= 2 else 13
-    best = None
-    for half in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
-        pts = _grid_candidates(d, half, per_axis)
-        vals = _slice_values(b, pts)
-        k = int(np.argmin(vals))
-        if vals[k] < -tol:
-            best = pts[k]
-            break
-    if best is None:
-        return None
-    u = _polish_point(best, lambda pts: _slice_values(b, pts))
-    return tuple(float(v) for v in u)
-
-
 def _polish_point(u0, f, steps: int = 60):
     """Descend on f from u0 by central-difference gradient steps.
 
@@ -317,7 +299,12 @@ def _polish_point(u0, f, steps: int = 60):
 
 
 def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
-    """u with q(u,1,B) <= 0 and q(u,1,A) < 0, or None."""
+    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None.
+
+    At growing radii, the grid point deepest in A's sublevel region within
+    B's is polished; the polished point, or else the grid point, is reported
+    when it passes that test.
+    """
     d = a.n - 1
     if d > 3:
         return None
@@ -333,21 +320,29 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
             # descend on max(q_b, q_a) to push q_a well negative
             u = _polish_point(u0, lambda x: np.maximum(_slice_values(b, x), _slice_values(a, x)),
                               steps=40)
-            row = u[None, :]
-            if float(_slice_values(b, row)[0]) <= tol and float(_slice_values(a, row)[0]) < -tol:
-                return tuple(float(v) for v in u)
-            return tuple(float(v) for v in u0)
+            # polishing balances the two values and can lift q_a above -tol
+            # again, so the grid point itself is the second choice
+            both = np.stack([u, u0])
+            ok = (_slice_values(b, both) <= tol) & (_slice_values(a, both) < -tol)
+            if ok.any():
+                return tuple(float(v) for v in both[int(np.argmax(ok))])
     return None
 
 
-def slice_infimum(b: SymMat, tol: float) -> float:
-    """inf over u of q(u, 1, B), in closed form.
+def slice_infimum(b: SymMat, tol: float) -> tuple:
+    """inf over u of q(u, 1, B) in closed form, with a witness point.
 
     With B = [[P, c], [c', s]], q(u, 1, B) = u'Pu + 2c'u + s.  Its infimum is
     -inf when P has a negative eigenvalue or c has a component in ker P, and
     s - c' P^+ c otherwise (the Schur complement; the single-constraint case
     of the S-lemma).  Eigenvalues and components within tol * max(1, ||B||)
     of zero count as zero.
+
+    Returns (infimum, u).  For a finite infimum u is the minimizer -P^+ c.
+    For -inf it is a step along a descent ray: the eigenvector of the most
+    negative eigenvalue, or else the flat eigenvector carrying the largest
+    component of c, taken against the sign of that component and long
+    enough to pass below zero.  u is None unless q(u, 1, B) < -tol.
     """
     if b.n < 2:
         raise ValueError("the slice infimum needs n >= 2")
@@ -355,19 +350,35 @@ def slice_infimum(b: SymMat, tol: float) -> float:
     cut = tol * max(1.0, b.norm())
     lam, vecs = np.linalg.eigh(a[:-1, :-1])
     w = vecs.T @ a[:-1, -1]
+    s = a[-1, -1]
     flat = np.abs(lam) <= cut
-    if (lam < -cut).any() or (np.abs(w[flat]) > cut).any():
-        return -math.inf
-    keep = ~flat
-    return float(a[-1, -1] - np.sum(w[keep] ** 2 / lam[keep]))
+    loose = np.where(flat, np.abs(w), 0.0)
+    if lam[0] < -cut:  # eigh sorts ascending
+        value, i = -math.inf, 0
+        t = 2.0 * math.sqrt(max(s, 0.0) / -lam[0]) + 1.0
+    elif loose.max() > cut:
+        value, i = -math.inf, int(np.argmax(loose))
+        t = (max(s, 0.0) + 1.0) / loose[i]
+        if lam[i] > 0.0:
+            t = min(t, loose[i] / lam[i])
+    else:
+        keep = ~flat
+        value = float(s - np.sum(w[keep] ** 2 / lam[keep]))
+        u = -vecs[:, keep] @ (w[keep] / lam[keep])
+    if value == -math.inf:
+        u = (-t if w[i] > 0.0 else t) * vecs[:, i]
+    if float(_slice_values(b, u[None, :])[0]) < -tol:
+        return value, tuple(float(v) for v in u)
+    return value, None
 
 
 def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                         pair_verdicts: Optional[dict] = None) -> SliceReport:
     """(C)' per member through the closed-form slice infimum (slice_infimum):
-    certified when it is at most -10 tol * max(1, ||B||), with a numeric
-    witness point u, refuted when it is at least -tol * max(1, ||B||), and
-    inconclusive in between.  (B)' per pair through the sufficient conic
+    certified when it is at most -10 tol * max(1, ||B||), with the witness
+    point slice_infimum gives (the minimizer -P^+ c, or a point on a descent
+    ray when the infimum is -inf), refuted when it is at least
+    -tol * max(1, ||B||), and inconclusive in between.  (B)' per pair through the sufficient conic
     route J_-(B) subset of J_+(A), with slice witness points reported for
     refutations when n-1 <= 3.
 
@@ -383,9 +394,9 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     c_members = []
     for idx, m in enumerate(s.members):
         scale = max(1.0, m.norm())
-        value = slice_infimum(m, tol)
+        value, point = slice_infimum(m, tol)
         if value <= -_REFUTE_FACTOR * tol * scale:
-            status, point = CERTIFIED, find_negative_point(m, tol)
+            status = CERTIFIED
         else:
             status, point = (REFUTED if value >= -tol * scale else INCONCLUSIVE), None
         c_members.append(MemberVerdict(index=idx, status=status, value=value,

@@ -516,8 +516,10 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFA
 # pairwise (alpha, beta) certificate
 # --------------------------------------------------------------------------
 
-_GOLDEN_ITERS = 120
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# fewest steps that shrink the bracket [0, 1] below the float spacing 2**-52
+# near 1: further steps cannot move mu
+_GOLDEN_ITERS = math.ceil(math.log(2.0 ** -52) / math.log(_INVPHI))
 
 
 def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float = DEFAULT_TOL):
@@ -526,10 +528,13 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
     A and B are (P, n, n) dense stacks and scale[p] = ||A[p]|| + ||B[p]||.
     lambda_min(A + tau B)/(1 + tau) equals lambda_min(mu A + (1-mu) B) at
     mu = 1/(1+tau), which is concave in mu (a min of linear functionals), so
-    a golden-section search over mu in (0,1) finds the global maximum.  All
-    pairs step together: each step is one stacked eigvalsh, and np.where
-    applies the scalar branch rule per pair.  tau is then snapped to a
-    nearby simple decimal when that does not hurt the certificate.
+    a golden-section search over mu in (0,1) finds the global maximum.  It
+    stops after _GOLDEN_ITERS steps, the fewest that shrink the bracket to
+    _INVPHI ** steps <= 2**-52, the float resolution of mu: 75 steps, so 77
+    stacked eigvalsh calls with the two initial points.  All pairs step
+    together: each step is one stacked eigvalsh, and np.where applies the
+    scalar branch rule per pair.  tau is then snapped to a nearby simple
+    decimal when that does not hurt the certificate.
 
     Returns one entry per pair: (tau, lambda_min(A + tau B)) for the
     certificate (1, tau), or None when the global maximum is certifiably

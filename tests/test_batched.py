@@ -177,6 +177,12 @@ def test_one_pair_calls_match_scalar_code():
             x, y, TOL, psd_probes(4, (x, y)))
 
 
+def test_golden_section_stops_at_float_resolution():
+    # the 120-step reference above agrees bitwise with the shorter search
+    assert sdpmod._INVPHI ** sdpmod._GOLDEN_ITERS <= 2.0 ** -52
+    assert sdpmod._INVPHI ** (sdpmod._GOLDEN_ITERS - 1) > 2.0 ** -52
+
+
 def test_pair_layer_rejects_duplicates_and_keeps_vacuous_sets():
     a, b, _ = ex61_matrices()
     with pytest.raises(ValueError):

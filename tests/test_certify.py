@@ -1,17 +1,18 @@
+import math
 import sys
 import types
 
 import numpy as np
 
 from exactsdp import sdp as sdpmod
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, certify,
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _pair_slice_witness, certify,
                               check_Bprime_Cprime, check_condition_B,
                               check_pair_B, check_structural, classify)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
 from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import eq10_problem, solve, solve_ab_certificate
 from exactsdp.symmat import SymMat, inner, is_psd, lambda_min
-from exactsdp.gallery import (FIG1_COMBOS, build_case, ex61_matrices,
+from exactsdp.gallery import (FIG1_COMBOS, build_case, disk_member, ex61_matrices,
                               ex61_reduced_matrices, fig1_member, fig2_members,
                               hyperbola_family, overlap_disks)
 
@@ -130,6 +131,23 @@ def test_overlap_disks_refuted_with_point():
     vals = sorted(eval_quadratic(u, 1.0, m) for m in s.members)
     assert vals[0] < -TOL          # strictly inside one disk
     assert vals[1] <= TOL          # inside or on the other
+
+
+def test_pair_slice_witness_reports_only_checked_points():
+    # two radius-1/2 disks whose lens is 0.025 wide: with A the first disk,
+    # the first grid hit (0.45, 0.2) is only 0.0075 deep in A, short of
+    # tol = 0.01, and polishing does not push it deep enough
+    t = 0.975 * np.array([math.cos(0.3), math.sin(0.3)])
+    first, second = disk_member((0.0, 0.0), 0.5), disk_member(tuple(t), 0.5)
+    tol = 0.01
+    found = 0
+    for a, b in ((first, second), (second, first)):
+        u = _pair_slice_witness(a, b, tol)
+        if u is not None:
+            found += 1
+            assert eval_quadratic(u, 1.0, b) <= tol
+            assert eval_quadratic(u, 1.0, a) < -tol
+    assert found >= 1
 
 
 def test_structural_on_reduced_example():

@@ -3,10 +3,13 @@
 The reference below is the corner SDP min <B,X> s.t. X_nn = 1, X psd that
 (C)' used to solve per member, together with the rule that turned its
 status into a verdict, including the grid-search fallback for stalled
-solves.  It is kept here only to check slice_infimum against it.
+solves (grid_negative_point, the numeric witness search (C)' used before
+the witness came in closed form).  It is kept here only to check
+slice_infimum against it.
 """
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exactsdp import docio
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _slice_values,
-                              check_Bprime_Cprime, find_negative_point, slice_infimum)
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _grid_candidates,
+                              _polish_point, _slice_values, check_Bprime_Cprime,
+                              slice_infimum)
 from exactsdp.gallery import build_case, list_cases
 from exactsdp.model import GeoCop, constraint_set, normalize
 from exactsdp.sdp import SdpProblem, solve
@@ -33,13 +37,28 @@ def corner_solve(b: SymMat):
                  tol=min(TOL, 1e-9))
 
 
+def grid_negative_point(b: SymMat, tol: float):
+    """Numeric u with q(u, 1, B) < -tol, or None: grid, then descent.  The
+    grid has per_axis ** (n - 1) points, so keep n small."""
+    d = b.n - 1
+    per_axis = 41 if d <= 2 else 13
+    for half in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
+        pts = _grid_candidates(d, half, per_axis)
+        vals = _slice_values(b, pts)
+        k = int(np.argmin(vals))
+        if vals[k] < -tol:
+            u = _polish_point(pts[k], lambda x: _slice_values(b, x))
+            return tuple(float(v) for v in u)
+    return None
+
+
 def corner_status(b: SymMat, sol) -> str:
     scale = max(1.0, b.norm())
     if sol.status == "unbounded" or (sol.status == "optimal" and sol.value <= -10 * TOL * scale):
         return CERTIFIED
     if sol.status == "optimal" and sol.value >= -TOL * scale:
         return REFUTED
-    point = find_negative_point(b, TOL)
+    point = grid_negative_point(b, TOL)
     if point is not None:
         q = float(_slice_values(b, np.asarray(point)[None, :])[0])
         if q <= -10 * TOL * scale:
@@ -70,7 +89,7 @@ def test_matches_corner_sdp_on_every_fixture_member():
     for b in members:
         sol = corner_solve(b)
         seen.add(sol.status)
-        value = slice_infimum(b, TOL)
+        value, _ = slice_infimum(b, TOL)
         scale = max(1.0, b.norm())
         verdict = check_Bprime_Cprime(constraint_set(b.n, [b]), TOL).c_prime_members[0]
         assert verdict.status == corner_status(b, sol)
@@ -82,10 +101,38 @@ def test_matches_corner_sdp_on_every_fixture_member():
     assert {"optimal", "unbounded"} <= seen
 
 
+def test_certified_members_get_closed_form_witness():
+    certified = 0
+    for b in fixture_members():
+        verdict = check_Bprime_Cprime(constraint_set(b.n, [b]), TOL).c_prime_members[0]
+        if verdict.status != CERTIFIED:
+            assert verdict.witness_point is None
+            continue
+        certified += 1
+        assert verdict.witness_point is not None
+        x = np.append(np.asarray(verdict.witness_point), 1.0)
+        q = float(x @ b.to_dense() @ x)
+        assert q < -TOL
+        if math.isfinite(verdict.value):
+            assert abs(q - verdict.value) <= 1e-9 * max(1.0, b.norm())
+    assert certified >= 100
+
+
+def test_witness_in_twelve_dimensions_needs_no_grid():
+    # a grid search over the 11-dimensional slice would need 13**11 points
+    b = SymMat.from_dense(np.diag([-1.0] + [1.0] * 11))
+    start = time.perf_counter()
+    verdict = check_Bprime_Cprime(constraint_set(12, [b]), TOL).c_prime_members[0]
+    assert time.perf_counter() - start < 1.0
+    assert verdict.status == CERTIFIED and verdict.value == -math.inf
+    x = np.append(np.asarray(verdict.witness_point), 1.0)
+    assert float(x @ b.to_dense() @ x) < -TOL
+
+
 def test_parabola_member_is_unbounded_below():
     # q(u, 1) = u2^2 - u1: P = diag(0, 1) is singular and c leaves its range
     b = SymMat.from_dense([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
-    assert slice_infimum(b, TOL) == -math.inf
+    assert slice_infimum(b, TOL)[0] == -math.inf
     verdict = check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0]
     assert verdict.status == CERTIFIED and verdict.value == -math.inf
     u = np.asarray(verdict.witness_point)
@@ -104,13 +151,13 @@ def test_singular_psd_block_with_c_in_range_is_finite():
     a[:2, 2] = a[2, :2] = c
     a[2, 2] = float(v @ p @ v) + 1.0
     b = SymMat.from_dense(a)
-    assert abs(slice_infimum(b, TOL) - 1.0) <= 1e-12
+    assert abs(slice_infimum(b, TOL)[0] - 1.0) <= 1e-12
     assert check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0].status == REFUTED
 
 
 def test_identity_is_refuted():
     b = SymMat.identity(3)
-    assert slice_infimum(b, TOL) == 1.0
+    assert slice_infimum(b, TOL)[0] == 1.0
     assert check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0].status == REFUTED
 
 
@@ -165,12 +212,12 @@ def test_invariant_under_affine_change_of_slice_variable(data):
     b = data.draw(_member())
     m = data.draw(_affine(b.n))
     moved = SymMat.from_dense(m.T @ b.to_dense() @ m)
-    v, w = slice_infimum(b, TOL), slice_infimum(moved, TOL)
+    v, w = slice_infimum(b, TOL)[0], slice_infimum(moved, TOL)[0]
     assert _close(v, w, max(1.0, b.norm(), moved.norm(), abs(v)))
 
 
 @PROPERTY_SETTINGS
 @given(_member(), st.floats(0.01, 100.0))
 def test_scales_with_positive_factor(b, kappa):
-    v, w = slice_infimum(b, TOL), slice_infimum(b.scale(kappa), TOL)
+    v, w = slice_infimum(b, TOL)[0], slice_infimum(b.scale(kappa), TOL)[0]
     assert _close(kappa * v, w, kappa * max(1.0, b.norm(), abs(v)))
