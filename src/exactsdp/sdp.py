@@ -8,13 +8,37 @@ search, a golden section over the concave 1-D function that runs for a whole
 stack of pairs at once, and the small auxiliary SDP formulations used by the
 certification and reduction stages.
 
-Each SDP here is small (n <= ~10, <= ~60 rows) and is solved densely.  It
-has n >= 1 and at least one row (SdpProblem refuses a problem without
-rows); the w block may be empty, and numpy's zero-size arrays carry that
-case through the same code path as every other, with no branch on a
-dimension.  The pair search takes one stacked eigenvalue call per
-golden-section step for all pairs together, so its per-call overhead grows
-with the number of steps, not with the number of pairs times steps.
+Every SDP is solved densely.  It has n >= 1 and at least one row
+(SdpProblem refuses a problem without rows); the w block may be empty, and
+numpy's zero-size arrays carry that case through the same code path as
+every other, with no branch on a dimension.
+
+The rows are flattened to an (m, n*n) matrix and scaled once per solve,
+with the objective stacked below them, so one matrix-vector product gives
+A(X,w) and <C,X> + c.w together.  Each iteration applies A, A^T and b once
+to the iterate and derives the optimality metrics, the Farkas tests and the
+embedding residuals from those products.  The Schur complement
+M_ij = <A_i, W A_j W> is one batched W A_j W and one GEMM over the
+flattened rows (the dense formula of Fujisawa, Kojima & Nakata 1997), so
+its cost is BLAS time, not Python calls, and n = 30 with m = 60 takes a few
+milliseconds per iteration.
+
+The tau pivot.  Eliminating dy from the Newton system leaves one scalar
+equation for dtau, with pivot t1 - q_cc - kappa/tau where
+t1 - q_cc = (k_c - b)' M^-1 (k_c + b) - q_cc
+          = -(q_cc - k_c' M^-1 k_c) - b' M^-1 b.
+The first term is minus a squared distance (of the scaled C from the span of
+the scaled rows) and the second is minus a norm in M^-1, so t1 - q_cc <= 0
+in exact arithmetic.  Late in a run t1 and q_cc both grow to 1e9-1e12, and
+their computed difference can come out >= 0 from roundoff alone; dividing
+by it throws tau far off its path.  A computed t1 - q_cc >= 0 therefore
+holds tau for that step (dtau = 0, the fixed-tau infeasible direction),
+which needs no threshold.  A direction that is not finite ends the solve as
+"numerical" with the best iterate.
+
+The pair search takes one stacked eigenvalue call per golden-section step
+for all pairs together, so its per-call overhead grows with the number of
+steps, not with the number of pairs times steps.
 """
 from __future__ import annotations
 
@@ -25,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .model import GeoCop
-from .symmat import SymMat, lambda_min_stack
+from .symmat import SymMat, dense_stack, lambda_min_stack, packed_stack
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -102,21 +126,9 @@ class _Point:
         self.kappa = 1.0
 
 
-def _apply_A(d: _ConicData, X, w):
-    return np.einsum("iab,ab->i", d.Am, X) + d.Aw @ w
-
-
-def _apply_At(d: _ConicData, y):
-    return np.einsum("i,iab->ab", y, d.Am), d.Aw.T @ y
-
-
-def _objective(d: _ConicData, X, w) -> float:
-    """<Cm,X> + cw.w"""
-    return float((d.Cm * X).sum()) + float(d.cw @ w)
-
-
 def _pair_norm(mat, vec):
-    return math.sqrt(float((mat * mat).sum()) + float(vec @ vec))
+    flat = mat.ravel()
+    return math.sqrt(float(flat @ flat) + float(vec @ vec))
 
 
 def _chol_or_sqrt(X):
@@ -125,7 +137,7 @@ def _chol_or_sqrt(X):
     except np.linalg.LinAlgError:
         d, V = np.linalg.eigh(_sym(X))
         floor = max(float(d.max()), 1.0) * 1e-14
-        return V @ np.diag(np.sqrt(np.maximum(d, floor)))
+        return V * np.sqrt(np.maximum(d, floor))
 
 
 def _nt_scaling(X, S):
@@ -134,36 +146,39 @@ def _nt_scaling(X, S):
     Msym = _sym(L1.T @ S @ L1)
     d, V = np.linalg.eigh(Msym)
     d = np.maximum(d, 1e-300)
-    G = L1 @ V @ np.diag(d ** -0.25)
-    Ginv = np.diag(d ** 0.25) @ V.T @ np.linalg.inv(L1)
+    G = (L1 @ V) * d ** -0.25
+    Ginv = (d ** 0.25)[:, None] * (V.T @ np.linalg.inv(L1))
     sigma = np.sqrt(d)
     return G, Ginv, sigma
 
 
-def _step_to_boundary_psd(sigma, dmat):
+def _step_to_boundary(pt, sigma, dXs, dw, dSs, dz, dtau, dkappa):
+    """Largest step along the direction that keeps every cone block closed;
+    NaN when the direction is not finite.
+
+    dXs = G^-1 dX G^-T and dSs = G^T dS G are the psd blocks in the scaled
+    space, where the iterate is diag(sigma) in both, so one stacked eigvalsh
+    prices both.  Every block v + a dv stays in its cone up to a = 1 / r,
+    with r = -lambda_min(sigma^-1/2 dv sigma^-1/2) for a psd block and
+    r = max(-dv / v) for the nonnegative ones (v > 0 in the interior)."""
     scale = 1.0 / np.sqrt(sigma)
-    E = _sym(dmat * scale[:, None] * scale[None, :])
-    lmin = float(np.linalg.eigvalsh(E)[0])
-    return math.inf if lmin >= 0.0 else 1.0 / (-lmin)
+    E = np.stack((dXs, dSs)) * (scale[:, None] * scale[None, :])
+    try:
+        lmin = np.linalg.eigvalsh((E + E.transpose(0, 2, 1)) / 2.0)[:, 0]
+    except np.linalg.LinAlgError:  # LAPACK may refuse a non-finite matrix
+        return math.nan
+    rate = float(np.concatenate((-lmin, -dw / pt.w, -dz / pt.z,
+                                 (-dtau / pt.tau, -dkappa / pt.kappa))).max())
+    if not math.isfinite(rate):
+        return math.nan
+    return math.inf if rate <= 0.0 else 1.0 / rate
 
 
-def _step_to_boundary_vec(v, dv):
-    neg = dv < 0.0
-    if not neg.any():
-        return math.inf
-    return float(np.min(-v[neg] / dv[neg]))
-
-
-def _step_to_boundary(pt, sigma, G, Ginv, dX, dw, dS, dz, dtau, dkappa):
-    """Largest step along the direction that keeps every cone block closed."""
-    return min(
-        _step_to_boundary_psd(sigma, Ginv @ dX @ Ginv.T),
-        _step_to_boundary_psd(sigma, G.T @ dS @ G),
-        _step_to_boundary_vec(pt.w, dw),
-        _step_to_boundary_vec(pt.z, dz),
-        -pt.tau / dtau if dtau < 0 else math.inf,
-        -pt.kappa / dkappa if dkappa < 0 else math.inf,
-    )
+def _schur_complement(W, Am, Aw, D):
+    """M_ij = <A_i, W A_j W> + sum_k Aw_ik D_k Aw_jk for a (m, n, n) row stack:
+    one batched W A_j W and one GEMM over the flattened rows."""
+    A2 = Am.reshape(len(Am), -1)
+    return (W @ Am @ W).reshape(A2.shape) @ A2.T + (Aw * D) @ Aw.T
 
 
 def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
@@ -174,15 +189,25 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     n, p, m = d.n, d.p, len(d.b)
     nu = n + p
 
-    # row/objective scaling for conditioning; undone on exit
-    rho = np.array([max(_pair_norm(d.Am[i], d.Aw[i]), 1e-12) for i in range(m)])
-    Am = d.Am / rho[:, None, None]
+    # row/objective scaling for conditioning, on the flattened rows; undone
+    # on exit
+    A2 = d.Am.reshape(m, n * n)
+    rho = np.maximum(np.sqrt((A2 * A2).sum(axis=1) + (d.Aw * d.Aw).sum(axis=1)), 1e-12)
+    A2 = A2 / rho[:, None]
     Aw = d.Aw / rho[:, None]
     b = d.b / rho
     rho_c = max(1.0, _pair_norm(d.Cm, d.cw))
     Cm = d.Cm / rho_c
     cw = d.cw / rho_c
-    ds = _ConicData(n=n, p=p, Cm=Cm, cw=cw, Am=Am, Aw=Aw, b=b)
+    Am = A2.reshape(m, n, n)
+    # the objective rides below the rows: one product gives A(X,w) and
+    # <C,X> + c.w together
+    AC = np.vstack([A2, Cm.reshape(1, n * n)])
+    AwC = np.vstack([Aw, cw[None, :]])
+
+    def apply_AC(X, w):
+        r = AC @ X.ravel() + AwC @ w
+        return r[:m], float(r[m])
 
     pt = _Point(n, p, m)
     norm_b = float(np.linalg.norm(b))
@@ -205,29 +230,29 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
             snap[0].copy(), snap[1].copy(), snap[2].copy(), snap[3].copy(),
             snap[4].copy(), snap[5], snap[6])
 
-    def current_metrics():
-        xhat_m = pt.X / pt.tau
-        xhat_w = pt.w / pt.tau
-        yhat = pt.y / pt.tau
-        sm = pt.S / pt.tau
-        sw = pt.z / pt.tau
-        pres_v = _apply_A(ds, xhat_m, xhat_w) - b
-        atm, atw = _apply_At(ds, yhat)
-        dres = _pair_norm(atm + sm - Cm, atw + sw - cw)
-        pobj = _objective(ds, xhat_m, xhat_w)
-        dobj = float(b @ yhat)
-        pres = float(np.linalg.norm(pres_v)) / (1.0 + norm_b)
-        dresr = dres / (1.0 + norm_c)
+    def state():
+        """The metrics (pres, dres, gap, pobj, dobj) of the iterate divided by
+        tau, the products A(X,w), <C,X> + c.w, A^T y and b.y, and the
+        embedding residuals (Rp, Rd_m, Rd_w, Rg): each operator applied once."""
+        AX, cx = apply_AC(pt.X, pt.w)
+        Aty_m, Aty_w, by = (pt.y @ A2).reshape(n, n), pt.y @ Aw, float(b @ pt.y)
+        Rp = AX - b * pt.tau
+        Rd_m = Aty_m + pt.S - Cm * pt.tau
+        Rd_w = Aty_w + pt.z - cw * pt.tau
+        pres = math.sqrt(float(Rp @ Rp)) / pt.tau / (1.0 + norm_b)
+        dres = _pair_norm(Rd_m, Rd_w) / pt.tau / (1.0 + norm_c)
+        pobj, dobj = cx / pt.tau, by / pt.tau
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return pres, dresr, gap, pobj, dobj
+        return ((pres, dres, gap, pobj, dobj), (AX, cx, Aty_m, Aty_w, by),
+                (Rp, Rd_m, Rd_w, cx - by + pt.kappa))
 
     for it in range(1, max_iter + 1):
-        comp = float((pt.X * pt.S).sum()) + float(pt.w @ pt.z) + pt.tau * pt.kappa
+        comp = float(pt.X.ravel() @ pt.S.ravel()) + float(pt.w @ pt.z) + pt.tau * pt.kappa
         mu = comp / (nu + 1.0)
         mu_hist.append(mu)
 
-        pres, dresr, gap, pobj, dobj = current_metrics()
-        best = (pres, dresr, gap, pobj, dobj)
+        best, (AX, cx, Aty_m, Aty_w, by), (Rp, Rd_m, Rd_w, Rg) = state()
+        pres, dresr, gap = best[:3]
         metric = max(pres, dresr, gap)
         if metric < best_metric:
             best_metric = metric
@@ -242,31 +267,17 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         # Farkas-type certificate checks (homogeneous embedding by-product);
         # these must run before stall detection: on infeasible or unbounded
         # instances the optimality metrics never improve
-        by = float(b @ pt.y)
-        if by > 1e-10:
-            atm, atw = _apply_At(ds, pt.y)
-            res = _pair_norm(atm + pt.S, atw + pt.z)
-            if res <= _INF_CERT_TOL * by:
-                status = "infeasible"
-                break
-        cx = _objective(ds, pt.X, pt.w)
-        if cx < -1e-10:
-            res = float(np.linalg.norm(_apply_A(ds, pt.X, pt.w)))
-            if res <= _INF_CERT_TOL * (-cx):
-                status = "unbounded"
-                break
+        if by > 1e-10 and _pair_norm(Aty_m + pt.S, Aty_w + pt.z) <= _INF_CERT_TOL * by:
+            status = "infeasible"
+            break
+        if cx < -1e-10 and math.sqrt(float(AX @ AX)) <= _INF_CERT_TOL * (-cx):
+            status = "unbounded"
+            break
 
         if comp <= 0.0 or mu <= 1e-17 * max(mu0, 1.0) or since_best >= 12:
             # past the attainable accuracy for this instance; best iterate wins
             status = "numerical"
             break
-
-        # residual vectors of the embedding
-        Rp = _apply_A(ds, pt.X, pt.w) - b * pt.tau
-        Rd_m, Rd_w = _apply_At(ds, pt.y)
-        Rd_m = Rd_m + pt.S - Cm * pt.tau
-        Rd_w = Rd_w + pt.z - cw * pt.tau
-        Rg = _objective(ds, pt.X, pt.w) - float(b @ pt.y) + pt.kappa
 
         try:
             G, Ginv, sigma = _nt_scaling(pt.X, pt.S)
@@ -276,10 +287,7 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         W = G @ G.T
         D = pt.w / pt.z
 
-        # Schur complement, shared by predictor and corrector
-        WAW = np.einsum("ab,ibc,cd->iad", W, Am, W)
-        M = np.einsum("iab,jab->ij", WAW, Am)
-        M = M + (Aw * D[None, :]) @ Aw.T
+        M = _schur_complement(W, Am, Aw, D)  # shared by predictor and corrector
         try:
             evals, evecs = np.linalg.eigh(_sym(M))
         except np.linalg.LinAlgError:
@@ -293,60 +301,65 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
             sol = sol + evecs @ (inv_e * (evecs.T @ (r - M @ sol)))
             return sol
 
-        WCW = W @ Cm @ W
-        k_c = _apply_A(ds, WCW, D * cw)
-        q_cc = _objective(ds, WCW, D * cw)
-        WRdW = W @ Rd_m @ W
-        g2 = _apply_A(ds, WRdW, D * Rd_w)
-        q2 = _objective(ds, WRdW, D * Rd_w)
+        k_c, q_cc = apply_AC(W @ Cm @ W, D * cw)
+        g2, q2 = apply_AC(W @ Rd_m @ W, D * Rd_w)
         u2 = msolve(k_c + b)
+        kb = k_c - b
+        # the tau pivot t1 - q_cc equals -(q_cc - k_c'M^-1 k_c) - b'M^-1 b,
+        # negative in exact arithmetic; late in a run both terms are large
+        # and a computed pivot >= 0 is roundoff, so tau is held for the step
+        pivot = float(kb @ u2) - q_cc
+        hold_tau = pivot >= 0.0
+        denom = pivot - pt.kappa / pt.tau
+        # Psi = 2 Rc / (sigma_i + sigma_j): Rc is per direction, the divisor is not
+        psi_scale = 2.0 / (sigma[:, None] + sigma[None, :])
+        sigma_sq = sigma * sigma
+        wz = pt.w * pt.z
+        tk = pt.tau * pt.kappa
 
         def direction(sig_c, corr):
             """corr = None (predictor) or scaled affine products (corrector)."""
             one_ms = 1.0 - sig_c
-            Rc = -np.diag(sigma * sigma)
-            rc_w = sig_c * mu - pt.w * pt.z
-            rc_tau = sig_c * mu - pt.tau * pt.kappa
+            Rc = np.diag(sig_c * mu - sigma_sq)
+            rc_w = sig_c * mu - wz
+            rc_tau = sig_c * mu - tk
             if corr is not None:
                 Rc = Rc - corr[0]
                 rc_w = rc_w - corr[1]
                 rc_tau = rc_tau - corr[2]
-            if sig_c:
-                Rc = Rc + sig_c * mu * np.eye(n)
-            Psi = 2.0 * Rc / (sigma[:, None] + sigma[None, :])
-            GPsiG = G @ Psi @ G.T
+            GPsiG = G @ (Rc * psi_scale) @ G.T
             gw = rc_w / pt.z
 
-            g1 = _apply_A(ds, GPsiG, gw)
-            q1 = _objective(ds, GPsiG, gw)
-            u1 = msolve(-g1 - one_ms * g2 - one_ms * Rp)
-
-            denom = float((k_c - b) @ u2) - q_cc - pt.kappa / pt.tau
-            numer = (-one_ms * Rg - q1 - one_ms * q2 - rc_tau / pt.tau
-                     - float((k_c - b) @ u1))
-            dtau = numer / denom
+            g1, q1 = apply_AC(GPsiG, gw)
+            u1 = msolve(-g1 - one_ms * (g2 + Rp))
+            dtau = 0.0 if hold_tau else (
+                (-one_ms * Rg - q1 - one_ms * q2 - rc_tau / pt.tau - float(kb @ u1)) / denom)
             dy = u1 + dtau * u2
-            atm, atw = _apply_At(ds, dy)
-            dS = _sym(-one_ms * Rd_m + Cm * dtau - atm)
+            dS = _sym(-one_ms * Rd_m + Cm * dtau - (dy @ A2).reshape(n, n))
             dX = _sym(GPsiG - W @ dS @ W)
-            dz = -one_ms * Rd_w + cw * dtau - atw
+            dz = -one_ms * Rd_w + cw * dtau - dy @ Aw
             dw = gw - D * dz
             dkappa = (rc_tau - pt.kappa * dtau) / pt.tau
             return dX, dw, dy, dS, dz, dtau, dkappa
 
         # predictor
         dXa, dwa, _, dSa, dza, dta, dka = direction(0.0, None)
-        alpha_aff = min(_step_to_boundary(pt, sigma, G, Ginv, dXa, dwa, dSa, dza, dta, dka),
-                        1.0)
-        comp_aff = (float(((pt.X + alpha_aff * dXa) * (pt.S + alpha_aff * dSa)).sum())
+        dXs, dSs = Ginv @ dXa @ Ginv.T, G.T @ dSa @ G
+        alpha_aff = _step_to_boundary(pt, sigma, dXs, dwa, dSs, dza, dta, dka)
+        if math.isnan(alpha_aff):
+            status = "numerical"
+            break
+        alpha_aff = min(alpha_aff, 1.0)
+        comp_aff = (float((pt.X + alpha_aff * dXa).ravel() @ (pt.S + alpha_aff * dSa).ravel())
                     + float((pt.w + alpha_aff * dwa) @ (pt.z + alpha_aff * dza))
                     + (pt.tau + alpha_aff * dta) * (pt.kappa + alpha_aff * dka))
         sig_c = min(max((max(comp_aff, 0.0) / comp) ** 3, 1e-12), 0.999)
 
         # corrector
-        corr = (_sym((Ginv @ dXa @ Ginv.T) @ (G.T @ dSa @ G)), dwa * dza, dta * dka)
-        dX, dw, dy, dS, dz, dtau, dkappa = direction(sig_c, corr)
-        alpha = _step_to_boundary(pt, sigma, G, Ginv, dX, dw, dS, dz, dtau, dkappa)
+        dX, dw, dy, dS, dz, dtau, dkappa = direction(
+            sig_c, (_sym(dXs @ dSs), dwa * dza, dta * dka))
+        alpha = _step_to_boundary(pt, sigma, Ginv @ dX @ Ginv.T, dw, G.T @ dS @ G, dz,
+                                  dtau, dkappa)
         alpha = min(_STEP_FRACTION * alpha, 1.0)
         if not math.isfinite(alpha) or alpha <= 1e-10:
             status = "numerical"
@@ -365,11 +378,10 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
 
     if status in ("max_iter", "numerical") and best_snap is not None:
         restore(best_snap)
-        pres, dresr, gap, pobj, dobj = current_metrics()
-        if max(pres, dresr, gap) <= tol:
+        best = state()[0]
+        if max(best[:3]) <= tol:
             status = "optimal"
-        best = (pres, dresr, gap, pobj, dobj)
-    pres, dresr, gap, pobj, dobj = best if best is not None else current_metrics()
+    pres, dresr, gap, pobj, dobj = best if best is not None else state()[0]
 
     # undo scaling; duals of ">="-form rows are the nonnegative slack
     # multipliers ("<=" rows were negated on entry, so theirs stay nonnegative)
@@ -407,18 +419,21 @@ def _slack_block(n_eq: int, k: int) -> np.ndarray:
 
 
 def _assemble(p: SdpProblem):
-    ineqs = [(mat, r) if sense == ">=" else (mat.scale(-1.0), -r)
-             for mat, sense, r in p.ineq_constraints]
-    rows = list(p.eq_constraints) + ineqs
-    n_eq, k = len(p.eq_constraints), len(ineqs)
+    mats = [mat for mat, _ in p.eq_constraints] + [mat for mat, _, _ in p.ineq_constraints]
+    n_eq, k = len(p.eq_constraints), len(p.ineq_constraints)
+    # "<=" rows are negated into ">=" form
+    sign = np.array([1.0] * n_eq + [1.0 if sense == ">=" else -1.0
+                                    for _, sense, _ in p.ineq_constraints])
+    rhs = np.array([r for _, r in p.eq_constraints] + [r for _, _, r in p.ineq_constraints],
+                   dtype=float)
     d = _ConicData(
         n=p.n,
         p=k,
         Cm=p.objective.to_dense(),
         cw=np.zeros(k),
-        Am=np.array([mat.to_dense() for mat, _ in rows]),
+        Am=dense_stack(packed_stack(mats, p.n), p.n) * sign[:, None, None],
         Aw=_slack_block(n_eq, k),
-        b=np.array([r for _, r in rows], dtype=float),
+        b=rhs * sign,
     )
     return d, n_eq
 
@@ -484,11 +499,11 @@ def slater_data(members, n: int) -> _ConicData:
 
     Variables: Z (psd block), w = (t, slacks).  Objective: min -t.
     """
-    mats = [m.to_dense() for m in members]
+    mats = dense_stack(packed_stack(members, n), n)
     k = len(mats)
     p = 1 + k
     # trace Z + n t = 1;  <B_j,Z> + t tr(B_j) - s_j = 0
-    t_col = np.array([float(n)] + [float(np.trace(m)) for m in mats])
+    t_col = np.concatenate([[float(n)], np.trace(mats, axis1=1, axis2=2)])
     cw = np.zeros(p)
     cw[0] = -1.0
     return _ConicData(
@@ -496,9 +511,9 @@ def slater_data(members, n: int) -> _ConicData:
         p=p,
         Cm=np.zeros((n, n)),
         cw=cw,
-        Am=np.array([np.eye(n)] + mats),
+        Am=np.concatenate([np.eye(n)[None], mats]),
         Aw=np.column_stack([t_col, _slack_block(1, k)]),
-        b=np.array([1.0] + [0.0] * k),
+        b=np.concatenate([[1.0], np.zeros(k)]),
     )
 
 

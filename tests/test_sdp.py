@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import exactsdp.sdp as sdp_module
 from exactsdp.model import GeoCop, constraint_set
-from exactsdp.sdp import (SdpProblem, _assemble, eq10_problem, relaxation_problem,
-                          solve, solve_ab_certificate, solve_slater)
+from exactsdp.sdp import (SdpProblem, _assemble, _schur_complement, eq10_problem,
+                          relaxation_problem, solve, solve_ab_certificate, solve_slater)
 from exactsdp.symmat import SymMat, combine, eigvals_sym, lambda_min
 from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices
+from test_acceptance import _certified_instances
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -229,3 +231,101 @@ def test_kkt_conditions_on_random_feasible_instances():
             s_dual = s_dual - yb * m.to_dense()
         assert np.linalg.eigvalsh(s_dual).min() >= -1e-6
         assert abs(float((x.to_dense() * s_dual).sum())) <= 1e-6
+
+
+def _schur_reference(W, Am, Aw, D):
+    # the two einsum calls the interior-point core used before the GEMM
+    WAW = np.einsum("ab,ibc,cd->iad", W, Am, W)
+    return np.einsum("iab,jab->ij", WAW, Am) + (Aw * D[None, :]) @ Aw.T
+
+
+def test_schur_complement_matches_einsum_reference():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (2, 3), (3, 25), (4, 7), (10, 60), (30, 60)]
+    shapes += [(int(rng.integers(1, 31)), int(rng.integers(1, 61))) for _ in range(10)]
+    for n, m in shapes:
+        p = int(rng.integers(0, m + 1))
+        Am = rng.standard_normal((m, n, n))
+        Am = (Am + Am.transpose(0, 2, 1)) / 2.0
+        Aw = rng.standard_normal((m, p))
+        G = rng.standard_normal((n, n))
+        W = G @ G.T + 1e-3 * np.eye(n)
+        D = rng.uniform(1e-6, 1e6, p)
+        ref = _schur_reference(W, Am, Aw, D)
+        got = _schur_complement(W, Am, Aw, D)
+        assert got.shape == (m, m)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), (n, m)
+
+
+def _corrupt_third_direction(monkeypatch, value):
+    """Make the third step-length query see a non-finite X direction."""
+    calls = []
+    real = sdp_module._step_to_boundary
+
+    def patched(pt, sigma, dXs, *rest):
+        calls.append(1)
+        if len(calls) == 3:
+            dXs = np.full_like(dXs, value)
+        return real(pt, sigma, dXs, *rest)
+
+    monkeypatch.setattr(sdp_module, "_step_to_boundary", patched)
+    return calls
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_direction_ends_numerical_with_best_iterate(monkeypatch, value):
+    q = random_sym(np.random.default_rng(5), 4)
+    calls = _corrupt_third_direction(monkeypatch, value)
+    sol = trace_one_min(q)
+    # the third query is the predictor of iteration 2: the solve stops there
+    assert len(calls) == 3
+    assert sol.status == "numerical" and sol.iterations == 2
+    assert math.isfinite(sol.value) and np.isfinite(sol.X.to_dense()).all()
+    # it reports the best of the iterates seen, as a run cut after two
+    # iterations does
+    monkeypatch.undo()
+    ref = solve(SdpProblem(n=4, objective=q, eq_constraints=((SymMat.identity(4), 1.0),)),
+                tol=1e-9, max_iter=2)
+    assert ref.status == "max_iter"
+    assert sol.value == ref.value and sol.residuals == ref.residuals
+    assert sol.X == ref.X
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_step_to_boundary_is_nan_for_non_finite_direction(value):
+    pt = sdp_module._Point(3, 2, 1)
+    sigma = np.ones(3)
+    good = -np.eye(3)
+    bad = np.full((3, 3), value)
+    zero = np.zeros(2)
+    assert sdp_module._step_to_boundary(pt, sigma, good, zero, good, zero, 0.0, 0.0) == 1.0
+    assert math.isnan(sdp_module._step_to_boundary(pt, sigma, bad, zero, good, zero, 0.0, 0.0))
+    assert math.isnan(sdp_module._step_to_boundary(pt, sigma, good, zero, bad, zero, 0.0, 0.0))
+
+
+def test_step_to_boundary_is_nan_when_lapack_refuses(monkeypatch):
+    # some LAPACK builds raise on a non-finite matrix instead of returning NaN
+    def refuse(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sdp_module.np.linalg, "eigvalsh", refuse)
+    pt = sdp_module._Point(2, 0, 1)
+    d = np.full((2, 2), math.nan)
+    assert math.isnan(sdp_module._step_to_boundary(pt, np.ones(2), d, np.zeros(0), d,
+                                                   np.zeros(0), 0.0, 0.0))
+
+
+def test_certified_relaxations_solve_to_1e9():
+    # 60 seeded objectives on each certified set of the acceptance gate: every
+    # relaxation reaches tol 1e-9.  At 1e-9 the end-game used to hinge on
+    # roundoff in the tau pivot (t1 - q_cc, negative in exact arithmetic)
+    rng = np.random.default_rng(2024)
+    failed = []
+    for name, s, _ in _certified_instances():
+        for k in range(60):
+            q = random_sym(rng, s.n)
+            prob = GeoCop(n=s.n, Q=q, H=SymMat.identity(s.n), bset=s)
+            sol = solve(relaxation_problem(prob), tol=1e-9)
+            if sol.status != "optimal":
+                failed.append((name, k, sol.status))
+    assert not failed
