@@ -141,11 +141,16 @@ def _chol_or_sqrt(X):
 
 
 def _nt_scaling(X, S):
-    """Factor G with G^-1 X G^-T = G^T S G = diag(sigma)."""
+    """Factor G with G^-1 X G^-T = G^T S G = diag(sigma).
+
+    Raises LinAlgError when L1' S L1 (L1 L1' = X) has a computed eigenvalue
+    <= 0: the iterate has left the interior in floating point, and G, which
+    scales by its eigenvalues ** -1/4, would overflow the next direction."""
     L1 = _chol_or_sqrt(X)
     Msym = _sym(L1.T @ S @ L1)
     d, V = np.linalg.eigh(Msym)
-    d = np.maximum(d, 1e-300)
+    if not d[0] > 0.0:
+        raise np.linalg.LinAlgError("NT scaling of an iterate outside the interior")
     G = (L1 @ V) * d ** -0.25
     Ginv = (d ** 0.25)[:, None] * (V.T @ np.linalg.inv(L1))
     sigma = np.sqrt(d)

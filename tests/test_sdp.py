@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,3 +330,33 @@ def test_certified_relaxations_solve_to_1e9():
             if sol.status != "optimal":
                 failed.append((name, k, sol.status))
     assert not failed
+
+
+def test_nt_scaling_refuses_an_iterate_outside_the_interior():
+    # X^1/2 S X^1/2 = diag(1, 0): no NT scaling exists; flooring the zero
+    # eigenvalue used to return a G of size 1e75
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp_module._nt_scaling(np.eye(2), np.diag([1.0, 0.0]))
+    G, Ginv, sigma = sdp_module._nt_scaling(np.eye(2), np.diag([1.0, 4.0]))
+    assert np.allclose(G @ np.diag(sigma) @ G.T, np.eye(2))
+    assert np.allclose(Ginv @ G, np.eye(2))
+
+
+def test_end_game_breakdown_ends_without_overflow():
+    # fig2 relaxation #38 of the seed-2 sample (drawn as in
+    # test_certified_relaxations_solve_to_1e9) can lose the interior in
+    # floating point late in its run; scaling by a floored eigenvalue then
+    # overflowed (RuntimeWarning) before the solve ended
+    rng = np.random.default_rng(2)
+    sets = _certified_instances()
+    for _ in range(60):
+        random_sym(rng, 2)
+    for _ in range(38):
+        random_sym(rng, 3)
+    s = sets[1][1]
+    prob = GeoCop(n=3, Q=random_sym(rng, 3), H=SymMat.identity(3), bset=s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve(relaxation_problem(prob), tol=1e-9)
+    assert sol.status in ("optimal", "numerical")
+    assert math.isfinite(sol.value) and max(sol.residuals) <= 1e-7
