@@ -20,7 +20,7 @@ from .certify import (CertReport, PairVerdict, check_Bprime_Cprime,
                       check_condition_B, check_pair_B, check_structural,
                       classify)
 from .reduction import ReductionResult, facial_reduce, remove_redundant
-from .oracle import OracleResult, solve_region_2d, solve_sphere
+from .oracle import OracleResult, solve_sphere
 from .pipeline import (PipelineConfig, PipelineVerdict, RankOneResult,
                        extract_rank_one, run_pipeline)
 from . import gallery, plotting, docio

@@ -257,76 +257,60 @@ def check_condition_B(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL) -> Cond
 # slice conditions (B)' and (C)'
 # --------------------------------------------------------------------------
 
-def _grid_candidates(d: int, half: float, per_axis: int):
-    axes = [np.linspace(-half, half, per_axis)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _slice_values(b: SymMat, pts: np.ndarray) -> np.ndarray:
     coords = np.concatenate([pts, np.ones((pts.shape[0], 1))], axis=1)
     return quadform_packed(b, coords)
 
 
-def _polish_point(u0, f, steps: int = 60):
-    """Descend on f from u0 by central-difference gradient steps.
-
-    f maps an (m, d) stack of points to their m values; each step evaluates
-    the whole 2d-point stencil in one call and the candidate in another.
-    """
-    u = np.array(u0, dtype=float)
-    fu = f(u[None, :])[0]
-    h = 1e-5
-    d = u.size
-    stencil = h * np.eye(d)
-    step = 0.25 * max(1.0, float(np.linalg.norm(u)))
-    for _ in range(steps):
-        fs = f(np.concatenate([u + stencil, u - stencil]))
-        g = (fs[:d] - fs[d:]) / (2 * h)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
+def _rank_one_pieces(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows x_i with sum x_i x_i' = X and every x_i' G x_i = <G,X> / r, for psd X
+    of rank r (Sturm & Zhang 2003, Prop. 3).  While two pieces straddle the
+    mean, rotate them in their plane until the first meets it; set it aside."""
+    lam, vecs = np.linalg.eigh(x)
+    keep = lam > 0.0
+    p = (vecs[:, keep] * np.sqrt(lam[keep])).T
+    mean = float(np.sum(g * x)) / len(p)
+    done = []
+    while len(p) > 1:
+        dev = np.einsum("ij,jk,ik->i", p, g, p) - mean
+        hi, lo = int(np.argmax(dev)), int(np.argmin(dev))
+        if not dev[hi] > 0.0 > dev[lo]:
             break
-        cand = u - step * g / gn
-        fc = f(cand[None, :])[0]
-        if fc < fu:
-            u, fu = cand, fc
-            step *= 1.3
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return u
+        # the root of (p_hi + a p_lo)' G (p_hi + a p_lo) = mean (1 + a^2)
+        # without cancellation
+        g12 = float(p[hi] @ g @ p[lo])
+        root = math.sqrt(g12 * g12 - dev[hi] * dev[lo])
+        a = -dev[hi] / (g12 + math.copysign(root, g12))
+        c = 1.0 / math.sqrt(1.0 + a * a)
+        done.append(c * (p[hi] + a * p[lo]))
+        p[lo] = c * (p[lo] - a * p[hi])
+        p = np.delete(p, hi, axis=0)
+    return np.array(done + list(p))
 
 
 def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None.
 
-    At growing radii, the grid point deepest in A's sublevel region within
-    B's is polished; the polished point, or else the grid point, is reported
-    when it passes that test.
+    Solves min <A,X> s.t. <B',X> <= 0, trace X = 1 with B' = B - (tol/2) e_n e_n'
+    (the shift leaves the solve error room under tol), splits the optimizer into
+    rank-one pieces of equal <B',.> and reports, among the pieces off the
+    plane at infinity, the point deepest in A that passes that test.
     """
-    d = a.n - 1
-    if d > 3:
+    g = b.to_dense()
+    g[-1, -1] -= 0.5 * tol
+    sol = sdpmod.solve(sdpmod.eq10_problem(a, SymMat.from_dense(g)), tol=min(tol, 1e-9))
+    if sol.status != "optimal":
         return None
-    per_axis = 41 if d <= 2 else 13
-    for half in (1.0, 2.0, 4.0, 8.0, 16.0):
-        pts = _grid_candidates(d, half, per_axis)
-        qb = _slice_values(b, pts)
-        qa = _slice_values(a, pts)
-        mask = (qb <= 0.0) & (qa < 0.0)
-        if mask.any():
-            cand = pts[mask]
-            u0 = cand[int(np.argmin(qa[mask]))]
-            # descend on max(q_b, q_a) to push q_a well negative
-            u = _polish_point(u0, lambda x: np.maximum(_slice_values(b, x), _slice_values(a, x)),
-                              steps=40)
-            # polishing balances the two values and can lift q_a above -tol
-            # again, so the grid point itself is the second choice
-            both = np.stack([u, u0])
-            ok = (_slice_values(b, both) <= tol) & (_slice_values(a, both) < -tol)
-            if ok.any():
-                return tuple(float(v) for v in both[int(np.argmax(ok))])
-    return None
+    pieces = _rank_one_pieces(sol.X.to_dense(), g)
+    # below |x_n| = sqrt(eps / tol) |x| rounding in q at u = x[:-1] / x_n reaches tol
+    finite = (np.abs(pieces[:, -1])
+              > math.sqrt(np.finfo(float).eps / tol) * np.linalg.norm(pieces, axis=1))
+    pts = pieces[finite, :-1] / pieces[finite, -1:]
+    qa = _slice_values(a, pts)
+    ok = (_slice_values(b, pts) <= tol) & (qa < -tol)
+    if not ok.any():
+        return None
+    return tuple(float(v) for v in pts[ok][int(np.argmin(qa[ok]))])
 
 
 def slice_infimum(b: SymMat, tol: float) -> tuple:
@@ -380,7 +364,7 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     ray when the infimum is -inf), refuted when it is at least
     -tol * max(1, ||B||), and inconclusive in between.  (B)' per pair through the sufficient conic
     route J_-(B) subset of J_+(A), with slice witness points reported for
-    refutations when n-1 <= 3.
+    refutations.
 
     A conic refutation alone does not disprove the slice condition (the two
     are equivalent only under lower semicontinuity of the slice map), so a

@@ -8,9 +8,8 @@ diagnostics go to stderr.  Exit codes: 0 success/certified, 2 not certified,
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-import tempfile
 
 from . import docio, gallery, oracle, plotting
 from .certify import certify as run_certify
@@ -28,16 +27,7 @@ EXIT_INCONCLUSIVE = 3
 def _emit(doc: dict, out_path):
     text = docio.serialize(doc)
     if out_path:
-        d = os.path.dirname(os.path.abspath(out_path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-out-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, out_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        plotting.atomic_write(out_path, text.encode("ascii"))
     else:
         sys.stdout.write(text)
 
@@ -98,7 +88,8 @@ def cmd_pipeline(args) -> int:
     seed = args.seed if args.seed is not None else opts["seed"]
     verdict = run_pipeline(problem, PipelineConfig(tol=tol, cert_tol=tol, seed=seed))
     _emit(docio.verdict_doc(verdict), args.out)
-    if verdict.cert is None:
+    # an infeasible problem: the feasible cone is {O} or the relaxation is empty
+    if verdict.value == math.inf:
         return EXIT_NOT_CERTIFIED
     return _verdict_exit(verdict.cert.overall)
 

@@ -1,8 +1,7 @@
 """Brute-force reference solvers for the original QCQPs at desk scale.
 
 Sphere sampling with feasibility restoration and tangent-space polish for
-the geometric form (H positive definite), and a raster sweep for
-two-variable inequality-form regions.  Values are upper bounds on the true
+the geometric form (H positive definite).  Values are upper bounds on the true
 infimum; returned minimizers carry constraint violations at roundoff level
 (<= ~1e-12 relative), so the bound never undershoots the optimum by more
 than multiplier * roundoff.
@@ -15,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import GeoCop, ConstraintSet, quadform_packed
+from .model import GeoCop, quadform_packed
 from .symmat import SymMat, eig_sym
 
 _CHUNK = 20_000
@@ -181,63 +180,3 @@ def solve_sphere(p: GeoCop, samples: int = 200_000, seed: int = 0) -> OracleResu
     return OracleResult(value=best_val, argmin=best_x, samples_used=used,
                         refined=refined,
                         max_violation=max(0.0, -work.worst(best_x)))
-
-
-def solve_region_2d(s: ConstraintSet, q_obj: SymMat, grid: int = 800,
-                    box=((-2.5, 2.5), (-2.5, 2.5))) -> OracleResult:
-    """Raster sweep of the z = 1 slice for n - 1 = 2, plus local refinement.
-
-    Also reports the feasible-area fraction of the box as `area_fraction`
-    (attached attribute) for plot validation.
-    """
-    if s.n != 3:
-        raise ValueError("region oracle needs n - 1 = 2")
-    (x0, x1), (y0, y1) = box
-    xs = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
-    ys = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), np.ones(grid * grid)], axis=1)
-    feasible = np.ones(grid * grid, dtype=bool)
-    for m in s.members:
-        feasible &= quadform_packed(m, pts) >= 0.0
-    frac = float(feasible.mean())
-    if not feasible.any():
-        res = OracleResult(value=math.inf, argmin=None, samples_used=grid * grid,
-                           refined=False, feasible_found=False)
-        res.area_fraction = frac
-        return res
-    obj = quadform_packed(q_obj, pts)
-    obj_feas = np.where(feasible, obj, math.inf)
-    k = int(np.argmin(obj_feas))
-    u = pts[k, :2]
-
-    def fobj(v):
-        return float(quadform_packed(q_obj, np.array([[v[0], v[1], 1.0]]))[0])
-
-    def feas_ok(v):
-        row = np.array([[v[0], v[1], 1.0]])
-        return all(float(quadform_packed(m, row)[0]) >= 0.0 for m in s.members)
-
-    x = np.array(u, dtype=float)
-    fx = fobj(x)
-    step = (x1 - x0) / grid
-    refined = False
-    for _ in range(200):
-        improved = False
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            cand = x + step * np.array(d, dtype=float)
-            if feas_ok(cand):
-                fc = fobj(cand)
-                if fc < fx:
-                    x, fx = cand, fc
-                    improved = True
-                    refined = True
-                    break
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    res = OracleResult(value=fx, argmin=np.append(x, 1.0), samples_used=grid * grid,
-                       refined=refined)
-    res.area_fraction = frac
-    return res

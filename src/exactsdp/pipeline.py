@@ -164,7 +164,8 @@ def run_pipeline(p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> PipelineV
 
     rank_one = None
     lifted = None
-    value = sol.value if sol.status == "optimal" else math.nan
+    # an infeasible relaxation means an infeasible problem, whose infimum is +inf
+    value = {"optimal": sol.value, "infeasible": math.inf}.get(sol.status, math.nan)
     if sol.status == "optimal" and sol.X is not None:
         rank_one = extract_rank_one(sol.X, problem, cfg)
         if rank_one.x is not None:

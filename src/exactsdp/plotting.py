@@ -51,9 +51,11 @@ def area_fraction(mask: np.ndarray) -> float:
     return float(mask.mean())
 
 
-def _atomic_write(path: str, data: bytes):
+def atomic_write(path: str, data: bytes):
+    """Write data to path through a temporary file in the same directory, so
+    that readers see the old file or the whole new one."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-plot-")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -75,7 +77,7 @@ def write_ppm(mask: np.ndarray, path: str):
     img[m] = gray
     img[~m] = white
     header = ("P6\n%d %d\n255\n" % (res_x, res_y)).encode("ascii")
-    _atomic_write(path, header + img.tobytes())
+    atomic_write(path, header + img.tobytes())
 
 
 def read_ppm(path: str):
@@ -176,7 +178,7 @@ def write_svg(s: ConstraintSet, mask: np.ndarray, box, path: str,
             out.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
                        'stroke="black" stroke-width="1"/>' % (pa[0], pa[1], pb[0], pb[1]))
     out.append('</svg>')
-    _atomic_write(path, "\n".join(out).encode("utf-8"))
+    atomic_write(path, "\n".join(out).encode("utf-8"))
 
 
 def emit_plot(s: ConstraintSet, box, resolution: int, path_base: str) -> dict:

@@ -86,12 +86,6 @@ class SymMat:
                 k += 1
         return a
 
-    def entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        k = i * self.n - i * (i - 1) // 2 + (j - i)
-        return self.data[k]
-
     def norm(self) -> float:
         """Frobenius norm, sqrt(<A,A>) (off-diagonal entries count twice)."""
         return math.sqrt(inner(self, self))
@@ -225,10 +219,3 @@ def gram(x) -> SymMat:
         for j in range(i, n):
             data.append(x[i] * x[j])
     return SymMat(n, tuple(data))
-
-
-def combine(alpha: float, a: SymMat, beta: float, b: SymMat) -> SymMat:
-    """alpha*A + beta*B."""
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    return SymMat(a.n, tuple(alpha * u + beta * v for u, v in zip(a.data, b.data)))

@@ -14,13 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from exactsdp import sdp as sdpmod
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _polish_point,
-                              _slice_values, check_condition_B, inclusion_status,
-                              inclusion_table, psd_probes)
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, check_condition_B,
+                              inclusion_status, inclusion_table, psd_probes)
 from exactsdp.gallery import ball_family, disk_member, ex61_matrices, fig2_members
 from exactsdp.model import build_family, constraint_set, normalize
 from exactsdp.sdp import solve_ab_certificate
-from exactsdp.symmat import (SymMat, combine, dense_stack, inner, inner_packed, is_psd,
+from exactsdp.symmat import (SymMat, dense_stack, inner, inner_packed, is_psd,
                              lambda_min, lambda_min_stack, packed_stack)
 
 TOL = 1e-8
@@ -49,7 +48,7 @@ def _ref_ab_certificate(a, b, tol):
     scale = _ref_norm(a) + _ref_norm(b)
 
     def phi(mu):
-        return lambda_min(combine(mu, a, 1.0 - mu, b))
+        return lambda_min(a.scale(mu).add(b, 1.0 - mu))
 
     lo, hi = 0.0, 1.0
     c = hi - _INVPHI * (hi - lo)
@@ -72,14 +71,14 @@ def _ref_ab_certificate(a, b, tol):
               round(tau, 9), round(tau, 12), tau):
         if t > 0.0 and t not in candidates:
             candidates.append(t)
-    evaluated = [(t, lambda_min(combine(1.0, a, t, b)) / (1.0 + t)) for t in candidates]
+    evaluated = [(t, lambda_min(a.add(b, t)) / (1.0 + t)) for t in candidates]
     best_val = max(v for _, v in evaluated)
     for t, v in evaluated:
         if v >= best_val - 1e-12 * scale:
             tau, val = t, v
             break
     if val * (1.0 + tau) >= -tol * scale:
-        return tau, lambda_min(combine(1.0, a, tau, b)) / max(scale, 1.0)
+        return tau, lambda_min(a.add(b, tau)) / max(scale, 1.0)
     return None
 
 
@@ -100,32 +99,6 @@ def _ref_inclusion_status(a, b, tol, probes):
     if sol.value <= -10.0 * tol * scale_a:
         return REFUTED
     return INCONCLUSIVE
-
-
-def _ref_polish_point(u0, f, steps=60):
-    u = np.array(u0, dtype=float)
-    fu = f(u)
-    h = 1e-5
-    step = 0.25 * max(1.0, float(np.linalg.norm(u)))
-    for _ in range(steps):
-        g = np.zeros_like(u)
-        for i in range(u.size):
-            e = np.zeros_like(u)
-            e[i] = h
-            g[i] = (f(u + e) - f(u - e)) / (2 * h)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        cand = u - step * g / gn
-        fc = f(cand)
-        if fc < fu:
-            u, fu = cand, fc
-            step *= 1.3
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return u
 
 
 # --------------------------------------------------------------------------
@@ -208,25 +181,6 @@ def test_stack_helpers_match_scalar_kernels():
                 assert repr(float(products[i, j])) == repr(float(inner(m, other)))
     with pytest.raises(ValueError):
         lambda_min_stack(np.full((1, 2, 2), np.nan))
-
-
-def test_polish_point_evaluates_each_stencil_in_one_call():
-    b = disk_member((0.3, -0.2), 0.5)
-    shapes = []
-
-    def f(pts):
-        shapes.append(pts.shape)
-        return _slice_values(b, pts)
-
-    u0 = np.array([0.1, 0.05])
-    u = _polish_point(u0, f, steps=10)
-    d = u0.size
-    assert shapes[0] == (1, d)
-    assert shapes[1::2] == [(2 * d, d)] * len(shapes[1::2])
-    assert shapes[2::2] == [(1, d)] * len(shapes[2::2])
-    assert len(shapes) == 1 + 2 * 10
-    ref = _ref_polish_point(u0, lambda x: float(_slice_values(b, x[None, :])[0]), steps=10)
-    assert repr(u.tolist()) == repr(ref.tolist())
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import sys
 import types
 
 import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from exactsdp import sdp as sdpmod
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _pair_slice_witness, certify,
-                              check_Bprime_Cprime, check_condition_B,
-                              check_pair_B, check_structural, classify)
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, PairVerdict,
+                              _pair_slice_witness, certify, check_Bprime_Cprime,
+                              check_condition_B, check_pair_B, check_structural, classify)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
 from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import eq10_problem, solve, solve_ab_certificate
@@ -134,9 +136,8 @@ def test_overlap_disks_refuted_with_point():
 
 
 def test_pair_slice_witness_reports_only_checked_points():
-    # two radius-1/2 disks whose lens is 0.025 wide: with A the first disk,
-    # the first grid hit (0.45, 0.2) is only 0.0075 deep in A, short of
-    # tol = 0.01, and polishing does not push it deep enough
+    # two radius-1/2 disks whose lens is 0.025 wide: points of the lens near
+    # its rim are less than tol = 0.01 deep in A and must not be reported
     t = 0.975 * np.array([math.cos(0.3), math.sin(0.3)])
     first, second = disk_member((0.0, 0.0), 0.5), disk_member(tuple(t), 0.5)
     tol = 0.01
@@ -148,6 +149,77 @@ def test_pair_slice_witness_reports_only_checked_points():
             assert eval_quadratic(u, 1.0, b) <= tol
             assert eval_quadratic(u, 1.0, a) < -tol
     assert found >= 1
+
+
+def test_thin_lens_witness_found_where_the_shifted_sdp_sees_one():
+    # radius-1/2 disks at distance d: a point at most tol outside one disk and
+    # more than tol inside the other exists iff d < sqrt(1/4 + tol) +
+    # sqrt(1/4 - tol) (0.99979 at tol = 0.01).  The refutation SDP sees the
+    # points at most tol/2 outside, so it finds one when d < sqrt(1/4 + tol/2)
+    # + sqrt(1/4 - tol) (0.99488); in between it may report none
+    tol = 0.01
+    exists = math.sqrt(0.25 + tol) + math.sqrt(0.25 - tol)
+    seen = math.sqrt(0.25 + tol / 2) + math.sqrt(0.25 - tol)
+    for distance in (0.90, 0.94, 0.97, 0.99, 0.994, 1.0, 1.02):
+        for angle in (0.0, 0.2, 0.7, 1.3):
+            t = distance * np.array([math.cos(angle), math.sin(angle)])
+            first, second = disk_member((0.0, 0.0), 0.5), disk_member(tuple(t), 0.5)
+            found = 0
+            for a, b in ((first, second), (second, first)):
+                u = _pair_slice_witness(a, b, tol)
+                if u is not None:
+                    found += 1
+                    x = np.append(u, 1.0)
+                    assert x @ b.to_dense() @ x <= tol and x @ a.to_dense() @ x < -tol
+            if distance < seen:
+                assert found == 2, (distance, angle)
+            if distance >= exists:
+                assert found == 0, (distance, angle)
+
+
+def test_slice_witness_without_dimension_cap():
+    # two overlapping radius-1/2 balls in R^4 (n - 1 = 4)
+    s = constraint_set(5, [disk_member((0.0, 0.0, 0.0, 0.0), 0.5),
+                           disk_member((0.9, 0.0, 0.0, 0.0), 0.5)])
+    rep = check_Bprime_Cprime(s, TOL)
+    pair = rep.b_prime_pairs[0]
+    assert rep.b_prime_status == "not_certified" and pair.status == REFUTED
+    u = np.append(pair.witness_point, 1.0)
+    qa, qb = sorted(float(u @ m.to_dense() @ u) for m in s.members)
+    assert qa < -TOL and qb <= TOL
+
+
+@st.composite
+def _ball_pairs(draw):
+    d = draw(st.sampled_from((2, 3)))
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    centers = [tuple(draw(coord) for _ in range(d)) for _ in range(2)]
+    radii = [draw(st.floats(0.2, 1.0)) for _ in range(2)]
+    assume(centers[0] != centers[1] or radii[0] != radii[1])
+    return [disk_member(c, r) for c, r in zip(centers, radii)]
+
+
+def _checked_bprime(members, tol):
+    """(B)' status of the pair by the slice-witness route; each reported
+    witness point must pass the test in one of the two orientations,
+    evaluated as x' M x in numpy.  The pair enters without a condition (B)
+    certificate: that certificate's tolerance test scales with the order of
+    the pair, so near tol it can certify one order and not the other."""
+    open_pair = {(0, 1): PairVerdict(pair=(0, 1), status=INCONCLUSIVE)}
+    s = constraint_set(members[0].n, members)
+    pair = check_Bprime_Cprime(s, tol, pair_verdicts=open_pair).b_prime_pairs[0]
+    if pair.witness_point is not None:
+        x = np.append(pair.witness_point, 1.0)
+        q = [float(x @ m.to_dense() @ x) for m in members]
+        assert (q[1] <= tol and q[0] < -tol) or (q[0] <= tol and q[1] < -tol)
+    return pair.status
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ball_pairs(), st.sampled_from((TOL, 0.01)))
+def test_bprime_symmetric_in_the_pair(members, tol):
+    assert _checked_bprime(members, tol) == _checked_bprime(members[::-1], tol)
 
 
 def test_structural_on_reduced_example():

@@ -52,6 +52,18 @@ def test_certify_inconclusive_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+def test_infeasible_relaxation_reports_inf_exit_two(tmp_path, capsys):
+    # <H, X> = 1 with H = -I has no psd solution: the problem is infeasible
+    p = build_case("ex6.1").problem
+    prob = GeoCop(n=p.n, Q=p.Q, H=SymMat.identity(p.n).scale(-1.0), bset=p.bset)
+    path = write_problem(tmp_path, prob)
+    code, out, _ = run(["pipeline", "--input", path], capsys)
+    doc = json.loads(out)
+    assert doc["sdp"]["status"] == "infeasible"
+    assert doc["value"] == "inf"
+    assert code == 2
+
+
 def test_zero_H_exit_one(tmp_path, capsys):
     # <H, xx^T> = 1 has no solution when H = O: an error, not a verdict
     prob = GeoCop(n=3, Q=SymMat.identity(3), H=SymMat.zeros(3), bset=overlap_disks())

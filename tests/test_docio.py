@@ -30,7 +30,7 @@ def test_parse_accepts_bytes_and_numbers():
     doc = dict(MINIMAL)
     doc["Q"] = {"upper": [1, 0, -1]}
     p, _ = docio.parse_problem(json.dumps(doc).encode())
-    assert p.Q.entry(1, 1) == -1.0
+    assert p.Q.to_dense()[1, 1] == -1.0
 
 
 def test_missing_h_reports_path():

@@ -5,9 +5,9 @@ from exactsdp import gallery
 
 def test_worked_example_matrix_entries():
     a, b, c = gallery.ex61_matrices()
-    assert a.entry(0, 0) == 2.0 and a.entry(0, 1) == 1.0
-    assert b.entry(0, 3) == -1.0
-    assert c.entry(2, 2) == -3.0
+    assert a.to_dense()[0, 0] == 2.0 and a.to_dense()[0, 1] == 1.0
+    assert b.to_dense()[0, 3] == -1.0
+    assert c.to_dense()[2, 2] == -3.0
 
 
 def test_fig1_combo_registry():

@@ -113,7 +113,7 @@ def test_generalized_hyperbola_formula():
 def test_normalize_scaling():
     s = normalize(constraint_set(2, [SymMat.identity(2).scale(2.0)]))
     assert len(s.members) == 1
-    assert abs(s.members[0].entry(0, 0) - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert abs(s.members[0].to_dense()[0, 0] - 1.0 / math.sqrt(2.0)) <= 1e-15
     assert abs(s.members[0].norm() - 1.0) <= 1e-15
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from exactsdp.model import GeoCop, constraint_set
-from exactsdp.oracle import solve_region_2d, solve_sphere
+from exactsdp.oracle import solve_sphere
 from exactsdp.symmat import SymMat
-from exactsdp.gallery import disk_member, ex61_reduced_matrices, fig2_members
+from exactsdp.gallery import ex61_reduced_matrices
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
@@ -64,25 +64,3 @@ def test_determinism_and_monotonicity():
     assert r1.value == r2.value
     assert np.array_equal(r1.argmin, r2.argmin)
     assert r3.value <= r1.value
-
-
-def test_region_single_disk_complement():
-    s = constraint_set(3, [disk_member((0.0, 0.0), 1.0)])
-    q = SymMat.diag([1.0, 1.0, 0.0])
-    res = solve_region_2d(s, q, grid=500)
-    assert abs(res.value - 1.0) <= 1e-5
-
-
-def test_region_ten_disk_target():
-    # nearest feasible point to (1.5, 0) is the boundary of the excluded disk
-    s = constraint_set(3, fig2_members())
-    q = SymMat.from_dense([[1, 0, -1.5], [0, 1, 0], [-1.5, 0, 2.25]])
-    res = solve_region_2d(s, q, grid=800)
-    assert abs(res.value - 0.25) <= 1e-4
-    assert abs(res.area_fraction - math.pi / 25.0) <= 0.01 * math.pi / 25.0
-
-
-def test_region_empty_box_flagged():
-    s = constraint_set(3, [SymMat.diag([-1.0, -1.0, -1.0])])
-    res = solve_region_2d(s, SymMat.identity(3), grid=100)
-    assert not res.feasible_found and res.area_fraction == 0.0

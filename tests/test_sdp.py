@@ -8,7 +8,7 @@ import exactsdp.sdp as sdp_module
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.sdp import (SdpProblem, _assemble, _schur_complement, eq10_problem,
                           relaxation_problem, solve, solve_ab_certificate, solve_slater)
-from exactsdp.symmat import SymMat, combine, eigvals_sym, lambda_min
+from exactsdp.symmat import SymMat, eigvals_sym, lambda_min
 from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices
 from test_acceptance import _certified_instances
 
@@ -139,7 +139,7 @@ def test_ab_certificate_disk_pair():
     b6 = SymMat.diag([-1.0, -1.0, 1.0])
     cert = solve_ab_certificate(b1, b6)
     assert cert == (1.0, 0.75)
-    assert lambda_min(combine(cert[0], b1, cert[1], b6)) >= -1e-12
+    assert lambda_min(b1.scale(cert[0]).add(b6, cert[1])) >= -1e-12
 
 
 def test_ab_certificate_scale_invariance():
@@ -163,7 +163,7 @@ def test_lambda_min_concave_along_segment():
         mus = rng.uniform(0.0, 1.0, size=3)
         m0, m1 = float(mus.min()), float(mus.max())
         mid = (m0 + m1) / 2.0
-        f = lambda m: lambda_min(combine(m, a, 1.0 - m, b))
+        f = lambda m: lambda_min(a.scale(m).add(b, 1.0 - m))
         assert f(mid) >= 0.5 * (f(m0) + f(m1)) - 1e-10
 
 

@@ -17,9 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exactsdp import docio
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _grid_candidates,
-                              _polish_point, _slice_values, check_Bprime_Cprime,
-                              slice_infimum)
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _slice_values,
+                              check_Bprime_Cprime, slice_infimum)
 from exactsdp.gallery import build_case, list_cases
 from exactsdp.model import GeoCop, constraint_set, normalize
 from exactsdp.sdp import SdpProblem, solve
@@ -37,17 +36,50 @@ def corner_solve(b: SymMat):
                  tol=min(TOL, 1e-9))
 
 
+def grid_candidates(d: int, half: float, per_axis: int):
+    axes = [np.linspace(-half, half, per_axis)] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def polish_point(u0, f, steps: int = 60):
+    """Descend on f from u0 by central-difference gradient steps; f maps an
+    (m, d) stack of points to their m values."""
+    u = np.array(u0, dtype=float)
+    fu = f(u[None, :])[0]
+    h = 1e-5
+    d = u.size
+    stencil = h * np.eye(d)
+    step = 0.25 * max(1.0, float(np.linalg.norm(u)))
+    for _ in range(steps):
+        fs = f(np.concatenate([u + stencil, u - stencil]))
+        g = (fs[:d] - fs[d:]) / (2 * h)
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        cand = u - step * g / gn
+        fc = f(cand[None, :])[0]
+        if fc < fu:
+            u, fu = cand, fc
+            step *= 1.3
+        else:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return u
+
+
 def grid_negative_point(b: SymMat, tol: float):
     """Numeric u with q(u, 1, B) < -tol, or None: grid, then descent.  The
     grid has per_axis ** (n - 1) points, so keep n small."""
     d = b.n - 1
     per_axis = 41 if d <= 2 else 13
     for half in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0):
-        pts = _grid_candidates(d, half, per_axis)
+        pts = grid_candidates(d, half, per_axis)
         vals = _slice_values(b, pts)
         k = int(np.argmin(vals))
         if vals[k] < -tol:
-            u = _polish_point(pts[k], lambda x: _slice_values(b, x))
+            u = polish_point(pts[k], lambda x: _slice_values(b, x))
             return tuple(float(v) for v in u)
     return None
 

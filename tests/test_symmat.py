@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exactsdp.symmat import (SymMat, canonical_sign, combine, eig_sym, eigvals_sym,
+from exactsdp.symmat import (SymMat, canonical_sign, eig_sym, eigvals_sym,
                              gram, inner, is_psd, lambda_min)
 from exactsdp.model import quadform_packed
 from exactsdp.gallery import ex61_matrices
@@ -136,8 +136,8 @@ def test_is_psd_examples():
 def test_gram_examples():
     assert gram([1.0, 0.0]).to_dense().tolist() == [[1.0, 0.0], [0.0, 0.0]]
     g = gram(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    assert abs(g.entry(0, 0) - 0.5) <= 1e-15
-    assert abs(g.entry(0, 0) + g.entry(1, 1) - 1.0) <= 1e-15
+    assert abs(g.to_dense()[0, 0] - 0.5) <= 1e-15
+    assert abs(g.to_dense()[0, 0] + g.to_dense()[1, 1] - 1.0) <= 1e-15
 
 
 def test_gram_properties():
@@ -158,7 +158,7 @@ def test_gram_properties():
 def test_combine():
     a = SymMat.diag([1.0, 0.0])
     b = SymMat.diag([0.0, 2.0])
-    assert combine(2.0, a, 0.5, b).data == (2.0, 0.0, 1.0)
+    assert a.scale(2.0).add(b, 0.5).data == (2.0, 0.0, 1.0)
 
 
 def test_quadform_matches_entry_accumulation():
