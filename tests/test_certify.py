@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from exactsdp import sdp as sdpmod
 from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, PairVerdict,
-                              _pair_slice_witness, certify, check_Bprime_Cprime,
-                              check_condition_B, check_pair_B, check_structural, classify)
+                              _pair_slice_witness, _rank_one_pieces, certify,
+                              check_Bprime_Cprime, check_condition_B, check_pair_B,
+                              check_structural, classify)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
 from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import eq10_problem, solve, solve_ab_certificate
@@ -149,6 +150,25 @@ def test_pair_slice_witness_reports_only_checked_points():
             assert eval_quadratic(u, 1.0, b) <= tol
             assert eval_quadratic(u, 1.0, a) < -tol
     assert found >= 1
+
+
+def test_rank_one_pieces_split_x_evenly_in_g():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n + 1))
+        f = rng.standard_normal((n, r))
+        x = f @ f.T
+        g = rng.standard_normal((n, n))
+        g = g + g.T
+        pieces = _rank_one_pieces(x, g)
+        # roundoff can leave eigenvalues of a rank-deficient X just above 0,
+        # and each positive one makes a piece
+        assert r <= len(pieces) <= n
+        assert np.abs(pieces.T @ pieces - x).max() <= 1e-12 * np.abs(x).max()
+        vals = np.einsum("ij,jk,ik->i", pieces, g, pieces)
+        mean = np.sum(g * x) / len(pieces)
+        assert np.abs(vals - mean).max() <= 1e-12 * np.abs(g).max() * np.trace(x)
 
 
 def test_thin_lens_witness_found_where_the_shifted_sdp_sees_one():
