@@ -8,10 +8,9 @@ lift a rank-one solution (pipeline), and cross-check against brute force
 
 from .symmat import (EigDecomp, SymMat, eig_sym, eigvals_sym, gram, inner,
                      is_psd, lambda_min)
-from .model import (BallGrid, ConstraintSet, DiscretizationConfig, GeoCop,
-                    GeneralizedHyperbola, HyperbolaSeq, ParabolaMember,
-                    ParabolaSet, build_family, constraint_set, discretize,
-                    eval_quadratic, integer_grid, normalize)
+from .model import (BallGrid, ConstraintSet, GeoCop, GeneralizedHyperbola,
+                    HyperbolaSeq, ParabolaMember, ParabolaSet, build_family,
+                    constraint_set, eval_quadratic, integer_grid, normalize)
 from .sdp import (SdpProblem, SdpSolution, relaxation_problem, solve,
                   solve_ab_certificate, solve_slater)
 # certify() stays at exactsdp.certify.certify so that exactsdp.certify is the

@@ -147,7 +147,8 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
         if refuted:
             out.append(REFUTED)
             continue
-        sol = sdpmod.solve(sdpmod.inclusion_problem(members[i], members[j]), tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.trace_one_problem(members[i], [members[j]]),
+                           tol=min(tol, 1e-9))
         scale_a = float(scale[i])
         if sol.status != "optimal":
             out.append(INCONCLUSIVE)
@@ -223,7 +224,7 @@ def _pair_verdicts(members, pairs, tol: float) -> list:
                                         margin=lam / max(scale, 1.0)))
             continue
         a, b = members[i], members[j]
-        sol = sdpmod.solve(sdpmod.eq10_problem(a, b), tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.trace_one_problem(a, [b.scale(-1.0)]), tol=min(tol, 1e-9))
         scale_a = max(1.0, norms[i])
         if sol.status == "optimal" and sol.value <= -_REFUTE_FACTOR * tol * scale_a:
             verdicts.append(PairVerdict(pair=(i, j), status=REFUTED,
@@ -298,7 +299,8 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     """
     g = b.to_dense()
     g[-1, -1] -= 0.5 * tol
-    sol = sdpmod.solve(sdpmod.eq10_problem(a, SymMat.from_dense(g)), tol=min(tol, 1e-9))
+    sol = sdpmod.solve(sdpmod.trace_one_problem(a, [SymMat.from_dense(-g)]),
+                       tol=min(tol, 1e-9))
     if sol.status != "optimal":
         return None
     pieces = _rank_one_pieces(sol.X.to_dense(), g)
@@ -471,7 +473,8 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
             if quick > _REFUTE_FACTOR * tol * scale:
                 values.append(quick)
                 continue
-        sol = sdpmod.solve(sdpmod.slice_max_problem(m, s.members), tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members),
+                           tol=min(tol, 1e-9))
         val = -sol.value if sol.status == "optimal" else math.inf
         values.append(val)
         if exposing is None and sol.status == "optimal" and val <= tol * scale:
@@ -486,13 +489,13 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
 # --------------------------------------------------------------------------
 
 def certify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
-            slice_conditions: bool = True, slater: Optional[tuple] = None,
-            inclusions: Optional[dict] = None) -> CertReport:
-    """All checks on s; `slater` and `inclusions` go to check_structural."""
+            slater: Optional[tuple] = None, inclusions: Optional[dict] = None) -> CertReport:
+    """All checks on s; `slater` and `inclusions` go to check_structural.
+    The slice conditions are checked when n >= 2."""
     structural = check_structural(s, tol, slater=slater, inclusions=inclusions)
     cond_b = check_condition_B(s, tol)
     slice_rep = None
-    if slice_conditions and s.n >= 2:
+    if s.n >= 2:
         cache = {v.pair: v for v in cond_b.pairs}
         slice_rep = check_Bprime_Cprime(s, tol, pair_verdicts=cache)
     classification = None

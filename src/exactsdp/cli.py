@@ -103,11 +103,17 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    # a degenerate grid would fail only after the raster file is written
+    if args.resolution < 1:
+        raise docio.DocError("--resolution", "need at least 1 pixel")
+    try:
+        x0, x1, y0, y1 = (float(v) for v in args.box.split(","))
+    except ValueError:
+        raise docio.DocError("--box", "need x0,x1,y0,y1") from None
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0) and x0 < x1 and y0 < y1):
+        raise docio.DocError("--box", "need finite bounds with x0 < x1 and y0 < y1")
+    box = ((x0, x1), (y0, y1))
     problem, opts = _load(args.input)
-    box_vals = [float(v) for v in args.box.split(",")]
-    if len(box_vals) != 4:
-        raise docio.DocError("--box", "need x0,x1,y0,y1")
-    box = ((box_vals[0], box_vals[1]), (box_vals[2], box_vals[3]))
     info = plotting.emit_plot(problem.bset, box, args.resolution, args.out_base)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "plot",
            "plot": {"ppm": info["ppm"], "svg": info["svg"],

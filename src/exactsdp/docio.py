@@ -42,6 +42,9 @@ def _num(value, path: str) -> float:
 
 
 def _int(value, path: str) -> int:
+    # int() would truncate 1.5 to 1 and read true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise DocError(path, "expected an integer")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):

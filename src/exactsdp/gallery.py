@@ -1,5 +1,5 @@
 """Executable fixtures for the worked examples and figures, plus a replay
-harness that checks each case against its expected outcome.
+harness that runs the named, tagged checks of each case.
 
 Case ids are stable public strings (used by the CLI):
   ex6.1, ex6.1-reduced, fig1-b1b2b3, fig1-b1b6, fig1-b1b6-r1, fig1-b1b3b5,
@@ -30,8 +30,6 @@ SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 class GalleryCase:
     id: str
     problem: object            # GeoCop or ConstraintSet
-    expected: dict             # name -> (description, provenance tag)
-    notes: str = ""
 
 
 # --------------------------------------------------------------------------
@@ -186,85 +184,39 @@ def list_cases():
 def build_case(case_id: str) -> GalleryCase:
     if case_id == "ex6.1":
         a, b, c = ex61_matrices()
-        prob = GeoCop(n=4, Q=SymMat.diag([1.0, -1.0, 0.0, 0.0]), H=SymMat.identity(4),
-                      bset=constraint_set(4, [a, b, c]))
-        return GalleryCase(case_id, prob, {
-            "witness_products": ("<B',diag(0,0,1,1)> = 0 and <A',.> = -2 exactly", "published"),
-            "pair_AB_refuted": ("no (alpha,beta) certificate for (A',B')", "published"),
-            "reduced_n": ("facial reduction lands in S^2", "published"),
-            "projections": ("projected A,B,C match displayed entries", "published"),
-            "pruned": ("A dropped as psd-dominated; {B,C} kept", "published"),
-            "condition_B": ("certified with (alpha,beta) = (1,1), margin 0", "published"),
-            "classification": ("case (a): the feasible cone is J_0(B)", "published"),
-            "value": ("relaxation optimum -sqrt(3)/2", "derived"),
-            "rank_one": ("x1 x2 = -1/4 on the unit circle", "derived"),
-        })
+        return GalleryCase(case_id, GeoCop(n=4, Q=SymMat.diag([1.0, -1.0, 0.0, 0.0]),
+                                           H=SymMat.identity(4),
+                                           bset=constraint_set(4, [a, b, c])))
     if case_id == "ex6.1-reduced":
         b, c = ex61_reduced_matrices()
-        prob = GeoCop(n=2, Q=SymMat.diag([1.0, -1.0]), H=SymMat.identity(2),
-                      bset=constraint_set(2, [b, c]))
-        return GalleryCase(case_id, prob, {
-            "value": ("-sqrt(3)/2 within 1e-6", "derived"),
-            "condition_B": ("certified, (1,1)", "published"),
-        })
+        return GalleryCase(case_id, GeoCop(n=2, Q=SymMat.diag([1.0, -1.0]),
+                                           H=SymMat.identity(2),
+                                           bset=constraint_set(2, [b, c])))
     if case_id in FIG1_COMBOS:
-        ks = FIG1_COMBOS[case_id]
-        s = constraint_set(3, [fig1_member(k) for k in ks])
-        return GalleryCase(case_id, s, {
-            "slice_conditions": ("(B)' and (C)' both hold", "published"),
-        })
+        return GalleryCase(case_id,
+                           constraint_set(3, [fig1_member(k) for k in FIG1_COMBOS[case_id]]))
     if case_id == "fig1-b1b6-r1":
-        s = constraint_set(3, [fig1_member(1, r=1.0), fig1_member(6)])
-        return GalleryCase(case_id, s, {
-            "slice_conditions": ("(B)' and (C)' hold; region degenerates to the unit circle", "published"),
-        })
+        return GalleryCase(case_id, constraint_set(3, [fig1_member(1, r=1.0), fig1_member(6)]))
     if case_id == "fig2":
-        prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]), H=SymMat.identity(3),
-                      bset=constraint_set(3, fig2_members()))
-        return GalleryCase(case_id, prob, {
-            "slice_conditions": ("(B)' and (C)' both hold", "published"),
-            "classification": ("case (b): no boundary member", "derived"),
-            "pipeline": ("certified exact, rank-one solution", "derived"),
-        })
+        return GalleryCase(case_id, GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]),
+                                           H=SymMat.identity(3),
+                                           bset=constraint_set(3, fig2_members())))
     if case_id == "ex6.2-ball":
-        fam = ball_family()
-        prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]), H=SymMat.identity(3),
-                      bset=build_family(fam, 3))
-        return GalleryCase(case_id, prob, {
-            "pair_count": ("25 members give 300 unordered pairs", "trivial"),
-            "pairs_certified": ("every pair carries an (alpha,beta) certificate", "published"),
-        })
+        return GalleryCase(case_id, GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]),
+                                           H=SymMat.identity(3),
+                                           bset=build_family(ball_family(), 3)))
     if case_id == "ex6.3":
-        fam = hyperbola_family()
-        s = build_family(fam, 3)
-        return GalleryCase(case_id, s, {
-            "pairs_certified": ("pairwise (B)' certified", "published"),
-            "limit_psd": ("limit matrix is psd: closure violates (A-4)/(C)'", "published"),
-        })
+        return GalleryCase(case_id, build_family(hyperbola_family(), 3))
     if case_id == "ex6.3-congruence":
-        prob, ref = ex63_congruence()
-        case = GalleryCase(case_id, prob, {
-            "value_matches_base": ("lifted problem value equals the 3-d value", "derived"),
-            "condition_B": ("transformed set keeps condition (B)", "published"),
-        })
-        case.reference = ref
-        return case
+        return GalleryCase(case_id, ex63_congruence()[0])
     if case_id == "ex6.4":
-        return GalleryCase(case_id, build_family(ex64_family(), 3), {
-            "tau_search": ("doubling search finds tau with a certified pair", "derived"),
-        })
+        return GalleryCase(case_id, build_family(ex64_family(), 3))
     if case_id == "ex6.5-fig6b":
-        return GalleryCase(case_id, fig6b_members(), {
-            "slice_conditions": ("(B)' and (C)' both hold", "published"),
-        })
+        return GalleryCase(case_id, fig6b_members())
     if case_id == "ex6.5-fig6c":
-        return GalleryCase(case_id, fig6c_members(), {
-            "slice_conditions": ("(B)' and (C)' both hold", "published"),
-        })
+        return GalleryCase(case_id, fig6c_members())
     if case_id == "overlap-disks":
-        return GalleryCase(case_id, overlap_disks(), {
-            "not_certified": ("overlapping disks are refuted with a witness point", "derived"),
-        })
+        return GalleryCase(case_id, overlap_disks())
     raise KeyError("unknown gallery id %r" % case_id)
 
 

@@ -2,7 +2,9 @@
 
 Constraint sets (explicit matrices and the parametric ball / hyperbola /
 parabola families), the geometric conic-program instance, quadratic-form
-evaluation, normalization, and discretization of large index sets.
+evaluation and normalization.  A semi-infinite family enters only through
+the finite truncation a problem lists (for the ball family, its centers or
+center box).
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .symmat import SymMat, gram
+from .symmat import SymMat
 
 
 # --------------------------------------------------------------------------
@@ -215,9 +217,6 @@ class GeneralizedHyperbola:
         return [self.member(s, n) for s in self.sigmas]
 
 
-ConstraintFamily = object  # any of the classes above (duck-typed via .realize)
-
-
 # --------------------------------------------------------------------------
 # constraint sets and problem instances
 # --------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def build_family(f, n: int) -> ConstraintSet:
 
 
 # --------------------------------------------------------------------------
-# normalization and discretization
+# normalization
 # --------------------------------------------------------------------------
 
 _DEDUP_DECIMALS = 12
@@ -313,56 +312,3 @@ def normalize(s: ConstraintSet) -> ConstraintSet:
     if not kept:
         kept = [SymMat.zeros(s.n)]
     return constraint_set(s.n, kept, provenance=s.provenance)
-
-
-@dataclass(frozen=True)
-class DiscretizationConfig:
-    """epsilon schedule (strictly decreasing to 0) plus per-step truncation boxes."""
-
-    epsilon_schedule: tuple
-    boxes: tuple  # boxes[k] = per-coordinate (lo, hi) bounds for step k
-
-    def __post_init__(self):
-        eps = self.epsilon_schedule
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("epsilons must be positive")
-        if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
-            raise ValueError("epsilon schedule must be strictly decreasing")
-        if len(self.boxes) != len(eps):
-            raise ValueError("need one truncation box per epsilon")
-
-
-def _box_contains(box, t) -> bool:
-    return all(lo <= v <= hi for (lo, hi), v in zip(box, t))
-
-
-def discretize(f, cfg: DiscretizationConfig, k: int, n: int) -> ConstraintSet:
-    """Finite truncation B_k of a (semi-infinite) family.
-
-    The index set is cut to cfg.boxes[k]; because boxes are required to be
-    nested in practice, B_k is monotone in k, and every truncated family
-    member sits within epsilon_k of a selected member (distance 0 here: the
-    truncation is returned whole).
-    """
-    if not (0 <= k < len(cfg.boxes)):
-        raise ValueError("step index out of range")
-    box = cfg.boxes[k]
-    if isinstance(f, BallGrid):
-        centers = [t for t in f.centers if _box_contains(box, t)]
-        sub = BallGrid(centers=tuple(centers), radius=f.radius)
-        return build_family(sub, n)
-    if isinstance(f, HyperbolaSeq):
-        lo, hi = box[0]
-        a = tuple(v for v in f.breakpoints if lo <= v <= hi)
-        sub = HyperbolaSeq(breakpoints=a, r2=f.r2)
-        return build_family(sub, n)
-    if isinstance(f, GeneralizedHyperbola):
-        lo, hi = box[0]
-        sub = GeneralizedHyperbola(
-            lambdas=f.lambdas,
-            sigmas=tuple(s for s in f.sigmas if lo <= s <= hi),
-            split=f.split,
-        )
-        return build_family(sub, n)
-    # parabola sets are already finite
-    return build_family(f, n)

@@ -48,7 +48,6 @@ class _SphereWork:
         self.q = p.Q.to_dense()
         self.h = p.H.to_dense()
         self.members = [m.to_dense() for m in p.bset.members]
-        self.msym = list(p.bset.members)
         self.accept_tol = accept_tol
 
     def renorm(self, x):

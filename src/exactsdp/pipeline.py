@@ -38,7 +38,6 @@ class RankOneResult:
     obj_gap: float
     confident: bool
     retried: bool = False
-    note: str = ""
 
 
 @dataclass
@@ -75,9 +74,9 @@ def top_eigenvector(x_sdp: SymMat, p: GeoCop, eta: Optional[float] = None) -> Ra
     v = ed.vectors[:, 0]
     vhv = float(v @ p.H.to_dense() @ v)
     if vhv <= 0.0 or lam1 <= 0.0:
+        # the top eigenvector cannot be scaled onto <H,X> = 1
         return RankOneResult(x=None, eigenratio=ratio, feas_residual=math.inf,
-                             obj_gap=math.inf, confident=False,
-                             note="top eigenvector cannot be scaled onto <H,X>=1")
+                             obj_gap=math.inf, confident=False)
     x = v / math.sqrt(vhv)
     if eta is None:
         eta = inner(p.Q, x_sdp)
@@ -112,7 +111,6 @@ def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineCon
     sol = sdpmod.solve(sdpmod.relaxation_problem(
         GeoCop(n=p.n, Q=q_pert, H=p.H, bset=p.bset)), tol=min(cfg.tol, 1e-10))
     if sol.status != "optimal" or sol.X is None:
-        result.note = "perturbation retry failed: %s" % sol.status
         return result
     retried = top_eigenvector(sol.X, p, eta=inner(p.Q, x_sdp))
     retried.retried = True

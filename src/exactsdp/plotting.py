@@ -80,30 +80,6 @@ def write_ppm(mask: np.ndarray, path: str):
     atomic_write(path, header + img.tobytes())
 
 
-def read_ppm(path: str):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6"):
-        raise ValueError("not a binary ppm")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos] in b" \t\r\n":
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while data[pos] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while data[pos] not in b" \t\r\n":
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1
-    w, h, maxval = fields
-    img = np.frombuffer(data[pos:pos + 3 * w * h], dtype=np.uint8).reshape(h, w, 3)
-    return img
-
-
 def _marching_segments(field: np.ndarray, xs, ys):
     """Zero-level segments of field (indexed [ix, iy]) by marching squares."""
     segs = []

@@ -34,15 +34,10 @@ class ReductionResult:
     reduced: Optional[GeoCop]
     slater_margin: float
     pruned_indices: tuple = ()
-    dropped_zero_members: tuple = ()
     rounds: int = 0
     # (status, X, t) of the last sdp.solve_slater call, made on exactly
     # reduced.bset; None when the feasible cone collapsed to {O}
     slater: Optional[tuple] = None
-
-    def lift_matrix(self, x: SymMat) -> SymMat:
-        xd = self.basis @ x.to_dense() @ self.basis.T
-        return SymMat.from_dense((xd + xd.T) / 2.0)
 
     def lift_vector(self, v) -> np.ndarray:
         return self.basis @ np.asarray(v, dtype=float)
@@ -89,7 +84,8 @@ def _validated_face_basis(vectors: np.ndarray, members, n: int, tol: float):
         for i in comp:
             f[i, i] = 1.0
         fsym = SymMat.from_dense(f)
-        sol = sdpmod.solve(sdpmod.slice_max_problem(fsym, members), tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.trace_one_problem(fsym.scale(-1.0), members),
+                           tol=min(tol, 1e-9))
         if sol.status == "optimal" and -sol.value <= 10.0 * tol:
             basis = np.zeros((n, len(coords)))
             for k, i in enumerate(coords):
@@ -128,7 +124,6 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
     cur_Q, cur_H = p.Q, p.H
     cur_members = list(p.bset.members)
     cur_n = n0
-    dropped = []
     rounds = 0
 
     # every pass that does not break shrinks cur_n, so the loop ends with a
@@ -176,11 +171,10 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
         cur_Q = SymMat.from_dense(P.T @ cur_Q.to_dense() @ P)
         cur_H = SymMat.from_dense(P.T @ cur_H.to_dense() @ P)
         new_members = []
-        for idx, m in enumerate(cur_members):
+        for m in cur_members:
             pm = P.T @ m.to_dense() @ P
             if float(np.abs(pm).max()) < 1e-14 * max(1.0, m.norm()):
-                dropped.append(idx)
-                continue
+                continue  # a zero projection constrains nothing on the face
             new_members.append(SymMat.from_dense(pm))
         cur_members = new_members
         basis_total = basis_total @ P
@@ -194,7 +188,7 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
             exposing=SymMat.from_dense((exposing_total + exposing_total.T) / 2.0)
             if has_exposing else None,
             basis=np.zeros((n0, 0)), reduced=None,
-            slater_margin=-math.inf, dropped_zero_members=tuple(dropped), rounds=rounds)
+            slater_margin=-math.inf, rounds=rounds)
 
     members = cur_members if cur_members else [SymMat.zeros(cur_n)]
     reduced = GeoCop(n=cur_n, Q=cur_Q, H=cur_H, bset=constraint_set(cur_n, members),
@@ -207,7 +201,6 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
         basis=basis_total,
         reduced=reduced,
         slater_margin=tstar,
-        dropped_zero_members=tuple(dropped),
         rounds=rounds,
         slater=slater,
     )

@@ -468,33 +468,18 @@ def relaxation_problem(p: GeoCop) -> SdpProblem:
     )
 
 
-def eq10_problem(a: SymMat, b: SymMat) -> SdpProblem:
-    """Normalized refutation SDP: min <A,X> s.t. <B,X> <= 0, trace X = 1."""
+def trace_one_problem(objective: SymMat, members) -> SdpProblem:
+    """min <C,X> s.t. trace X = 1, <B,X> >= 0 for all members, X psd.
+
+    The trace-one SDPs of certify and reduction are all of this form: the
+    refutation SDP min <A,X> s.t. <B,X> <= 0 takes the member -B, the
+    inclusion SDP (value >= 0 iff J+(B) is included in J+(A)) takes B, and
+    max <F,X> over the trace-one feasible slice takes the objective -F.
+    """
     return SdpProblem(
-        n=a.n,
-        objective=a,
-        eq_constraints=((SymMat.identity(a.n), 1.0),),
-        ineq_constraints=((b, "<=", 0.0),),
-    )
-
-
-def inclusion_problem(a: SymMat, b: SymMat) -> SdpProblem:
-    """min <A,X> s.t. <B,X> >= 0, trace X = 1; value >= 0 iff J+(B) included in J+(A)."""
-    return SdpProblem(
-        n=a.n,
-        objective=a,
-        eq_constraints=((SymMat.identity(a.n), 1.0),),
-        ineq_constraints=((b, ">=", 0.0),),
-    )
-
-
-def slice_max_problem(f: SymMat, members) -> SdpProblem:
-    """max <F,X> over the trace-one feasible slice, posed as
-    min <-F,X> s.t. trace X = 1, <B,X> >= 0 for all members."""
-    return SdpProblem(
-        n=f.n,
-        objective=f.scale(-1.0),
-        eq_constraints=((SymMat.identity(f.n), 1.0),),
+        n=objective.n,
+        objective=objective,
+        eq_constraints=((SymMat.identity(objective.n), 1.0),),
         ineq_constraints=tuple((m, ">=", 0.0) for m in members),
     )
 

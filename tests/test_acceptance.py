@@ -10,8 +10,8 @@ import numpy as np
 
 from exactsdp.certify import (CERTIFIED, certify, check_Bprime_Cprime,
                               check_condition_B, check_pair_B, classify)
-from exactsdp.model import (DiscretizationConfig, GeoCop, constraint_set,
-                            discretize, eval_quadratic, normalize)
+from exactsdp.model import (GeoCop, build_family, constraint_set, eval_quadratic,
+                            normalize)
 from exactsdp.oracle import solve_sphere
 from exactsdp.pipeline import PipelineConfig, run_pipeline
 from exactsdp.plotting import area_fraction, feasibility_mask, pixel_centers
@@ -147,13 +147,9 @@ def test_criterion_5_ball_family():
     assert v.exactness == "certified_exact"
     assert v.rank_one.confident and v.rank_one.feas_residual <= 1e-5
     # growing truncation boxes only add constraints: values non-decreasing
-    fam = ball_family(box=((-3, 3), (-3, 3)))
-    cfg = DiscretizationConfig(
-        epsilon_schedule=(1.0, 0.5, 0.25),
-        boxes=(((-1, 1), (-1, 1)), ((-2, 2), (-2, 2)), ((-3, 3), (-3, 3))))
     values = []
-    for k in range(3):
-        sk = discretize(fam, cfg, k, 3)
+    for k in (1, 2, 3):
+        sk = build_family(ball_family(box=((-k, k), (-k, k))), 3)
         pk = GeoCop(n=3, Q=q, H=SymMat.identity(3), bset=sk)
         sol = solve(relaxation_problem(pk), tol=1e-9)
         assert sol.status == "optimal"

@@ -13,7 +13,7 @@ from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, PairVerdict,
                               check_structural, classify)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
 from exactsdp.reduction import facial_reduce, remove_redundant
-from exactsdp.sdp import eq10_problem, solve, solve_ab_certificate
+from exactsdp.sdp import solve, solve_ab_certificate, trace_one_problem
 from exactsdp.symmat import SymMat, inner, is_psd, lambda_min
 from exactsdp.gallery import (FIG1_COMBOS, build_case, disk_member, ex61_matrices,
                               ex61_reduced_matrices, fig1_member, fig2_members,
@@ -294,7 +294,7 @@ def test_certificate_and_sdp_paths_agree_under_structure():
                     continue
                 a, b = s.members[i], s.members[j]
                 cert = solve_ab_certificate(a, b, TOL)
-                zeta = solve(eq10_problem(a, b), tol=1e-9).value
+                zeta = solve(trace_one_problem(a, [b.scale(-1.0)]), tol=1e-9).value
                 scale = max(1.0, a.norm())
                 if cert is not None:
                     assert zeta >= -10.0 * TOL * scale
@@ -312,7 +312,7 @@ def test_certify_solves_slater_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sdpmod, "solve_slater", counting)
-    rep = certify(s, TOL, slice_conditions=False)
+    rep = certify(s, TOL)
     assert rep.condition_b.status == CERTIFIED
     assert len(calls) == 1
     # the shared Slater point gives what classify finds on its own

@@ -96,6 +96,10 @@ _MALFORMED = {
                 "$.constraints[0].family.centers[0]"),
     "zero_tol": ({"options": {"tol": "0"}}, "$.options.tol"),
     "negative_tol": ({"options": {"tol": "-1"}}, "$.options.tol"),
+    "fractional_seed": ({"options": {"seed": 1.5}}, "$.options.seed"),
+    "boolean_sign": ({"constraints": [{"family": {"kind": "parabola_set", "members": [
+        {"lambdas": ["1", "1"], "sign": True}]}}]},
+        "$.constraints[0].family.members[0].sign"),
 }
 
 
@@ -159,3 +163,22 @@ def test_plot_command_writes_files(tmp_path, capsys):
     assert (tmp_path / "fig2.ppm").exists() and (tmp_path / "fig2.svg").exists()
     frac = float(doc["plot"]["area_fraction"])
     assert abs(frac - np.pi / 25.0) <= 0.05
+
+
+@pytest.mark.parametrize("flags,path", [
+    (["--resolution", "0"], "--resolution"),
+    (["--box=1,1,-2.5,2.5"], "--box"),
+    (["--box=-2.5,2.5,2,-2"], "--box"),
+    (["--box=-2.5,2.5,-2.5"], "--box"),
+])
+def test_plot_degenerate_grid_exit_one(tmp_path, capsys, flags, path):
+    # a bad grid is refused before any file is written
+    prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]), H=SymMat.identity(3),
+                  bset=build_case("fig2").problem.bset)
+    doc = write_problem(tmp_path, prob)
+    base = str(tmp_path / "fig2")
+    code, out, err = run(["plot", "--input", doc, "--out-base", base] + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: %s:" % path)
+    assert not (tmp_path / "fig2.ppm").exists() and not (tmp_path / "fig2.svg").exists()

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from exactsdp.model import (BallGrid, DiscretizationConfig, GeneralizedHyperbola,
-                            HyperbolaSeq, ParabolaMember, ParabolaSet,
-                            build_family, constraint_set, discretize,
-                            eval_quadratic, integer_grid, normalize)
+from exactsdp.model import (BallGrid, GeneralizedHyperbola, HyperbolaSeq,
+                            ParabolaMember, ParabolaSet, build_family,
+                            constraint_set, eval_quadratic, integer_grid,
+                            normalize)
 from exactsdp.symmat import SymMat, gram, inner
 
 
@@ -142,42 +142,6 @@ def test_integer_grid_counting():
     assert len(integer_grid([(-2, 2), (-2, 2)])) == 25
 
 
-def test_discretize_ball_counts_and_nesting():
-    fam = BallGrid(centers=tuple(integer_grid([(-3, 3), (-3, 3)])), radius=0.5)
-    cfg = DiscretizationConfig(
-        epsilon_schedule=(1.0, 0.5, 0.25),
-        boxes=(((-1, 1), (-1, 1)), ((-2, 2), (-2, 2)), ((-3, 3), (-3, 3))),
-    )
-    sizes = []
-    prev = None
-    for k in range(3):
-        s = discretize(fam, cfg, k, 3)
-        sizes.append(len(s.members))
-        if prev is not None:
-            prev_keys = {m.data for m in prev.members}
-            assert prev_keys.issubset({m.data for m in s.members})
-        prev = s
-    assert sizes == [9, 25, 49]
-
-
-def test_discretize_covering_distance():
-    fam = BallGrid(centers=tuple(integer_grid([(-2, 2), (-2, 2)])), radius=0.5)
-    cfg = DiscretizationConfig(epsilon_schedule=(0.5,), boxes=(((-2, 2), (-2, 2)),))
-    s = discretize(fam, cfg, 0, 3)
-    full = build_family(fam, 3)
-    selected = [np.array(m.to_dense()) for m in s.members]
-    for m in full.members:
-        d = min(np.linalg.norm(m.to_dense() - x) for x in selected)
-        assert d <= cfg.epsilon_schedule[0]
-
-
-def test_discretize_hyperbola_truncation():
-    fam = HyperbolaSeq(breakpoints=(0.0, 1.0, 2.0, 4.0), r2=0.5)
-    cfg = DiscretizationConfig(epsilon_schedule=(1.0,), boxes=(((0.0, 4.0),),))
-    s = discretize(fam, cfg, 0, 3)
-    assert len(s.members) == 3
-
-
 def test_family_validation():
     with pytest.raises(ValueError):
         HyperbolaSeq(breakpoints=(1.0, 1.0), r2=0.5)
@@ -187,5 +151,3 @@ def test_family_validation():
         BallGrid(centers=((0, 0),), radius=0.0)
     with pytest.raises(ValueError):
         GeneralizedHyperbola(lambdas=(1.0, 1.0, 1.0), sigmas=(0.0,), split=2)
-    with pytest.raises(ValueError):
-        DiscretizationConfig(epsilon_schedule=(0.5, 0.5), boxes=(((0, 1),), ((0, 1),)))

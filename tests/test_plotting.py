@@ -5,11 +5,35 @@ import pytest
 
 from exactsdp.model import constraint_set, eval_quadratic
 from exactsdp.plotting import (area_fraction, emit_plot, feasibility_mask,
-                               pixel_centers, read_ppm, write_ppm)
+                               pixel_centers, write_ppm)
 from exactsdp.symmat import SymMat
 from exactsdp.gallery import fig1_member, fig2_members
 
 BOX = ((-2.5, 2.5), (-2.5, 2.5))
+
+
+def read_ppm(path: str):
+    """The (height, width, 3) pixel array of a binary P6 file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(b"P6"):
+        raise ValueError("not a binary ppm")
+    fields = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(data) and data[pos] in b" \t\r\n":
+            pos += 1
+        if data[pos:pos + 1] == b"#":
+            while data[pos] not in b"\r\n":
+                pos += 1
+            continue
+        start = pos
+        while data[pos] not in b" \t\r\n":
+            pos += 1
+        fields.append(int(data[start:pos]))
+    pos += 1
+    w, h, maxval = fields
+    return np.frombuffer(data[pos:pos + 3 * w * h], dtype=np.uint8).reshape(h, w, 3)
 
 
 def test_unit_disk_region(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 
 import exactsdp.sdp as sdp_module
 from exactsdp.model import GeoCop, constraint_set
-from exactsdp.sdp import (SdpProblem, _assemble, _schur_complement, eq10_problem,
-                          relaxation_problem, solve, solve_ab_certificate, solve_slater)
+from exactsdp.model import normalize
+from exactsdp.sdp import (SdpProblem, _assemble, _schur_complement, relaxation_problem,
+                          solve, solve_ab_certificate, solve_slater, trace_one_problem)
 from exactsdp.symmat import SymMat, eigvals_sym, lambda_min
-from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices
+from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices, fig2_members
 from test_acceptance import _certified_instances
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -197,10 +198,58 @@ def test_relaxation_problem_shape():
 
 
 def test_eq10_problem_is_bounded_refuter():
+    # min <A,X> s.t. <B,X> <= 0, trace X = 1, posed with the member -B
     a, b, _ = ex61_matrices()
-    sol = solve(eq10_problem(a, b), tol=1e-9)
+    sol = solve(trace_one_problem(a, [b.scale(-1.0)]), tol=1e-9)
     assert sol.status == "optimal"
     assert sol.value <= -0.5  # clearly negative: the pair is refuted
+
+
+# the three trace-one builders trace_one_problem replaced, as they were
+def _ref_eq10_problem(a, b):
+    return SdpProblem(n=a.n, objective=a, eq_constraints=((SymMat.identity(a.n), 1.0),),
+                      ineq_constraints=((b, "<=", 0.0),))
+
+
+def _ref_inclusion_problem(a, b):
+    return SdpProblem(n=a.n, objective=a, eq_constraints=((SymMat.identity(a.n), 1.0),),
+                      ineq_constraints=((b, ">=", 0.0),))
+
+
+def _ref_slice_max_problem(f, members):
+    return SdpProblem(n=f.n, objective=f.scale(-1.0),
+                      eq_constraints=((SymMat.identity(f.n), 1.0),),
+                      ineq_constraints=tuple((m, ">=", 0.0) for m in members))
+
+
+def _assert_same_solve(ref, new):
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+    s1, s2 = solve(ref, tol=1e-9), solve(new, tol=1e-9)
+    assert s1.status == s2.status
+    assert bits(s1.value) == bits(s2.value)
+    assert (s1.X is None) == (s2.X is None)
+    if s1.X is not None:
+        assert bits(s1.X.data) == bits(s2.X.data)
+    assert bits(s1.dual_ineq) == bits(s2.dual_ineq)
+    assert s1.iterations == s2.iterations
+
+
+def test_trace_one_problem_solves_as_the_builders_it_replaced():
+    # the 90 ordered pairs of the normalized Figure 2 set and 40 random pairs
+    fig2 = normalize(constraint_set(3, fig2_members())).members
+    pairs = [(a, b) for i, a in enumerate(fig2) for j, b in enumerate(fig2) if i != j]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        pairs.append((random_sym(rng, n), random_sym(rng, n)))
+    assert len(pairs) == 130
+    for a, b in pairs:
+        _assert_same_solve(_ref_eq10_problem(a, b), trace_one_problem(a, [b.scale(-1.0)]))
+        _assert_same_solve(_ref_inclusion_problem(a, b), trace_one_problem(a, [b]))
+    for f in fig2:
+        _assert_same_solve(_ref_slice_max_problem(f, fig2),
+                           trace_one_problem(f.scale(-1.0), fig2))
 
 
 def test_kkt_conditions_on_random_feasible_instances():
