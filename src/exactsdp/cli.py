@@ -37,6 +37,13 @@ def _load(path: str):
         return docio.parse_problem(fh.read())
 
 
+def _option(args, opts: dict, name: str) -> int:
+    """The --<name> flag, checked as the document option it overrides, or
+    that option."""
+    flag = getattr(args, name)
+    return opts[name] if flag is None else docio.check_option(name, flag, "--" + name)
+
+
 def _verdict_exit(overall: str) -> int:
     if overall == "certified":
         return EXIT_OK
@@ -74,8 +81,8 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     problem, opts = _load(args.input)
-    samples = args.samples if args.samples is not None else opts["samples"]
-    seed = args.seed if args.seed is not None else opts["seed"]
+    samples = _option(args, opts, "samples")
+    seed = _option(args, opts, "seed")
     res = oracle.solve_sphere(problem, samples=samples, seed=seed)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "oracle",
            "oracle": docio.oracle_doc(res)}, args.out)
@@ -85,7 +92,7 @@ def cmd_oracle(args) -> int:
 def cmd_pipeline(args) -> int:
     problem, opts = _load(args.input)
     tol = args.tol if args.tol is not None else opts["tol"]
-    seed = args.seed if args.seed is not None else opts["seed"]
+    seed = _option(args, opts, "seed")
     verdict = run_pipeline(problem, PipelineConfig(tol=tol, cert_tol=tol, seed=seed))
     _emit(docio.verdict_doc(verdict), args.out)
     # an infeasible problem: the feasible cone is {O} or the relaxation is empty

@@ -51,6 +51,17 @@ def _int(value, path: str) -> int:
         raise DocError(path, "expected an integer")
 
 
+_OPTION_FLOOR = {"seed": 0, "samples": 1}
+
+
+def check_option(name: str, value: int, path: str) -> int:
+    """The integer option `name`, or a DocError at path when it is below its
+    floor.  The CLI checks the flags that override options with it too."""
+    if value < _OPTION_FLOOR[name]:
+        raise DocError(path, "need an integer >= %d" % _OPTION_FLOOR[name])
+    return value
+
+
 def _object(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise DocError(path, "expected an object")
@@ -185,6 +196,8 @@ def parse_problem(data) -> tuple:
         "seed": _int(options.get("seed", 0), "$.options.seed"),
         "samples": _int(options.get("samples", 200_000), "$.options.samples"),
     }
+    for name in _OPTION_FLOOR:
+        check_option(name, opts[name], "$.options." + name)
     if opts["tol"] <= 0.0:
         raise DocError("$.options.tol", "need a positive tolerance")
     problem = GeoCop(n=n, Q=q, H=h, bset=constraint_set(n, members), lift=lift,

@@ -38,7 +38,11 @@ which needs no threshold.  A direction that is not finite ends the solve as
 
 The pair search takes one stacked eigenvalue call per golden-section step
 for all pairs together, so its per-call overhead grows with the number of
-steps, not with the number of pairs times steps.
+steps, not with the number of pairs times steps.  A pair leaves the search
+at its first positive-definite probe when a snapped certificate there is
+positive definite, and the stacks shrink to the pairs still searching, so a
+family whose pairs are clearly certified pays a few calls, not 77.  The
+margin reported with a certificate is that certificate's, not the best one.
 """
 from __future__ import annotations
 
@@ -527,54 +531,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = math.ceil(math.log(2.0 ** -52) / math.log(_INVPHI))
 
 
-def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float = DEFAULT_TOL):
-    """Search, for every pair p, for alpha, beta > 0 with alpha*A[p] + beta*B[p] psd.
-
-    A and B are (P, n, n) dense stacks and scale[p] = ||A[p]|| + ||B[p]||.
-    lambda_min(A + tau B)/(1 + tau) equals lambda_min(mu A + (1-mu) B) at
-    mu = 1/(1+tau), which is concave in mu (a min of linear functionals), so
-    a golden-section search over mu in (0,1) finds the global maximum.  It
-    stops after _GOLDEN_ITERS steps, the fewest that shrink the bracket to
-    _INVPHI ** steps <= 2**-52, the float resolution of mu: 75 steps, so 77
-    stacked eigvalsh calls with the two initial points.  All pairs step
-    together: each step is one stacked eigvalsh, and np.where applies the
-    scalar branch rule per pair.  tau is then snapped to a nearby simple
-    decimal when that does not hurt the certificate.
-
-    Returns one entry per pair: (tau, lambda_min(A + tau B)) for the
-    certificate (1, tau), or None when the global maximum is certifiably
-    below -tol * scale.
-    """
-    if A.shape != B.shape:
-        raise ValueError("dimension mismatch")
-    if np.all(A == B, axis=(1, 2)).any():
-        raise ValueError("the pair certificate needs two distinct matrices")
-    P = A.shape[0]
-    if P == 0:
-        return []
-
-    def phi(mu):
-        return lambda_min_stack(mu[:, None, None] * A + (1.0 - mu)[:, None, None] * B)
-
-    lo, hi = np.zeros(P), np.ones(P)
-    c = hi - _INVPHI * (hi - lo)
-    e = lo + _INVPHI * (hi - lo)
-    fc, fe = phi(c), phi(e)
-    for _ in range(_GOLDEN_ITERS):
-        left = fc >= fe  # keep [lo, e]; otherwise keep [c, hi]
-        hi = np.where(left, e, hi)
-        lo = np.where(left, lo, c)
-        step = _INVPHI * (hi - lo)
-        x = np.where(left, hi - step, lo + step)
-        fx = phi(x)
-        c, e = np.where(left, x, e), np.where(left, c, x)
-        fc, fe = np.where(left, fx, fe), np.where(left, fc, fx)
-    mu = np.minimum(np.maximum((lo + hi) / 2.0, 1e-12), 1.0 - 1e-12)
-    taus = ((1.0 - mu) / mu).tolist()
-    scales = [float(v) for v in scale]
-
+def _snaps(A: np.ndarray, B: np.ndarray, pairs, mu: np.ndarray, scales: list) -> list:
+    """For each pair p in pairs, its snap candidates t, simplest first, each
+    with lambda_min(A[p] + t B[p]), from one stacked eigvalsh.  The
+    candidates are tau = (1-mu)/mu rounded to 0, 1, 3, 6, 9 and 12 decimals,
+    then tau itself."""
+    mu = np.minimum(np.maximum(mu, 1e-12), 1.0 - 1e-12)
     owner, cands, spans = [], [], []
-    for p, tau in enumerate(taus):
+    for p, tau in zip(pairs, ((1.0 - mu) / mu).tolist()):
         if scales[p] == 0.0:
             tried = [1.0]  # O + O is psd
         else:
@@ -583,30 +547,113 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
                       round(tau, 9), round(tau, 12), tau):
                 if t > 0.0 and t not in tried:
                     tried.append(t)
-        spans.append(range(len(cands), len(cands) + len(tried)))
+        spans.append(slice(len(cands), len(cands) + len(tried)))
         owner += [p] * len(tried)
         cands += tried
     t = np.array(cands)
     combos = B[owner]
     combos *= t[:, None, None]
     combos += A[owner]  # A + t B, in place: one (candidates, n, n) temporary less
-    lam = lambda_min_stack(combos)
-    lams, vals = lam.tolist(), (lam / (1.0 + t)).tolist()
+    lams = lambda_min_stack(combos).tolist()
+    return [list(zip(cands[span], lams[span])) for span in spans]
 
-    out = []
-    for rows, s in zip(spans, scales):
-        best_val = max(vals[r] for r in rows)
-        # earliest = simplest within snapping slack
-        r = next(r for r in rows if vals[r] >= best_val - 1e-12 * s)
-        tau = cands[r]
-        ok = s == 0.0 or vals[r] * (1.0 + tau) >= -tol * s
-        out.append((tau, lams[r]) if ok else None)
+
+def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float = DEFAULT_TOL):
+    """Search, for every pair p, for alpha, beta > 0 with alpha*A[p] + beta*B[p] psd.
+
+    A and B are (P, n, n) dense stacks and scale[p] = ||A[p]|| + ||B[p]||.
+    lambda_min(A + tau B)/(1 + tau) equals lambda_min(mu A + (1-mu) B) at
+    mu = 1/(1+tau), which is concave in mu (a min of linear functionals), so
+    a golden-section search over mu in (0,1) finds the global maximum.  It
+    runs at most _GOLDEN_ITERS steps, the fewest that shrink the bracket to
+    _INVPHI ** steps <= 2**-52, the float resolution of mu: 75 steps, so 77
+    stacked eigvalsh calls with the two initial points.  All pairs step
+    together: each step is one stacked eigvalsh, and np.where applies the
+    scalar branch rule per pair.  tau = (1-mu)/mu is then snapped to a
+    simple decimal (see _snaps).
+
+    Any positive-definite combination certifies a pair, so the search need
+    not reach the maximum.  At its first probe with lambda_min > 0 (the
+    better of the two initial points, c on a tie as the branch rule keeps
+    it, then each step's new point) a pair evaluates that probe's snap
+    candidates, and it leaves the search with the first candidate t that has
+    lambda_min(A + t B) > 0.  If none has, it searches on and is not checked
+    again.  Whenever a pair leaves, the stacks shrink to the pairs still
+    searching, and later steps run eigvalsh on those only.  A pair that does
+    not leave runs every step with the arithmetic it would have alone (the
+    rows of a stacked eigvalsh are independent), then takes the first snap
+    candidate within 1e-12 * scale of the best one.
+
+    (1, tau) is accepted when lambda_min(A + tau B) >= -tol * min(1, tau) *
+    scale.  That is the test lambda_min >= -tol * scale applied to the
+    certificate scaled so that its smaller coefficient is 1, so it reads the
+    same for the swapped pair and its certificate (1, 1/tau).  A pair that
+    left early passes it with no slack.
+
+    Returns one entry per pair: (tau, lambda_min(A + tau B)) for the
+    certificate (1, tau), or None.  The margin is that of the reported
+    certificate; for a pair that left early it is not the best margin.
+    """
+    if A.shape != B.shape:
+        raise ValueError("dimension mismatch")
+    if np.all(A == B, axis=(1, 2)).any():
+        raise ValueError("the pair certificate needs two distinct matrices")
+    P = A.shape[0]
+    if P == 0:
+        return []
+    scales = [float(v) for v in scale]
+    out = [None] * P
+
+    def phi(mu, a, b):
+        return lambda_min_stack(mu[:, None, None] * a + (1.0 - mu)[:, None, None] * b)
+
+    live, a, b = np.arange(P), A, B
+    bar = np.zeros(P)  # a probe above it triggers the exit check; inf once checked
+    lo, hi = np.zeros(P), np.ones(P)
+    c = hi - _INVPHI * (hi - lo)
+    e = lo + _INVPHI * (hi - lo)
+    fc, fe = phi(c, a, b), phi(e, a, b)
+    probe, found = np.where(fc >= fe, c, e), np.maximum(fc, fe) > bar
+    steps = 0
+    while live.size:
+        if found.any():
+            hits = np.flatnonzero(found)
+            for k, snaps in zip(hits, _snaps(A, B, live[hits], probe[hits], scales)):
+                out[live[k]] = next(((t, lam) for t, lam in snaps if lam > 0.0), None)
+                found[k] = out[live[k]] is not None
+            bar[hits] = np.inf
+            if found.any():
+                keep = ~found
+                live, a, b, bar, lo, hi, c, e, fc, fe = (
+                    v[keep] for v in (live, a, b, bar, lo, hi, c, e, fc, fe))
+        if steps == _GOLDEN_ITERS:
+            break
+        left = fc >= fe  # keep [lo, e]; otherwise keep [c, hi]
+        hi = np.where(left, e, hi)
+        lo = np.where(left, lo, c)
+        step = _INVPHI * (hi - lo)
+        probe = np.where(left, hi - step, lo + step)
+        fx = phi(probe, a, b)
+        c, e = np.where(left, probe, e), np.where(left, c, probe)
+        fc, fe = np.where(left, fx, fe), np.where(left, fc, fx)
+        found = fx > bar
+        steps += 1
+
+    if live.size:
+        for p, snaps in zip(live.tolist(), _snaps(A, B, live, (lo + hi) / 2.0, scales)):
+            s = scales[p]
+            best_val = max(lam / (1.0 + t) for t, lam in snaps)
+            # earliest = simplest within snapping slack
+            tau, lam = next((t, lam) for t, lam in snaps
+                            if lam / (1.0 + t) >= best_val - 1e-12 * s)
+            ok = s == 0.0 or lam >= -tol * min(1.0, tau) * s
+            out[p] = (tau, lam) if ok else None
     return out
 
 
 def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):
     """The pair certificate of one pair (see ab_certificates): (1.0, tau) with
-    A + tau B psd within tol * (||A|| + ||B||), or None."""
+    A + tau B psd within tol * min(1, tau) * (||A|| + ||B||), or None."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     cert = ab_certificates(a.to_dense()[None], b.to_dense()[None],

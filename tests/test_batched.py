@@ -1,8 +1,9 @@
 """The batched pair and inclusion layers against the one-pair code they replace.
 
 The reference functions below are the scalar loops the batched layers
-replaced, as they were: one golden section per pair with one
-lambda_min per step, and one inner product per probe.  The batched layers
+replaced: one golden section per pair with one lambda_min per step, which
+stops at the first positive-definite probe as the batched search does, and
+one inner product per probe.  The batched layers
 promise the same operations in the same order, so results are compared
 bitwise (repr tells -0.0 from 0.0), not within a tolerance.
 """
@@ -42,28 +43,7 @@ def _ref_norm(x):
     return math.sqrt(s)
 
 
-def _ref_ab_certificate(a, b, tol):
-    """Scalar golden section; returns (tau, margin as check_pair_B reported
-    it) or None."""
-    scale = _ref_norm(a) + _ref_norm(b)
-
-    def phi(mu):
-        return lambda_min(a.scale(mu).add(b, 1.0 - mu))
-
-    lo, hi = 0.0, 1.0
-    c = hi - _INVPHI * (hi - lo)
-    e = lo + _INVPHI * (hi - lo)
-    fc, fe = phi(c), phi(e)
-    for _ in range(120):
-        if fc >= fe:
-            hi, e, fe = e, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = phi(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + _INVPHI * (hi - lo)
-            fe = phi(e)
-    mu = (lo + hi) / 2.0
+def _snap_candidates(mu):
     mu = min(max(mu, 1e-12), 1.0 - 1e-12)
     tau = (1.0 - mu) / mu
     candidates = []
@@ -71,15 +51,57 @@ def _ref_ab_certificate(a, b, tol):
               round(tau, 9), round(tau, 12), tau):
         if t > 0.0 and t not in candidates:
             candidates.append(t)
-    evaluated = [(t, lambda_min(a.add(b, t)) / (1.0 + t)) for t in candidates]
-    best_val = max(v for _, v in evaluated)
-    for t, v in evaluated:
-        if v >= best_val - 1e-12 * scale:
-            tau, val = t, v
+    return candidates
+
+
+def _ref_ab_search(a, b, tol):
+    """Scalar golden section that a pair leaves at its first positive-definite
+    probe when a snap candidate there is positive definite; returns
+    ((tau, margin as check_pair_B reported it) or None, left early)."""
+    scale = _ref_norm(a) + _ref_norm(b)
+
+    def phi(mu):
+        return lambda_min(a.scale(mu).add(b, 1.0 - mu))
+
+    def exit_check(mu):
+        return next(((t, lam) for t in _snap_candidates(mu)
+                     for lam in [lambda_min(a.add(b, t))] if lam > 0.0), None)
+
+    lo, hi = 0.0, 1.0
+    c = hi - _INVPHI * (hi - lo)
+    e = lo + _INVPHI * (hi - lo)
+    fc, fe = phi(c), phi(e)
+    x, fx = (c, fc) if fc >= fe else (e, fe)
+    checked = False
+    for step in range(121):
+        if fx > 0.0 and not checked:
+            checked = True
+            cert = exit_check(x)
+            if cert is not None:
+                return (cert[0], cert[1] / max(scale, 1.0)), True
+        if step == 120:
             break
-    if val * (1.0 + tau) >= -tol * scale:
-        return tau, lambda_min(a.add(b, tau)) / max(scale, 1.0)
-    return None
+        if fc >= fe:
+            hi, e, fe = e, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = phi(c)
+            x, fx = c, fc
+        else:
+            lo, c, fc = c, e, fe
+            e = lo + _INVPHI * (hi - lo)
+            fe = phi(e)
+            x, fx = e, fe
+    evaluated = [(t, lambda_min(a.add(b, t)) / (1.0 + t))
+                 for t in _snap_candidates((lo + hi) / 2.0)]
+    best_val = max(v for _, v in evaluated)
+    tau = next(t for t, v in evaluated if v >= best_val - 1e-12 * scale)
+    if lambda_min(a.add(b, tau)) >= -tol * min(1.0, tau) * scale:
+        return (tau, lambda_min(a.add(b, tau)) / max(scale, 1.0)), False
+    return None, False
+
+
+def _ref_ab_certificate(a, b, tol):
+    return _ref_ab_search(a, b, tol)[0]
 
 
 def _ref_inclusion_status(a, b, tol, probes):
@@ -148,6 +170,40 @@ def test_one_pair_calls_match_scalar_code():
         assert repr(got) == repr(None if ref is None else (1.0, ref[0]))
         assert inclusion_status(x, y, TOL) == _ref_inclusion_status(
             x, y, TOL, psd_probes(4, (x, y)))
+
+
+@st.composite
+def _disk_pair_stacks(draw):
+    """Stacks of disk pairs that lie apart, touch or overlap: the gap is the
+    centre distance over the sum of the radii."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        r1, r2 = (draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])) for _ in range(2))
+        gap = draw(st.sampled_from([0.3, 0.9, 1.0, 1.5, 3.0]))
+        dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6)]))
+        x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        d = gap * (r1 + r2)
+        pairs.append((disk_member((x, y), r1), disk_member((x + d * dx, y + d * dy), r2)))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_disk_pair_stacks(), st.sampled_from([TOL, 0.01]))
+def test_stacked_pairs_match_one_pair_calls(pairs, tol):
+    A = np.array([a.to_dense() for a, _ in pairs])
+    B = np.array([b.to_dense() for _, b in pairs])
+    scale = np.array([a.norm() + b.norm() for a, b in pairs])
+    got = sdpmod.ab_certificates(A, B, scale, tol)
+    for p, (a, b) in enumerate(pairs):
+        alone = sdpmod.ab_certificates(A[p:p + 1], B[p:p + 1], scale[p:p + 1], tol)[0]
+        assert repr(got[p]) == repr(alone)
+        if _ref_ab_search(a, b, tol)[1]:
+            # a pair leaves only at a positive-definite probe, and its
+            # certificate is positive definite, with no tolerance slack
+            tau, margin = got[p]
+            assert margin > 0.0
+            assert np.linalg.eigvalsh(A[p] + tau * B[p])[0] > 0.0
 
 
 def test_golden_section_stops_at_float_resolution():

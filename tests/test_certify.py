@@ -42,8 +42,10 @@ def test_pair_refuted_with_witness_invariants():
 
 
 def test_pair_certified_disk_pair():
-    v = check_pair_B(fig1_member(1), fig1_member(6), TOL)
-    assert v.status == CERTIFIED and v.certificate == (1.0, 0.75)
+    a, b = fig1_member(1), fig1_member(6)
+    v = check_pair_B(a, b, TOL)
+    assert v.status == CERTIFIED and v.certificate == (1.0, 0.6)
+    assert lambda_min(a.scale(v.certificate[0]).add(b, v.certificate[1])) > 0.0
 
 
 def test_pair_status_symmetric():
@@ -223,8 +225,7 @@ def _checked_bprime(members, tol):
     """(B)' status of the pair by the slice-witness route; each reported
     witness point must pass the test in one of the two orientations,
     evaluated as x' M x in numpy.  The pair enters without a condition (B)
-    certificate: that certificate's tolerance test scales with the order of
-    the pair, so near tol it can certify one order and not the other."""
+    certificate, so that every pair takes the slice-witness route."""
     open_pair = {(0, 1): PairVerdict(pair=(0, 1), status=INCONCLUSIVE)}
     s = constraint_set(members[0].n, members)
     pair = check_Bprime_Cprime(s, tol, pair_verdicts=open_pair).b_prime_pairs[0]
@@ -240,6 +241,24 @@ def _checked_bprime(members, tol):
 @given(_ball_pairs(), st.sampled_from((TOL, 0.01)))
 def test_bprime_symmetric_in_the_pair(members, tol):
     assert _checked_bprime(members, tol) == _checked_bprime(members[::-1], tol)
+
+
+def test_pair_status_independent_of_order_at_large_tol():
+    # the radius-1/4 disk centred on the unit circle: the pair was certified
+    # as (small, unit) with (1, 0.000504) while the certificate test did not
+    # scale with the smaller coefficient
+    unit, small = disk_member((0.0, 0.0), 1.0), disk_member((0.0, 1.0), 0.25)
+    assert check_pair_B(unit, small, 0.01).status == REFUTED
+    assert check_pair_B(small, unit, 0.01).status == INCONCLUSIVE
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ball_pairs(), st.sampled_from((TOL, 0.01)))
+def test_pair_never_certified_in_one_order_and_refuted_in_the_other(members, tol):
+    a, b = members
+    assert {check_pair_B(a, b, tol).status,
+            check_pair_B(b, a, tol).status} != {CERTIFIED, REFUTED}
 
 
 def test_structural_on_reduced_example():

@@ -97,6 +97,9 @@ _MALFORMED = {
     "zero_tol": ({"options": {"tol": "0"}}, "$.options.tol"),
     "negative_tol": ({"options": {"tol": "-1"}}, "$.options.tol"),
     "fractional_seed": ({"options": {"seed": 1.5}}, "$.options.seed"),
+    "negative_seed": ({"options": {"seed": -1}}, "$.options.seed"),
+    "zero_samples": ({"options": {"samples": 0}}, "$.options.samples"),
+    "negative_samples": ({"options": {"samples": -5}}, "$.options.samples"),
     "boolean_sign": ({"constraints": [{"family": {"kind": "parabola_set", "members": [
         {"lambdas": ["1", "1"], "sign": True}]}}]},
         "$.constraints[0].family.members[0].sign"),
@@ -114,6 +117,22 @@ def test_malformed_document_exit_one(tmp_path, capsys, command, case):
     assert code == 1
     assert out == ""
     assert err.startswith("error: %s:" % path)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("oracle", ["--samples", "0"]),
+    ("oracle", ["--samples", "-5"]),
+    ("oracle", ["--seed", "-1"]),
+    ("pipeline", ["--seed", "-1"]),
+])
+def test_bad_samples_or_seed_flag_exit_one(tmp_path, capsys, command, flags):
+    # a flag that overrides an option gets the option's check, under its own name
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_GOOD))
+    code, out, err = run([command, "--input", str(good)] + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: %s:" % flags[0])
 
 
 def test_solve_and_out_file(tmp_path, capsys):
