@@ -424,7 +424,7 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                      inclusions: Optional[dict] = None) -> StructuralReport:
     """(A-1), (A-3)..(A-5); (A-2) is deliberately unchecked.
 
-    `slater` is a (status, X, t) result of sdp.solve_slater on a set with the
+    `slater` is a (status, X, t, E) result of sdp.solve_slater on a set with the
     same feasible slice, and `inclusions` an inclusion_table of s.members;
     each is computed here when not given.
     """
@@ -432,7 +432,7 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     # (A-3): Slater point via max t s.t. X >= tI over the feasible slice
     if slater is None:
         slater = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
-    status, xstar, tstar = slater
+    status, xstar, tstar, _ = slater
     a3 = status == "optimal" and tstar > tol
     # (A-4)
     psd_members = tuple(i for i, m in enumerate(s.members) if is_psd(m, tol))
@@ -462,7 +462,7 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     """For each member, max <B,X> over the trace-one feasible slice; a value
     within tol of zero puts B in the boundary set and yields case (a)."""
     if slater_point is None:
-        status, x, _ = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
+        status, x, _, _ = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
         slater_point = x if status == "optimal" else None
     values = []
     exposing = None

@@ -3,7 +3,7 @@
 Subcommands: certify, reduce, solve, oracle, pipeline, gallery, plot.
 The result document goes to stdout (or --out, written atomically);
 diagnostics go to stderr.  Exit codes: 0 success/certified, 2 not certified,
-3 inconclusive, 1 error.
+3 inconclusive, 1 error (usage errors included).
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def _load(path: str):
         return docio.parse_problem(fh.read())
 
 
-def _option(args, opts: dict, name: str) -> int:
+def _option(args, opts: dict, name: str):
     """The --<name> flag, checked as the document option it overrides, or
     that option."""
     flag = getattr(args, name)
@@ -54,7 +54,7 @@ def _verdict_exit(overall: str) -> int:
 
 def cmd_certify(args) -> int:
     problem, opts = _load(args.input)
-    tol = args.tol if args.tol is not None else opts["tol"]
+    tol = _option(args, opts, "tol")
     rep = run_certify(normalize(problem.bset), tol)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "certify",
            "certification": docio.cert_doc(rep)}, args.out)
@@ -63,7 +63,7 @@ def cmd_certify(args) -> int:
 
 def cmd_reduce(args) -> int:
     problem, opts = _load(args.input)
-    tol = args.tol if args.tol is not None else opts["tol"]
+    tol = _option(args, opts, "tol")
     rr = facial_reduce(problem, tol)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "reduce",
            "reduction": docio.reduction_doc(rr)}, args.out)
@@ -72,7 +72,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     problem, opts = _load(args.input)
-    tol = args.tol if args.tol is not None else opts["tol"]
+    tol = _option(args, opts, "tol")
     sol = sdpmod.solve(sdpmod.relaxation_problem(problem), tol=tol)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "solve",
            "sdp": docio.sdp_doc(sol)}, args.out)
@@ -91,7 +91,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_pipeline(args) -> int:
     problem, opts = _load(args.input)
-    tol = args.tol if args.tol is not None else opts["tol"]
+    tol = _option(args, opts, "tol")
     seed = _option(args, opts, "seed")
     verdict = run_pipeline(problem, PipelineConfig(tol=tol, cert_tol=tol, seed=seed))
     _emit(docio.verdict_doc(verdict), args.out)
@@ -103,7 +103,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_gallery(args) -> int:
     ids = [args.id] if args.id else None
-    report = gallery.run_acceptance(ids, tol=args.tol if args.tol is not None else 1e-8)
+    report = gallery.run_acceptance(ids, tol=_option(args, {"tol": sdpmod.DEFAULT_TOL}, "tol"))
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "gallery",
            "cases": report}, args.out)
     return EXIT_OK if all(r["passed"] for r in report) else EXIT_NOT_CERTIFIED
@@ -129,51 +129,52 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with usage errors on EXIT_ERROR: its own code 2 is
+    EXIT_NOT_CERTIFIED here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="exactsdp",
         description="Certify and solve QCQPs whose SDP relaxations are exact.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def command(name, func, help, flags=("input", "tol")):
+        """A subcommand with --out and those of --input, --tol and --seed
+        that it reads."""
+        p = sub.add_parser(name, help=help)
+        if "input" in flags:
             p.add_argument("--input", required=True, help="problem JSON document")
         p.add_argument("--out", default=None, help="write the result document here")
-        p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=None, help="seed (default 0)")
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance (default: the document's options.tol)")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed (default: the document's options.seed)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("certify", help="run the exactness-condition checkers")
-    common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("reduce", help="facially reduce the problem")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("solve", help="solve the SDP relaxation")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("oracle", help="brute-force reference solve")
-    common(p)
+    command("certify", cmd_certify, "run the exactness-condition checkers")
+    command("reduce", cmd_reduce, "facially reduce the problem")
+    command("solve", cmd_solve, "solve the SDP relaxation")
+    p = command("oracle", cmd_oracle, "brute-force reference solve", ("input", "seed"))
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("pipeline", help="full certify/reduce/solve/extract run")
-    common(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("gallery", help="replay the worked-example fixtures")
-    common(p, needs_input=False)
+    command("pipeline", cmd_pipeline, "full certify/reduce/solve/extract run",
+            ("input", "tol", "seed"))
+    p = command("gallery", cmd_gallery, "replay the worked-example fixtures", ())
+    p.add_argument("--tol", type=float, default=None, help="tolerance (default 1e-8)")
     p.add_argument("--id", default=None, help="run a single case id")
-    p.set_defaults(func=cmd_gallery)
-
-    p = sub.add_parser("plot", help="emit PPM raster and SVG overlay of the region")
-    common(p)
+    p = command("plot", cmd_plot, "emit PPM raster and SVG overlay of the region",
+                ("input",))
     p.add_argument("--out-base", required=True, help="output path base (.ppm/.svg added)")
     p.add_argument("--resolution", type=int, default=800)
     p.add_argument("--box", default="-2.5,2.5,-2.5,2.5")
-    p.set_defaults(func=cmd_plot)
     return ap
 
 

@@ -54,10 +54,14 @@ def _int(value, path: str) -> int:
 _OPTION_FLOOR = {"seed": 0, "samples": 1}
 
 
-def check_option(name: str, value: int, path: str) -> int:
-    """The integer option `name`, or a DocError at path when it is below its
-    floor.  The CLI checks the flags that override options with it too."""
-    if value < _OPTION_FLOOR[name]:
+def check_option(name: str, value, path: str):
+    """The option `name`, or a DocError at path when it is out of range: tol
+    must be positive and finite, an integer option at least its floor.  The
+    CLI checks the flags that override options with it too."""
+    if name == "tol":
+        if not 0.0 < value < math.inf:
+            raise DocError(path, "need a positive finite tolerance")
+    elif value < _OPTION_FLOOR[name]:
         raise DocError(path, "need an integer >= %d" % _OPTION_FLOOR[name])
     return value
 
@@ -196,10 +200,8 @@ def parse_problem(data) -> tuple:
         "seed": _int(options.get("seed", 0), "$.options.seed"),
         "samples": _int(options.get("samples", 200_000), "$.options.samples"),
     }
-    for name in _OPTION_FLOOR:
+    for name in opts:
         check_option(name, opts[name], "$.options." + name)
-    if opts["tol"] <= 0.0:
-        raise DocError("$.options.tol", "need a positive tolerance")
     problem = GeoCop(n=n, Q=q, H=h, bset=constraint_set(n, members), lift=lift,
                      restrict_to=restrict)
     return problem, opts

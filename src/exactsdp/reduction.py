@@ -1,9 +1,10 @@
 """Facial-reduction preprocessing.
 
-Finds the minimal face of the PSD cone containing the feasible cone through
-max-rank relative-interior points, projects the problem data onto that face,
-removes redundant members under the inclusion partial order, and carries the
-basis needed to lift solutions back to the original coordinates.
+Finds the minimal face of the PSD cone containing the feasible cone from the
+dual certificates of Slater solves (each is psd, and its kernel holds the
+face), projects the problem data onto that face, removes redundant members
+under the inclusion partial order, and carries the basis needed to lift
+solutions back to the original coordinates.
 """
 from __future__ import annotations
 
@@ -15,27 +16,26 @@ import numpy as np
 
 from .certify import CERTIFIED, inclusion_table
 from .model import ConstraintSet, GeoCop, constraint_set
-from .symmat import SymMat, canonical_sign, eig_sym, is_psd
+from .symmat import SymMat, canonical_sign, is_psd
 from . import sdp as sdpmod
 
 _RANK_TOL = 1e-7
-# psd-ness lets an interior-point iterate leak sqrt(mu)-sized mass into the
-# off-block entries, so coordinate alignment is detected loosely and then
-# validated exactly by an SDP before any snapping happens
-_COORD_SUBSPACE_TOL = 1e-3
 
 
 @dataclass
 class ReductionResult:
     original_n: int
     reduced_n: int
-    exposing: Optional[SymMat]       # psd, zero on the feasible cone; None if identity
+    # the exposing matrices of the rounds, lifted and summed: psd, zero on
+    # the feasible cone, kernel = the final face plus the directions every
+    # data matrix annihilates; None if no round reduced by a certificate
+    exposing: Optional[SymMat]
     basis: np.ndarray                # original_n x reduced_n, orthonormal columns
     reduced: Optional[GeoCop]
     slater_margin: float
     pruned_indices: tuple = ()
     rounds: int = 0
-    # (status, X, t) of the last sdp.solve_slater call, made on exactly
+    # (status, X, t, E) of the last sdp.solve_slater call, made on exactly
     # reduced.bset; None when the feasible cone collapsed to {O}
     slater: Optional[tuple] = None
 
@@ -43,84 +43,46 @@ class ReductionResult:
         return self.basis @ np.asarray(v, dtype=float)
 
 
-def _coordinate_candidate(vectors: np.ndarray):
-    """Indices of a coordinate subspace the range looks aligned with, or None."""
-    if vectors.size == 0:
-        return None
-    proj = vectors @ vectors.T
-    diag = np.diag(proj)
-    off = proj - np.diag(diag)
-    coords = np.where(diag > 0.5)[0]
-    if (np.abs(off).max(initial=0.0) < _COORD_SUBSPACE_TOL
-            and np.all((diag < _COORD_SUBSPACE_TOL) | (np.abs(diag - 1.0) < _COORD_SUBSPACE_TOL))
-            and len(coords) == vectors.shape[1]):
-        return tuple(int(i) for i in sorted(coords))
-    return None
+def _kernel_split(K: np.ndarray, cut: float):
+    """Orthonormal bases (kernel, range) of the psd matrix K, whose
+    eigenvalues at or below cut * max(lambda_max, 1) count as zero.
 
-
-def _canonical_basis(vectors: np.ndarray) -> np.ndarray:
-    """Coordinate 0/1 basis when aligned, else sign-fixed columns (no validation)."""
-    coords = _coordinate_candidate(vectors)
-    if coords is not None:
-        basis = np.zeros_like(vectors)
-        for k, i in enumerate(coords):
-            basis[i, k] = 1.0
-        return basis
-    return canonical_sign(vectors)
-
-
-def _validated_face_basis(vectors: np.ndarray, members, n: int, tol: float):
-    """Basis of the detected face plus its exposing matrix.
-
-    A coordinate-aligned candidate is accepted only after the SDP check
-    max <F,X> over the feasible slice stays at zero (F = sum of e_i e_i^T
-    over the complementary coordinates); then projections reproduce exact
-    entries.  Otherwise the raw eigenvector basis is kept.
+    When the rows of K that are zero to the same cut are as many as the
+    kernel's dimension, they span it, and the bases are those coordinates and
+    the rest, so projections keep exact entries.  Otherwise the bases are
+    eigenvectors, each oriented as a function of its subspace alone: the
+    eigenvectors of the compression of diag(n, ..., 1) to the subspace,
+    largest first, signed by canonical_sign.
     """
-    coords = _coordinate_candidate(vectors)
-    if coords is not None and len(coords) < n:
-        comp = [i for i in range(n) if i not in coords]
-        f = np.zeros((n, n))
-        for i in comp:
-            f[i, i] = 1.0
-        fsym = SymMat.from_dense(f)
-        sol = sdpmod.solve(sdpmod.trace_one_problem(fsym.scale(-1.0), members),
-                           tol=min(tol, 1e-9))
-        if sol.status == "optimal" and -sol.value <= 10.0 * tol:
-            basis = np.zeros((n, len(coords)))
-            for k, i in enumerate(coords):
-                basis[i, k] = 1.0
-            return basis, fsym
-    null = np.eye(n) - vectors @ vectors.T
-    return vectors, SymMat.from_dense((null + null.T) / 2.0)
+    n = K.shape[0]
+    vals, vecs = np.linalg.eigh(K)
+    cut = cut * max(float(vals[-1]), 1.0)
+    null = vals <= cut
+    zero_rows = np.abs(K).max(axis=1) <= cut
+    if zero_rows.sum() == null.sum():
+        eye = np.eye(n)
+        return eye[:, zero_rows], eye[:, ~zero_rows]
+    weight = np.arange(n, 0, -1.0)
 
+    def orient(v):
+        rot = np.linalg.eigh((v.T * weight) @ v)[1]
+        return canonical_sign(v @ rot[:, ::-1])
 
-def _common_kernel_basis(mats, n: int) -> Optional[np.ndarray]:
-    """Orthonormal basis of the joint kernel of all data matrices, or None."""
-    acc = np.zeros((n, n))
-    for m in mats:
-        d = m.to_dense()
-        acc += d @ d
-    vals, vecs = np.linalg.eigh((acc + acc.T) / 2.0)
-    scale = max(float(vals.max()), 1.0)
-    keep = vals > 1e-18 * scale
-    if keep.all():
-        return None
-    # directions every data matrix annihilates are invisible to the problem
-    return vecs[:, keep]
+    return orient(vecs[:, null]), orient(vecs[:, ~null])
 
 
 def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult:
-    """Iterate max-rank detection and projection until Slater's condition holds.
+    """Iterate face detection and projection until Slater's condition holds.
 
-    Objective values are preserved at every round: the feasible cone lives
-    inside the detected face, and the face is isomorphic to a smaller PSD
-    cone via the orthonormal basis of its range.
+    Each round projects onto the range of the data when every data matrix
+    annihilates some direction, and otherwise onto the kernel of the Slater
+    solve's dual certificate.  Objective values are preserved at every
+    round: the feasible cone lives inside the detected face, and the face is
+    isomorphic to a smaller PSD cone via the orthonormal basis of its range.
     """
     n0 = p.n
     basis_total = np.eye(n0)
-    exposing_total = np.zeros((n0, n0))
-    has_exposing = False
+    exposing = None
     cur_Q, cur_H = p.Q, p.H
     cur_members = list(p.bset.members)
     cur_n = n0
@@ -130,50 +92,37 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
     # Slater solve on the final members or with cur_n == 0
     while True:
         # directions annihilated by every data matrix carry no information
-        kb = _common_kernel_basis([cur_Q, cur_H] + cur_members, cur_n)
-        if kb is not None and kb.shape[1] < cur_n:
-            kb = _canonical_basis(kb)
-            cur_Q = SymMat.from_dense(kb.T @ cur_Q.to_dense() @ kb)
-            cur_H = SymMat.from_dense(kb.T @ cur_H.to_dense() @ kb)
-            cur_members = [SymMat.from_dense(kb.T @ m.to_dense() @ kb) for m in cur_members]
-            basis_total = basis_total @ kb
-            cur_n = kb.shape[1]
-            rounds += 1
-            if cur_n == 0:
+        dense = [m.to_dense() for m in [cur_Q, cur_H] + cur_members]
+        kernel, P = _kernel_split(sum(d @ d for d in dense), 1e-18)
+        if not kernel.shape[1]:
+            # max t s.t. X >= tI, <B,X> >= 0, trace X = 1; with no margin its
+            # dual certificate E is psd and zero on the feasible cone, so the
+            # face lies in ker E (E is an exposing matrix)
+            slater = sdpmod.solve_slater(cur_members or [SymMat.zeros(cur_n)], cur_n,
+                                         tol=min(tol, 1e-9))
+            status, _, tstar, E = slater
+            if status == "infeasible":
+                # feasible cone is {O}
+                cur_n = 0
+                rounds += 1
                 break
-
-        # max t s.t. X >= tI, <B,X> >= 0, trace X = 1: interior-point iterates
-        # approach the relative interior of the optimal face, so X* has maximal
-        # rank among optimizers and face(X*) is the minimal face of the PSD
-        # cone containing the feasible cone
-        slater = sdpmod.solve_slater(cur_members or [SymMat.zeros(cur_n)], cur_n,
-                                     tol=min(tol, 1e-9))
-        status, xstar, tstar = slater
-        if status == "infeasible":
-            # feasible cone is {O}
-            cur_n = 0
-            rounds += 1
-            break
-        if status not in ("optimal", "max_iter"):
-            raise RuntimeError("max-rank detection failed with solver status %r" % status)
-        if tstar > tol:
-            break
-        ed = eig_sym(xstar)
-        lmax = max(float(ed.values[0]), 0.0)
-        keep = ed.values > _RANK_TOL * max(lmax, 1e-300)
-        r = int(keep.sum())
-        if r >= cur_n or r == 0:
-            break  # numerically full rank at a boundary margin; stop reducing
+            if status not in ("optimal", "max_iter"):
+                raise RuntimeError("max-rank detection failed with solver status %r" % status)
+            if tstar > tol:
+                break
+            e = E.to_dense()
+            P, _ = _kernel_split(e, _RANK_TOL)
+            if not is_psd(E, _RANK_TOL) or P.shape[1] in (0, cur_n):
+                break  # E exposes no proper face: not psd to the cut, or full rank
+            lifted = basis_total @ e @ basis_total.T
+            exposing = lifted if exposing is None else exposing + lifted
         rounds += 1
-        P, f_local = _validated_face_basis(ed.vectors[:, keep], cur_members, cur_n, tol)
-        exposing_total += basis_total @ f_local.to_dense() @ basis_total.T
-        has_exposing = True
-        cur_Q = SymMat.from_dense(P.T @ cur_Q.to_dense() @ P)
-        cur_H = SymMat.from_dense(P.T @ cur_H.to_dense() @ P)
+        cur_Q = SymMat.from_dense(P.T @ dense[0] @ P)
+        cur_H = SymMat.from_dense(P.T @ dense[1] @ P)
         new_members = []
-        for m in cur_members:
-            pm = P.T @ m.to_dense() @ P
-            if float(np.abs(pm).max()) < 1e-14 * max(1.0, m.norm()):
+        for m, d in zip(cur_members, dense[2:]):
+            pm = P.T @ d @ P
+            if float(np.abs(pm).max(initial=0.0)) < 1e-14 * max(1.0, m.norm()):
                 continue  # a zero projection constrains nothing on the face
             new_members.append(SymMat.from_dense(pm))
         cur_members = new_members
@@ -182,11 +131,11 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
         if cur_n == 0:
             break
 
+    if exposing is not None:
+        exposing = SymMat.from_dense((exposing + exposing.T) / 2.0)
     if cur_n == 0:
         return ReductionResult(
-            original_n=n0, reduced_n=0,
-            exposing=SymMat.from_dense((exposing_total + exposing_total.T) / 2.0)
-            if has_exposing else None,
+            original_n=n0, reduced_n=0, exposing=exposing,
             basis=np.zeros((n0, 0)), reduced=None,
             slater_margin=-math.inf, rounds=rounds)
 
@@ -196,8 +145,7 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
     return ReductionResult(
         original_n=n0,
         reduced_n=cur_n,
-        exposing=SymMat.from_dense((exposing_total + exposing_total.T) / 2.0)
-        if has_exposing else None,
+        exposing=exposing,
         basis=basis_total,
         reduced=reduced,
         slater_margin=tstar,

@@ -512,13 +512,24 @@ def slater_data(members, n: int) -> _ConicData:
 
 
 def solve_slater(members, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Returns (status, X_star, t_star): max-rank feasible point and its margin."""
-    sol = _conic_solve(slater_data(members, n), 1, tol=tol, max_iter=max_iter)
+    """Returns (status, X_star, t_star, E): a max-rank feasible point, its
+    margin, and the dual certificate E = -sum_j y_j B_j of the member rows.
+
+    Dual feasibility reads E = S + y0 I with S psd and y_j >= 0, and
+    tr E >= 1 + n y0, where y0 = -t_star at the optimum.  So when t_star is
+    zero, E is psd within the solve's accuracy and nonzero, and on the
+    feasible cone <E, X> = -sum_j y_j <B_j, X> is both <= 0 and >= 0: the
+    minimal face lies in the kernel of E.  X_star and E are None unless the
+    status is optimal or max_iter.
+    """
+    data = slater_data(members, n)
+    sol = _conic_solve(data, 1, tol=tol, max_iter=max_iter)
     if sol.status not in ("optimal", "max_iter"):
-        return sol.status, None, -math.inf
+        return sol.status, None, -math.inf, None
     t = float(sol.slack[0])
     X = _sym(sol.X.to_dense() + t * np.eye(n))
-    return sol.status, SymMat.from_dense(X), t
+    E = -np.tensordot(sol.dual_ineq, data.Am[1:], axes=1)
+    return sol.status, SymMat.from_dense(X), t, SymMat.from_dense(_sym(E))
 
 
 # --------------------------------------------------------------------------

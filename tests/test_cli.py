@@ -5,7 +5,7 @@ import pytest
 
 from exactsdp import cli, docio
 from exactsdp.gallery import build_case, overlap_disks
-from exactsdp.model import GeoCop
+from exactsdp.model import GeoCop, constraint_set
 from exactsdp.symmat import SymMat
 
 
@@ -133,6 +133,76 @@ def test_bad_samples_or_seed_flag_exit_one(tmp_path, capsys, command, flags):
     assert code == 1
     assert out == ""
     assert err.startswith("error: %s:" % flags[0])
+
+
+@pytest.mark.parametrize("command,tol", [
+    ("pipeline", "0"),
+    ("pipeline", "-1"),
+    ("pipeline", "nan"),
+    ("pipeline", "inf"),
+    ("reduce", "nan"),
+    ("certify", "nan"),
+])
+def test_bad_tol_flag_exit_one(tmp_path, capsys, command, tol):
+    # --tol gets the check $.options.tol has; --tol inf once gave a
+    # certified verdict and exit 0
+    path = write_problem(tmp_path, build_case("ex6.1").problem)
+    code, out, err = run([command, "--input", path, "--tol", tol], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --tol:")
+
+
+def _usage_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert "usage:" in capsys.readouterr().err
+    return exc.value.code
+
+
+def test_missing_input_is_a_usage_error_exit_one(capsys):
+    # argparse's own exit code 2 would read as "not certified"
+    assert _usage_exit_code(["pipeline"], capsys) == 1
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("certify", "--seed"), ("reduce", "--seed"), ("solve", "--seed"),
+    ("gallery", "--seed"), ("plot", "--seed"), ("oracle", "--tol"), ("plot", "--tol"),
+])
+def test_flag_the_command_does_not_read_exit_one(tmp_path, capsys, command, flag):
+    argv = [command, flag, "1"]
+    if command != "gallery":
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_GOOD))
+        argv += ["--input", str(good)]
+    if command == "plot":
+        argv += ["--out-base", str(tmp_path / "region")]
+    assert _usage_exit_code(argv, capsys) == 1
+
+
+def test_reduce_document_exposing_matrix_certifies_the_face(tmp_path, capsys):
+    # numpy only: the reported exposing matrix E is psd and vanishes on the
+    # face the basis spans, both within tol * ||E||
+    tol = 1e-8
+    p = build_case("ex6.1").problem
+    u, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((p.n, p.n)))
+    turned = GeoCop(n=p.n, Q=SymMat.from_dense(u.T @ p.Q.to_dense() @ u), H=p.H,
+                    bset=constraint_set(p.n, [SymMat.from_dense(u.T @ m.to_dense() @ u)
+                                              for m in p.bset.members]))
+    for prob in (p, turned):
+        path = write_problem(tmp_path, prob)
+        code, out, _ = run(["reduce", "--input", path], capsys)
+        assert code == 0
+        red = json.loads(out)["reduction"]
+        n = red["original_n"]
+        e = np.zeros((n, n))
+        e[np.triu_indices(n)] = [float(v) for v in red["exposing"]["upper"]]
+        e = e + np.triu(e, 1).T
+        basis = np.array([[float(v) for v in col] for col in red["basis"]]).T
+        assert basis.shape == (n, red["reduced_n"]) and red["reduced_n"] < n
+        norm = np.linalg.norm(e)
+        assert np.linalg.eigvalsh(e)[0] >= -tol * norm
+        assert np.linalg.norm(basis.T @ e @ basis) <= tol * norm
 
 
 def test_solve_and_out_file(tmp_path, capsys):

@@ -159,3 +159,40 @@ def test_pipeline_tests_inclusion_only_in_pruning(monkeypatch):
     # one table over the non-psd members, built by pruning and reused by (A-5)
     assert len(calls) == 1
     assert len(calls[0][1]) == k
+
+
+def _rotated_ex61(seed, scale=1.0):
+    """Example 6.1 under a seeded random orthogonal congruence x = U y, with
+    every member multiplied by scale."""
+    u, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    u = u * np.sign(np.diag(r))
+    members = [SymMat.from_dense(u.T @ (scale * m.to_dense()) @ u) for m in ex61_matrices()]
+    q = u.T @ np.diag([1.0, -1.0, 0.0, 0.0]) @ u
+    return GeoCop(n=4, Q=SymMat.from_dense(q), H=SymMat.identity(4),
+                  bset=constraint_set(4, members))
+
+
+ROTATED_CFG = PipelineConfig(tol=1e-9, cert_tol=1e-9)
+
+
+def test_rotated_worked_example_reaches_the_value_to_tol():
+    # the face is the kernel of the Slater solve's dual certificate, which is
+    # as accurate as the solve; primal eigenvectors of the Slater iterate left
+    # rotated instances up to 2e-7 off
+    for seed in range(20):
+        v = run_pipeline(_rotated_ex61(seed), ROTATED_CFG)
+        assert v.exactness == "certified_exact"
+        assert abs(v.value + SQRT3_OVER_2) <= 1e-9
+
+
+def test_face_moves_at_roundoff_under_roundoff_rescaling():
+    # members scaled by 1 + 1e-13 k: the face basis and the (C)' values move
+    # by roundoff, not by the solve's accuracy
+    for seed in range(3):
+        base = run_pipeline(_rotated_ex61(seed), ROTATED_CFG)
+        base_values = [m.value for m in base.cert.slice_conditions.c_prime_members]
+        for k in (1, 2, 3):
+            v = run_pipeline(_rotated_ex61(seed, 1.0 + 1e-13 * k), ROTATED_CFG)
+            values = [m.value for m in v.cert.slice_conditions.c_prime_members]
+            assert np.abs(v.reduction.basis - base.reduction.basis).max() <= 1e-12
+            np.testing.assert_allclose(values, base_values, rtol=0.0, atol=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 
 from exactsdp.certify import check_structural, inclusion_status
 from exactsdp.model import GeoCop, constraint_set, normalize
+from exactsdp import sdp as sdpmod
 from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import relaxation_problem, solve, solve_slater
 from exactsdp.symmat import SymMat, eig_sym, gram, inner, is_psd
@@ -20,14 +21,14 @@ def ex61_problem():
 
 
 def test_max_rank_trivial_cone():
-    _, x, t = solve_slater([SymMat.zeros(3)], 3, tol=1e-9)
+    _, x, t, _ = solve_slater([SymMat.zeros(3)], 3, tol=1e-9)
     assert abs(t - 1.0 / 3.0) <= 1e-6
     assert np.allclose(x.to_dense(), np.eye(3) / 3.0, atol=1e-6)
 
 
 def test_max_rank_on_flat_cone():
     a, b, c = ex61_matrices()
-    _, x, t = solve_slater([a, b, c], 4, tol=1e-9)
+    _, x, t, _ = solve_slater([a, b, c], 4, tol=1e-9)
     assert t <= TOL
     ed = eig_sym(x)
     keep = ed.values > 1e-7 * ed.values[0]
@@ -39,7 +40,7 @@ def test_max_rank_on_flat_cone():
 
 
 def test_max_rank_infeasible():
-    status, x, t = solve_slater([SymMat.identity(2).scale(-1.0)], 2, tol=1e-9)
+    status, x, t, _ = solve_slater([SymMat.identity(2).scale(-1.0)], 2, tol=1e-9)
     assert status == "infeasible"
     assert x is None and t == -math.inf
 
@@ -179,9 +180,25 @@ def test_remove_redundant_returns_survivor_inclusions():
 
 def test_facial_reduce_keeps_final_slater_solve():
     rr = facial_reduce(ex61_problem(), TOL)
-    status, x, t = rr.slater
+    status, x, t, _ = rr.slater
     assert status == "optimal" and t == rr.slater_margin
     # it is the Slater solve on exactly the reduced members
     again = solve_slater(rr.reduced.bset.members, rr.reduced_n, tol=1e-9)
     assert again[0] == status and again[2] == t
     assert again[1].data == x.data
+
+
+def test_indefinite_certificate_leaves_problem_unreduced(monkeypatch):
+    # a dual certificate with a negative eigenvalue beyond the cut exposes
+    # nothing, and there is no primal fallback: reduction stops
+    original = sdpmod.solve_slater
+
+    def indefinite(members, n, **kwargs):
+        status, x, t, _ = original(members, n, **kwargs)
+        return status, x, t, SymMat.diag([0.0, 0.0, 1.0, -1.0])
+
+    monkeypatch.setattr(sdpmod, "solve_slater", indefinite)
+    rr = facial_reduce(ex61_problem(), TOL)
+    assert rr.reduced_n == 4 and rr.rounds == 0
+    assert rr.exposing is None
+    assert np.array_equal(rr.basis, np.eye(4))

@@ -185,7 +185,7 @@ def test_gap_monotone_near_convergence():
 
 
 def test_slater_trivial_cone():
-    status, x, t = solve_slater([SymMat.zeros(3)], 3)
+    status, x, t, _ = solve_slater([SymMat.zeros(3)], 3)
     assert status == "optimal"
     assert abs(t - 1.0 / 3.0) <= 1e-7
     assert np.allclose(x.to_dense(), np.eye(3) / 3.0, atol=1e-7)
