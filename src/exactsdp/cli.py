@@ -32,9 +32,15 @@ def _emit(doc: dict, out_path):
         sys.stdout.write(text)
 
 
-def _load(path: str):
-    with open(path, "rb") as fh:
-        return docio.parse_problem(fh.read())
+def _load(args):
+    with open(args.input, "rb") as fh:
+        problem, opts = docio.parse_problem(fh.read())
+    # facial reduction applies restrict_matrix; the other commands would
+    # answer the unrestricted problem
+    if problem.restrict_to is not None and args.command not in ("pipeline", "reduce"):
+        raise docio.DocError("$.restrict_matrix", "%s does not apply it and would answer "
+                             "another problem; pipeline and reduce do" % args.command)
+    return problem, opts
 
 
 def _option(args, opts: dict, name: str):
@@ -53,7 +59,7 @@ def _verdict_exit(overall: str) -> int:
 
 
 def cmd_certify(args) -> int:
-    problem, opts = _load(args.input)
+    problem, opts = _load(args)
     tol = _option(args, opts, "tol")
     rep = run_certify(normalize(problem.bset), tol)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "certify",
@@ -62,7 +68,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    problem, opts = _load(args.input)
+    problem, opts = _load(args)
     tol = _option(args, opts, "tol")
     rr = facial_reduce(problem, tol)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "reduce",
@@ -71,7 +77,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem, opts = _load(args.input)
+    problem, opts = _load(args)
     tol = _option(args, opts, "tol")
     sol = sdpmod.solve(sdpmod.relaxation_problem(problem), tol=tol)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "solve",
@@ -80,7 +86,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem, opts = _load(args.input)
+    problem, opts = _load(args)
     samples = _option(args, opts, "samples")
     seed = _option(args, opts, "seed")
     res = oracle.solve_sphere(problem, samples=samples, seed=seed)
@@ -90,7 +96,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    problem, opts = _load(args.input)
+    problem, opts = _load(args)
     tol = _option(args, opts, "tol")
     seed = _option(args, opts, "seed")
     verdict = run_pipeline(problem, PipelineConfig(tol=tol, cert_tol=tol, seed=seed))
@@ -120,7 +126,7 @@ def cmd_plot(args) -> int:
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0) and x0 < x1 and y0 < y1):
         raise docio.DocError("--box", "need finite bounds with x0 < x1 and y0 < y1")
     box = ((x0, x1), (y0, y1))
-    problem, opts = _load(args.input)
+    problem, opts = _load(args)
     info = plotting.emit_plot(problem.bset, box, args.resolution, args.out_base)
     _emit({"schema_version": docio.SCHEMA_VERSION, "command": "plot",
            "plot": {"ppm": info["ppm"], "svg": info["svg"],

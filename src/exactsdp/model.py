@@ -74,7 +74,6 @@ def integer_grid(box: Sequence[Sequence[float]]):
 class BallGrid:
     """Complement-of-disk constraints q(u,z) = ||u - t z||^2 - r^2 z^2, t in T."""
 
-    kind = "ball_grid"
     centers: tuple  # tuple of (n-1)-dim integer/real vectors
     radius: float
 
@@ -102,7 +101,6 @@ class BallGrid:
 class HyperbolaSeq:
     """q(u,z) = (u2 - a_{k-1} u1)(u2 - a_k u1) + r^2 z^2 for consecutive breakpoints."""
 
-    kind = "hyperbola_seq"
     breakpoints: tuple  # a_0 < a_1 < ... < a_m, all >= 0
     r2: float
 
@@ -153,7 +151,6 @@ class ParabolaMember:
 class ParabolaSet:
     """q(u,z) = -u1 z + sum_i lambda_i u_i^2 + lambda_n z^2 (up to sign/congruence)."""
 
-    kind = "parabola_set"
     members: tuple  # of ParabolaMember
 
     def member(self, pm: ParabolaMember, n: int) -> SymMat:
@@ -183,7 +180,6 @@ class ParabolaSet:
 class GeneralizedHyperbola:
     """q(u,z) = -sum_{i<=l} lam_i u_i^2 + sum_{j>l} sum_{i<=l} lam_j (u_j - s u_i)^2 + lam_n z^2."""
 
-    kind = "generalized_hyperbola"
     lambdas: tuple   # lambda_1..lambda_n, all > 0
     sigmas: tuple    # one member per sigma value
     split: int       # l, 1 <= l <= n-2
@@ -225,7 +221,6 @@ class GeneralizedHyperbola:
 class ConstraintSet:
     n: int
     members: tuple
-    provenance: Optional[str] = None
 
     def __post_init__(self):
         for m in self.members:
@@ -236,8 +231,8 @@ class ConstraintSet:
         return len(self.members)
 
 
-def constraint_set(n: int, members, provenance: Optional[str] = None) -> ConstraintSet:
-    return ConstraintSet(n=n, members=tuple(members), provenance=provenance)
+def constraint_set(n: int, members) -> ConstraintSet:
+    return ConstraintSet(n=n, members=tuple(members))
 
 
 @dataclass(frozen=True)
@@ -247,8 +242,7 @@ class GeoCop:
     `lift` optionally carries a congruence: solutions x get reported as
     lift @ x in the caller's original coordinates.  `restrict_to` optionally
     confines x to the range of a (possibly rank-deficient) n x k matrix L;
-    the pipeline realizes it by appending the kernel-penalty member -N N^T
-    (columns of N spanning range(L)-perp) before reduction.
+    facial reduction projects onto that face before its first Slater solve.
     """
 
     n: int
@@ -281,7 +275,7 @@ class GeoCop:
 
 def build_family(f, n: int) -> ConstraintSet:
     """Realize a parametric family into explicit matrices in S^n."""
-    return constraint_set(n, f.realize(n), provenance=getattr(f, "kind", None))
+    return constraint_set(n, f.realize(n))
 
 
 # --------------------------------------------------------------------------
@@ -311,4 +305,4 @@ def normalize(s: ConstraintSet) -> ConstraintSet:
         kept.append(unit)
     if not kept:
         kept = [SymMat.zeros(s.n)]
-    return constraint_set(s.n, kept, provenance=s.provenance)
+    return constraint_set(s.n, kept)

@@ -117,31 +117,11 @@ def extract_rank_one(x_sdp: SymMat, p: GeoCop, cfg: PipelineConfig = PipelineCon
     return retried
 
 
-def _apply_range_restriction(p: GeoCop, notes: list) -> GeoCop:
-    """Realize x in range(L) by appending the kernel-penalty member -N N^T."""
-    L = p.restriction_matrix()
-    if L is None:
-        return p
-    vals, vecs = np.linalg.eigh(L @ L.T)
-    scale = max(float(vals.max()), 1.0)
-    null = vecs[:, vals <= 1e-12 * scale]
-    if null.shape[1] == 0:
-        return GeoCop(n=p.n, Q=p.Q, H=p.H, bset=p.bset, lift=p.lift)
-    penalty = SymMat.from_dense(-(null @ null.T))
-    members = list(p.bset.members) + [penalty]
-    notes.append("range restriction realized by a rank-%d kernel-penalty member"
-                 % null.shape[1])
-    return GeoCop(n=p.n, Q=p.Q, H=p.H,
-                  bset=p.bset.__class__(n=p.n, members=tuple(members),
-                                        provenance=p.bset.provenance),
-                  lift=p.lift)
-
-
 def run_pipeline(p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> PipelineVerdict:
     """normalize -> facially reduce -> prune -> certify -> solve -> extract -> lift."""
     notes = []
-    p = _apply_range_restriction(p, notes)
-    normalized = GeoCop(n=p.n, Q=p.Q, H=p.H, bset=normalize(p.bset), lift=p.lift)
+    normalized = GeoCop(n=p.n, Q=p.Q, H=p.H, bset=normalize(p.bset),
+                        restrict_to=p.restrict_to)
     rr = facial_reduce(normalized, cfg.tol)
 
     if rr.reduced_n == 0:
@@ -152,8 +132,7 @@ def run_pipeline(p: GeoCop, cfg: PipelineConfig = PipelineConfig()) -> PipelineV
 
     pruned, removed, inclusions = remove_redundant(rr.reduced.bset, cfg.cert_tol)
     rr.pruned_indices = removed
-    problem = GeoCop(n=rr.reduced_n, Q=rr.reduced.Q, H=rr.reduced.H, bset=pruned,
-                     lift=p.lift)
+    problem = GeoCop(n=rr.reduced_n, Q=rr.reduced.Q, H=rr.reduced.H, bset=pruned)
 
     # pruning keeps the feasible slice, so facial reduction's last Slater
     # solve answers (A-3) for the pruned set too

@@ -26,9 +26,10 @@ _RANK_TOL = 1e-7
 class ReductionResult:
     original_n: int
     reduced_n: int
-    # the exposing matrices of the rounds, lifted and summed: psd, zero on
-    # the feasible cone, kernel = the final face plus the directions every
-    # data matrix annihilates; None if no round reduced by a certificate
+    # the exposing matrices of the rounds (N N^T for a restriction, the dual
+    # certificate of a Slater round), lifted and summed: psd, zero on the
+    # feasible cone, kernel = the final face plus the directions every data
+    # matrix annihilates; None if no round reduced by either
     exposing: Optional[SymMat]
     basis: np.ndarray                # original_n x reduced_n, orthonormal columns
     reduced: Optional[GeoCop]
@@ -74,9 +75,10 @@ def _kernel_split(K: np.ndarray, cut: float):
 def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult:
     """Iterate face detection and projection until Slater's condition holds.
 
-    Each round projects onto the range of the data when every data matrix
-    annihilates some direction, and otherwise onto the kernel of the Slater
-    solve's dual certificate.  Objective values are preserved at every
+    A restriction x in range L (p.restrict_to) is projected onto first.
+    Each later round projects onto the range of the data when every data
+    matrix annihilates some direction, and otherwise onto the kernel of the
+    Slater solve's dual certificate.  Objective values are preserved at every
     round: the feasible cone lives inside the detected face, and the face is
     isomorphic to a smaller PSD cone via the orthonormal basis of its range.
     """
@@ -87,13 +89,23 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
     cur_members = list(p.bset.members)
     cur_n = n0
     rounds = 0
+    face = None
+    L = p.restriction_matrix()
+    if L is not None:
+        N, P = _kernel_split(L @ L.T, 1e-12)
+        if N.shape[1]:
+            # x in range L confines X to the face {P Y P^T}, which N N^T
+            # exposes: the first pass projects onto it with no SDP
+            exposing = N @ N.T
+            face = N, P
 
     # every pass that does not break shrinks cur_n, so the loop ends with a
     # Slater solve on the final members or with cur_n == 0
     while True:
         # directions annihilated by every data matrix carry no information
         dense = [m.to_dense() for m in [cur_Q, cur_H] + cur_members]
-        kernel, P = _kernel_split(sum(d @ d for d in dense), 1e-18)
+        kernel, P = face or _kernel_split(sum(d @ d for d in dense), 1e-18)
+        face = None
         if not kernel.shape[1]:
             # max t s.t. X >= tI, <B,X> >= 0, trace X = 1; with no margin its
             # dual certificate E is psd and zero on the feasible cone, so the
@@ -140,8 +152,7 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
             slater_margin=-math.inf, rounds=rounds)
 
     members = cur_members if cur_members else [SymMat.zeros(cur_n)]
-    reduced = GeoCop(n=cur_n, Q=cur_Q, H=cur_H, bset=constraint_set(cur_n, members),
-                     lift=p.lift)
+    reduced = GeoCop(n=cur_n, Q=cur_Q, H=cur_H, bset=constraint_set(cur_n, members))
     return ReductionResult(
         original_n=n0,
         reduced_n=cur_n,
@@ -166,7 +177,7 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
     members re-indexed to the pruned set (see certify.inclusion_table).
     """
     members = list(s.members)
-    zero_set = constraint_set(s.n, [SymMat.zeros(s.n)], provenance=s.provenance)
+    zero_set = constraint_set(s.n, [SymMat.zeros(s.n)])
     if _all_zero(members):
         return zero_set, tuple(), {}
     removed = {i for i, m in enumerate(members) if is_psd(m, tol)}
@@ -200,7 +211,7 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
     position = {i: k for k, i in enumerate(kept)}
     survivors = {(position[a], position[b]): st for (a, b), st in included.items()
                  if a in position and b in position}
-    return (constraint_set(s.n, [members[i] for i in kept], provenance=s.provenance),
+    return (constraint_set(s.n, [members[i] for i in kept]),
             tuple(sorted(removed)), survivors)
 
 

@@ -297,8 +297,14 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         D = pt.w / pt.z
 
         M = _schur_complement(W, Am, Aw, D)  # shared by predictor and corrector
+        # eigh of M scaled to unit diagonal (a zero diagonal entry has a zero
+        # row): late in a run diag M spans about 1e10, and a cut relative to
+        # lambda_max(M) would drop the small rows
+        dm = np.diag(M)
+        ds = np.where(dm > 0.0, dm, 1.0) ** -0.5
+        Ms = _sym(M * np.outer(ds, ds))
         try:
-            evals, evecs = np.linalg.eigh(_sym(M))
+            evals, evecs = np.linalg.eigh(Ms)
         except np.linalg.LinAlgError:
             status = "numerical"
             break
@@ -306,9 +312,10 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         inv_e = np.where(evals > cut, 1.0 / np.maximum(evals, cut), 0.0)
 
         def msolve(r):
-            sol = evecs @ (inv_e * (evecs.T @ r))
-            sol = sol + evecs @ (inv_e * (evecs.T @ (r - M @ sol)))
-            return sol
+            rs = ds * r
+            sol = evecs @ (inv_e * (evecs.T @ rs))
+            sol = sol + evecs @ (inv_e * (evecs.T @ (rs - Ms @ sol)))
+            return ds * sol
 
         k_c, q_cc = apply_AC(W @ Cm @ W, D * cw)
         g2, q2 = apply_AC(W @ Rd_m @ W, D * Rd_w)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from exactsdp import cli, docio
 from exactsdp.gallery import build_case, overlap_disks
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.symmat import SymMat
+
+
+# the worked example in R^3, restricted to the plane x3 = 0 (Q33 = -5)
+RESTRICTED = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples",
+                          "restricted.json")
 
 
 def write_problem(tmp_path, problem, name="prob.json", options=None):
@@ -271,3 +277,28 @@ def test_plot_degenerate_grid_exit_one(tmp_path, capsys, flags, path):
     assert out == ""
     assert err.startswith("error: %s:" % path)
     assert not (tmp_path / "fig2.ppm").exists() and not (tmp_path / "fig2.svg").exists()
+
+
+def test_restriction_is_applied_by_reduce_and_pipeline(capsys):
+    code, out, _ = run(["reduce", "--input", RESTRICTED], capsys)
+    assert code == 0
+    assert json.loads(out)["reduction"]["reduced_n"] == 2
+    code, out, _ = run(["pipeline", "--input", RESTRICTED], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exactness"] == "certified_exact"
+    assert abs(float(doc["value"]) + 0.8660254037844386) <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "oracle", "plot"])
+def test_restriction_is_refused_where_not_applied(tmp_path, capsys, command):
+    # these commands would answer the unrestricted problem (solve: value -5)
+    argv = [command, "--input", RESTRICTED]
+    if command == "plot":
+        argv += ["--out-base", str(tmp_path / "region"), "--resolution", "8"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.restrict_matrix:")
+    assert "pipeline" in err and "reduce" in err
+    assert not list(tmp_path.iterdir())

@@ -2,16 +2,17 @@ import math
 import sys
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import exactsdp.certify as certmod
 from exactsdp import sdp as sdpmod
 from exactsdp.docio import verdict_doc
-from exactsdp.model import GeoCop, constraint_set
+from exactsdp.model import BallGrid, GeoCop, build_family, constraint_set, integer_grid
 from exactsdp.oracle import solve_sphere
 from exactsdp.pipeline import PipelineConfig, run_pipeline, top_eigenvector
 from exactsdp.symmat import SymMat, gram, inner, is_psd
-from exactsdp.gallery import (build_case, ex61_matrices, ex63_congruence,
-                              overlap_disks)
+from exactsdp.gallery import (build_case, disk_member, ex61_matrices,
+                              ex63_congruence, overlap_disks)
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 CFG = PipelineConfig(tol=1e-9)
@@ -95,7 +96,7 @@ def test_congruence_metadata_lifts_solution():
         assert inner(m, g) >= -1e-5
 
 
-def test_rank_deficient_restriction_appends_kernel_penalty():
+def test_rank_deficient_restriction_appends_kernel_penalty(monkeypatch):
     # embed the 2-d worked example in R^3, restricted to the plane x3 = 0;
     # without the restriction the spurious coordinate would win (Q33 = -5)
     b, c = (SymMat.from_dense([[-1, -2, 0], [-2, -1, 0], [0, 0, 0]]),
@@ -103,8 +104,19 @@ def test_rank_deficient_restriction_appends_kernel_penalty():
     L = (3, 2, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
     prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, -5.0]), H=SymMat.identity(3),
                   bset=constraint_set(3, [b, c]), restrict_to=L)
+    # facial reduction projects onto the named face with no SDP: one Slater
+    # solve fewer than the same face written as the member -N N^T, no note,
+    # and N N^T (N = e3) is the exposing matrix
+    penalty = GeoCop(n=3, Q=prob.Q, H=prob.H, bset=constraint_set(
+        3, [b, c, SymMat.diag([0.0, 0.0, -1.0])]))
+    calls = _count_calls(monkeypatch, sdpmod, "solve_slater")
+    run_pipeline(penalty, CFG)
+    penalty_calls = len(calls)
+    del calls[:]
     v = run_pipeline(prob, CFG)
-    assert any("kernel-penalty" in note for note in v.stage_notes)
+    assert len(calls) == penalty_calls - 1 == 1
+    assert not v.stage_notes
+    assert np.array_equal(v.reduction.exposing.to_dense(), np.diag([0.0, 0.0, 1.0]))
     assert v.reduction.reduced_n == 2
     assert abs(v.value + SQRT3_OVER_2) <= 1e-6
     assert abs(v.lifted_x[2]) <= 1e-7  # solution stays in the restricted plane
@@ -196,3 +208,85 @@ def test_face_moves_at_roundoff_under_roundoff_rescaling():
             values = [m.value for m in v.cert.slice_conditions.c_prime_members]
             assert np.abs(v.reduction.basis - base.reduction.basis).max() <= 1e-12
             np.testing.assert_allclose(values, base_values, rtol=0.0, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# properties: a restriction is its face, and member order does not matter
+# --------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _slice_sets(draw):
+    """Disks of radius 0.3 or 0.8 at integer centres, or a ball grid of
+    radius 0.5 on a box of integer centres, with a seeded objective."""
+    if draw(st.booleans()):
+        centers = draw(st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 1)),
+                                min_size=2, max_size=5, unique=True))
+        members = [disk_member(c, draw(st.sampled_from([0.3, 0.8]))) for c in centers]
+    else:
+        x0, y0 = draw(st.integers(-2, 1)), draw(st.integers(-2, 1))
+        box = ((x0, x0 + draw(st.integers(0, 2))), (y0, y0 + draw(st.integers(1, 2))))
+        members = list(build_family(BallGrid(centers=tuple(integer_grid(box)),
+                                             radius=0.5), 3).members)
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((3, 3))
+    return members, SymMat.from_dense((g + g.T) / 2.0)
+
+
+def _statuses(v):
+    sc = v.cert.slice_conditions
+    return (sorted(p.status for p in v.cert.condition_b.pairs),
+            sorted(p.status for p in sc.b_prime_pairs) if sc is not None else [])
+
+
+@PROPERTY_SETTINGS
+@given(_slice_sets(), st.integers(0, 2 ** 32 - 1))
+def test_restriction_matches_the_problem_on_its_range(case, seed):
+    # the slice set and objective embedded in R^5 through a rank-3 L with
+    # four columns; data off range L (cross terms included) is arbitrary
+    members, q = case
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    lmat = u[:, :3] @ rng.standard_normal((3, 4))
+
+    def embed(m):
+        g = rng.standard_normal((5, 5))
+        off = g + g.T
+        off[:3, :3] = 0.0
+        return SymMat.from_dense(u @ (off + np.pad(m.to_dense(), (0, 2))) @ u.T)
+
+    prob = GeoCop(n=5, Q=embed(q), H=SymMat.identity(5),
+                  bset=constraint_set(5, [embed(m) for m in members]),
+                  restrict_to=(5, 4, tuple(lmat.ravel())))
+    basis = np.linalg.svd(lmat)[0][:, :3]
+
+    def on_range(m):
+        return SymMat.from_dense(basis.T @ m.to_dense() @ basis)
+
+    ref = GeoCop(n=3, Q=on_range(prob.Q), H=on_range(prob.H),
+                 bset=constraint_set(3, [on_range(m) for m in prob.bset.members]))
+    # the two reduced problems differ by a rotation and roundoff, so their
+    # values agree to the solve's accuracy: solved to 1e-10 to compare at 1e-9
+    cfg = PipelineConfig(tol=1e-10, cert_tol=CFG.cert_tol)
+    v, vr = run_pipeline(prob, cfg), run_pipeline(ref, cfg)
+    assert (v.exactness, v.cert.overall) == (vr.exactness, vr.cert.overall)
+    assert abs(v.value - vr.value) <= 1e-9
+    if v.lifted_x is not None:
+        x = v.lifted_x
+        assert np.linalg.norm(x - basis @ (basis.T @ x)) <= 1e-9 * np.linalg.norm(x)
+
+
+@PROPERTY_SETTINGS
+@given(_slice_sets(), st.randoms(use_true_random=False))
+def test_pipeline_verdict_invariant_under_member_order(case, rnd):
+    members, q = case
+    order = list(range(len(members)))
+    rnd.shuffle(order)
+    v, vp = [run_pipeline(GeoCop(n=3, Q=q, H=SymMat.identity(3),
+                                 bset=constraint_set(3, ms)), CFG)
+             for ms in (members, [members[i] for i in order])]
+    assert (v.exactness, v.cert.overall) == (vp.exactness, vp.cert.overall)
+    assert _statuses(v) == _statuses(vp)
+    assert abs(v.value - vp.value) <= 1e-9

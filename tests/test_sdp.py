@@ -383,6 +383,24 @@ def test_certified_relaxations_solve_to_1e9():
     assert not failed
 
 
+def test_scaled_schur_solve_finishes_a_stalled_relaxation():
+    # ball relaxation #40 of the seed-0 sample (drawn as in
+    # test_certified_relaxations_solve_to_1e9): with eigh of the unscaled
+    # Schur complement, whose diagonal spans about 1e10 late in the run, its
+    # primal residual stalled at 6.5e-8 and it ended numerical at 1e-9
+    rng = np.random.default_rng(0)
+    (_, reduced, _), (_, fig2, _), (_, ball, _) = _certified_instances()
+    for _ in range(60):
+        random_sym(rng, reduced.n)
+    for _ in range(60):
+        random_sym(rng, fig2.n)
+    for _ in range(40):
+        random_sym(rng, ball.n)
+    prob = GeoCop(n=ball.n, Q=random_sym(rng, ball.n), H=SymMat.identity(ball.n), bset=ball)
+    sol = solve(relaxation_problem(prob), tol=1e-9)
+    assert sol.status == "optimal"
+
+
 def test_nt_scaling_refuses_an_iterate_outside_the_interior():
     # X^1/2 S X^1/2 = diag(1, 0): no NT scaling exists; flooring the zero
     # eigenvalue used to return a G of size 1e75
