@@ -81,9 +81,11 @@ class StructuralReport:
 
 @dataclass
 class Classification:
+    """Case "a" names its first boundary member (max <B,X> = 0 over the
+    feasible slice) as exposing_index; case "b" has none."""
+
     case: str                 # "a" or "b"
     exposing_index: Optional[int] = None
-    values: tuple = ()        # max <B,X> over the feasible slice, per member
 
 
 @dataclass
@@ -99,7 +101,13 @@ class CertReport:
 # deterministic PSD probes (cheap disprovers for inclusion-type questions)
 # --------------------------------------------------------------------------
 
-def psd_probes(n: int, members, seed: int = 12345, count: int = 32):
+_PROBE_SEED = 12345
+_PROBE_COUNT = 32
+
+
+def psd_probes(n: int, members):
+    """I / n, each e_i e_i', the top and bottom eigenvector rank-ones of
+    each member, and _PROBE_COUNT seeded random unit rank-ones."""
     probes = [SymMat.identity(n).scale(1.0 / n)]
     eye = np.eye(n)
     for i in range(n):
@@ -108,8 +116,8 @@ def psd_probes(n: int, members, seed: int = 12345, count: int = 32):
         _, vecs = np.linalg.eigh(m.to_dense())
         probes.append(gram(vecs[:, -1]))  # top eigvec: makes <m, probe> = lambda_max
         probes.append(gram(vecs[:, 0]))
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
+    rng = np.random.default_rng(_PROBE_SEED)
+    for _ in range(_PROBE_COUNT):
         g = rng.standard_normal(n)
         probes.append(gram(g / np.linalg.norm(g)))
     return probes
@@ -161,14 +169,12 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
     return out
 
 
-def inclusion_status(a: SymMat, b: SymMat, tol: float, probes=None) -> str:
+def inclusion_status(a: SymMat, b: SymMat, tol: float) -> str:
     """Is J+(B) a subset of J+(A)?  The one-pair call of the batched
-    inclusion layer; probes default to psd_probes over (A, B)."""
+    inclusion layer, with psd_probes over (A, B)."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    if probes is None:
-        probes = psd_probes(a.n, (a, b))
-    return _inclusion_statuses((a, b), [(0, 1)], tol, probes)[0]
+    return _inclusion_statuses((a, b), [(0, 1)], tol, psd_probes(a.n, (a, b)))[0]
 
 
 def inclusion_table(n: int, members, tol: float) -> dict:
@@ -459,29 +465,23 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
 
 def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
              slater_point: Optional[SymMat] = None) -> Classification:
-    """For each member, max <B,X> over the trace-one feasible slice; a value
-    within tol of zero puts B in the boundary set and yields case (a)."""
+    """Case (a) at the first member B with max <B,X> within tol * max(1, ||B||)
+    of zero over the trace-one feasible slice (a boundary member), case (b)
+    when no member is one.  A member positive at the Slater point is clearly
+    interior and needs no SDP; the others take one each, in order, until the
+    first boundary member."""
     if slater_point is None:
         status, x, _, _ = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
         slater_point = x if status == "optimal" else None
-    values = []
-    exposing = None
     for idx, m in enumerate(s.members):
         scale = max(1.0, m.norm())
-        if slater_point is not None:
-            quick = inner(m, slater_point)
-            if quick > _REFUTE_FACTOR * tol * scale:
-                values.append(quick)
-                continue
+        if slater_point is not None and inner(m, slater_point) > _REFUTE_FACTOR * tol * scale:
+            continue
         sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members),
                            tol=min(tol, 1e-9))
-        val = -sol.value if sol.status == "optimal" else math.inf
-        values.append(val)
-        if exposing is None and sol.status == "optimal" and val <= tol * scale:
-            exposing = idx
-    if exposing is not None:
-        return Classification(case="a", exposing_index=exposing, values=tuple(values))
-    return Classification(case="b", exposing_index=None, values=tuple(values))
+        if sol.status == "optimal" and -sol.value <= tol * scale:
+            return Classification(case="a", exposing_index=idx)
+    return Classification(case="b")
 
 
 # --------------------------------------------------------------------------

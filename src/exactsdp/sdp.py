@@ -194,7 +194,15 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve the conic data; multipliers of the first n_eq rows are reported
     as dual_eq and the rest as dual_ineq.  n >= 1 and at least one row; the
-    w block may be empty (p = 0)."""
+    w block may be empty (p = 0).
+
+    A run cut by max_iter or ended as "numerical" reports the best iterate
+    seen, the one with the smallest max(pres, dres, gap); an iterate within
+    tol ends the run as "optimal" where it is reached.  "infeasible" and
+    "unbounded" report the current iterate, whose products are the
+    certificate.  Raises ValueError for max_iter < 1."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     n, p, m = d.n, d.p, len(d.b)
     nu = n + p
 
@@ -223,21 +231,12 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     norm_c = _pair_norm(Cm, cw)
     mu0 = (n + p + 1.0) / (nu + 1.0)
     mu_hist = []
+    # the best iterate: its metrics and references to its blocks, which every
+    # step rebinds and none changes in place
     best = None
     best_metric = math.inf
-    best_snap = None
     since_best = 0
     status = "max_iter"
-    it = 0
-
-    def snapshot():
-        return (pt.X.copy(), pt.w.copy(), pt.y.copy(), pt.S.copy(), pt.z.copy(),
-                pt.tau, pt.kappa)
-
-    def restore(snap):
-        pt.X, pt.w, pt.y, pt.S, pt.z, pt.tau, pt.kappa = (
-            snap[0].copy(), snap[1].copy(), snap[2].copy(), snap[3].copy(),
-            snap[4].copy(), snap[5], snap[6])
 
     def state():
         """The metrics (pres, dres, gap, pobj, dobj) of the iterate divided by
@@ -260,12 +259,12 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         mu = comp / (nu + 1.0)
         mu_hist.append(mu)
 
-        best, (AX, cx, Aty_m, Aty_w, by), (Rp, Rd_m, Rd_w, Rg) = state()
-        pres, dresr, gap = best[:3]
+        metrics, (AX, cx, Aty_m, Aty_w, by), (Rp, Rd_m, Rd_w, Rg) = state()
+        pres, dresr, gap = metrics[:3]
         metric = max(pres, dresr, gap)
         if metric < best_metric:
             best_metric = metric
-            best_snap = snapshot()
+            best = (metrics, pt.X, pt.w, pt.y, pt.S, pt.z, pt.tau, pt.kappa)
             since_best = 0
         else:
             since_best += 1
@@ -392,12 +391,9 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
             status = "numerical"
             break
 
-    if status in ("max_iter", "numerical") and best_snap is not None:
-        restore(best_snap)
-        best = state()[0]
-        if max(best[:3]) <= tol:
-            status = "optimal"
-    pres, dresr, gap, pobj, dobj = best if best is not None else state()[0]
+    if status in ("max_iter", "numerical") and best is not None:
+        metrics, pt.X, pt.w, pt.y, pt.S, pt.z, pt.tau, pt.kappa = best
+    pres, dresr, gap, pobj, dobj = metrics
 
     # undo scaling; duals of ">="-form rows are the nonnegative slack
     # multipliers ("<=" rows were negated on entry, so theirs stay nonnegative)
@@ -408,7 +404,7 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         certificate = {"kind": "primal_infeasible", "y": pt.y * rho_c / rho}
         X = None
     elif status == "unbounded":
-        certificate = {"kind": "dual_infeasible", "X": pt.X.copy(), "w": pt.w.copy()}
+        certificate = {"kind": "dual_infeasible", "X": pt.X, "w": pt.w}
         X = None
     return SdpSolution(
         status=status,

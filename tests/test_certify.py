@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exactsdp import sdp as sdpmod
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, PairVerdict,
-                              _pair_slice_witness, _rank_one_pieces, certify,
+from exactsdp.certify import (CERTIFIED, Classification, INCONCLUSIVE, REFUTED,
+                              PairVerdict, _pair_slice_witness, _rank_one_pieces, certify,
                               check_Bprime_Cprime, check_condition_B, check_pair_B,
                               check_structural, classify)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
@@ -288,14 +288,39 @@ def test_structural_a4_flags_psd_member():
     assert not rep.a4 and rep.a4_psd_members == (0,)
 
 
-def test_classify_cases():
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(sdpmod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sdpmod, name, counting)
+    return calls
+
+
+def test_classify_cases(monkeypatch):
     b, c = ex61_reduced_matrices()
+    calls = _count_calls(monkeypatch, "solve")
     cl = classify(constraint_set(2, [b, c]), TOL)
-    assert cl.case == "a" and cl.exposing_index in (0, 1)
+    # both members are boundary members (the slice is <B,X> = 0); the first
+    # settles case (a) with one SDP
+    assert cl == Classification(case="a", exposing_index=0)
+    assert len(calls) == 1
     cl2 = classify(normalize(constraint_set(3, fig2_members())), TOL)
     assert cl2.case == "b"
     cl3 = classify(constraint_set(2, [SymMat.zeros(2)]), TOL)
     assert cl3.case == "a"
+
+
+def test_classify_checks_every_member_before_case_b(monkeypatch):
+    # X11 >= X22 >= X33: the Slater point I/3 is zero on both members, so
+    # neither is clearly interior, and neither is a boundary member
+    members = [SymMat.diag([1.0, -1.0, 0.0]), SymMat.diag([0.0, 1.0, -1.0])]
+    calls = _count_calls(monkeypatch, "solve")
+    assert classify(constraint_set(3, members), TOL) == Classification(case="b")
+    assert len(calls) == 2
 
 
 def test_certificate_and_sdp_paths_agree_under_structure():
@@ -323,14 +348,7 @@ def test_certificate_and_sdp_paths_agree_under_structure():
 
 def test_certify_solves_slater_once(monkeypatch):
     s = normalize(constraint_set(3, fig2_members()))
-    calls = []
-    original = sdpmod.solve_slater
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sdpmod, "solve_slater", counting)
+    calls = _count_calls(monkeypatch, "solve_slater")
     rep = certify(s, TOL)
     assert rep.condition_b.status == CERTIFIED
     assert len(calls) == 1

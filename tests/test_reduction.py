@@ -8,7 +8,7 @@ from exactsdp import sdp as sdpmod
 from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import relaxation_problem, solve, solve_slater
 from exactsdp.symmat import SymMat, eig_sym, gram, inner, is_psd
-from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices, fig2_members
+from exactsdp.gallery import disk_member, ex61_matrices, ex61_reduced_matrices, fig2_members
 
 TOL = 1e-8
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -155,6 +155,21 @@ def test_remove_redundant_zero_set():
     s, removed, inclusions = remove_redundant(constraint_set(2, [SymMat.zeros(2)]), TOL)
     assert len(s.members) == 1 and s.members[0].data == (0.0, 0.0, 0.0)
     assert inclusions == {}
+
+
+def test_remove_redundant_drops_strictly_including_member():
+    # outside the radius-1 disk lies strictly inside outside the radius-0.5
+    # disk on the same centre, so the radius-0.5 member adds nothing
+    members = [disk_member((0.0, 0.0), 0.5), disk_member((0.0, 0.0), 1.0),
+               disk_member((3.0, 0.0), 1.0)]
+    s = constraint_set(3, members)
+    pruned, removed, inclusions = remove_redundant(s, TOL)
+    assert removed == (0,)
+    assert pruned.members == (members[1], members[2])
+    # the survivors' table is re-indexed to the pruned set
+    assert sorted(inclusions) == [(0, 1), (1, 0)]
+    for (i, j), st in inclusions.items():
+        assert st == inclusion_status(pruned.members[i], pruned.members[j], TOL)
 
 
 def test_pruning_preserves_relaxation_value():

@@ -105,6 +105,18 @@ def test_rejects_bad_inputs():
                    ineq_constraints=((SymMat.identity(2), "==", 1.0),))
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_rejects_max_iter_below_one(max_iter):
+    # a run needs one iteration to have metrics and a best iterate to report
+    prob = SdpProblem(n=2, objective=SymMat.identity(2),
+                      eq_constraints=((SymMat.identity(2), 1.0),))
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(prob, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_slater([SymMat.identity(2)], 2, max_iter=max_iter)
+    assert solve(prob, max_iter=1).iterations == 1
+
+
 def test_rejects_problem_without_rows():
     # every SDP has at least one row; the interior-point core relies on it
     with pytest.raises(ValueError, match="row"):
