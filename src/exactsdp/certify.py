@@ -12,8 +12,9 @@ pairs were batched with it.  Only the pairs these leave open get an SDP.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,9 @@ class PairVerdict:
     witness: Optional[SymMat] = None      # psd X with <B,X> <= 0, <A,X> < 0
     margin: float = math.nan
     witness_point: Optional[tuple] = None  # u with q(u,1,B) <= 0, q(u,1,A) < 0
+    # the unrounded optimizer of the refutation SDP, for the (B)' witness
+    # search; not part of the verdict
+    optimizer: Optional[SymMat] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -105,6 +109,17 @@ _PROBE_SEED = 12345
 _PROBE_COUNT = 32
 
 
+@functools.lru_cache(maxsize=32)
+def _random_probes(n: int) -> tuple:
+    """_PROBE_COUNT seeded random unit rank-ones, drawn once per n."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    out = []
+    for _ in range(_PROBE_COUNT):
+        g = rng.standard_normal(n)
+        out.append(gram(g / np.linalg.norm(g)))
+    return tuple(out)
+
+
 def psd_probes(n: int, members):
     """I / n, each e_i e_i', the top and bottom eigenvector rank-ones of
     each member, and _PROBE_COUNT seeded random unit rank-ones."""
@@ -116,11 +131,7 @@ def psd_probes(n: int, members):
         _, vecs = np.linalg.eigh(m.to_dense())
         probes.append(gram(vecs[:, -1]))  # top eigvec: makes <m, probe> = lambda_max
         probes.append(gram(vecs[:, 0]))
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_PROBE_COUNT):
-        g = rng.standard_normal(n)
-        probes.append(gram(g / np.linalg.norm(g)))
-    return probes
+    return probes + list(_random_probes(n))
 
 
 def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
@@ -214,7 +225,9 @@ def _pair_verdicts(members, pairs, tol: float) -> list:
     One batched (alpha, beta) search covers every pair; a pair it leaves
     without a certificate gets the trace-normalized refutation SDP
     min <A,X> s.t. <B,X> <= 0, whose minimizer is reported as a witness when
-    the value is clearly negative.
+    the value is clearly negative.  The optimizer of an optimal solve rides
+    along unrounded, so check_Bprime_Cprime can split it into (B)' witness
+    points without solving the SDP again.
     """
     n = members[0].n
     dense = dense_stack(packed_stack(members, n), n)
@@ -232,13 +245,15 @@ def _pair_verdicts(members, pairs, tol: float) -> list:
         a, b = members[i], members[j]
         sol = sdpmod.solve(sdpmod.trace_one_problem(a, [b.scale(-1.0)]), tol=min(tol, 1e-9))
         scale_a = max(1.0, norms[i])
+        optimizer = sol.X if sol.status == "optimal" else None
         if sol.status == "optimal" and sol.value <= -_REFUTE_FACTOR * tol * scale_a:
             verdicts.append(PairVerdict(pair=(i, j), status=REFUTED,
                                         witness=_canonical_witness(sol.X),
-                                        margin=sol.value / scale_a))
+                                        margin=sol.value / scale_a, optimizer=optimizer))
         else:
             margin = sol.value / scale_a if sol.status == "optimal" else math.nan
-            verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE, margin=margin))
+            verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE, margin=margin,
+                                        optimizer=optimizer))
     return verdicts
 
 
@@ -295,21 +310,11 @@ def _rank_one_pieces(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.array(done + list(p))
 
 
-def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
-    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None.
-
-    Solves min <A,X> s.t. <B',X> <= 0, trace X = 1 with B' = B - (tol/2) e_n e_n'
-    (the shift leaves the solve error room under tol), splits the optimizer into
-    rank-one pieces of equal <B',.> and reports, among the pieces off the
-    plane at infinity, the point deepest in A that passes that test.
-    """
-    g = b.to_dense()
-    g[-1, -1] -= 0.5 * tol
-    sol = sdpmod.solve(sdpmod.trace_one_problem(a, [SymMat.from_dense(-g)]),
-                       tol=min(tol, 1e-9))
-    if sol.status != "optimal":
-        return None
-    pieces = _rank_one_pieces(sol.X.to_dense(), g)
+def _slice_witness(a: SymMat, b: SymMat, x: np.ndarray, g: np.ndarray, tol: float):
+    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None: splits the psd x
+    into rank-one pieces of equal <G,.> and reports, among the pieces off the
+    plane at infinity, the point deepest in A that passes that test."""
+    pieces = _rank_one_pieces(x, g)
     # below |x_n| = sqrt(eps / tol) |x| rounding in q at u = x[:-1] / x_n reaches tol
     finite = (np.abs(pieces[:, -1])
               > math.sqrt(np.finfo(float).eps / tol) * np.linalg.norm(pieces, axis=1))
@@ -319,6 +324,21 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     if not ok.any():
         return None
     return tuple(float(v) for v in pts[ok][int(np.argmin(qa[ok]))])
+
+
+def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
+    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None, from a solve of its
+    own: min <A,X> s.t. <B',X> <= 0, trace X = 1 with B' = B - (tol/2) e_n e_n'
+    (the shift leaves the solve error room under tol), split against B'.  The
+    fallback of check_Bprime_Cprime when the refutation optimizer gives no
+    point."""
+    g = b.to_dense()
+    g[-1, -1] -= 0.5 * tol
+    sol = sdpmod.solve(sdpmod.trace_one_problem(a, [SymMat.from_dense(-g)]),
+                       tol=min(tol, 1e-9))
+    if sol.status != "optimal":
+        return None
+    return _slice_witness(a, b, sol.X.to_dense(), g, tol)
 
 
 def slice_infimum(b: SymMat, tol: float) -> tuple:
@@ -370,9 +390,17 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     certified when it is at most -10 tol * max(1, ||B||), with the witness
     point slice_infimum gives (the minimizer -P^+ c, or a point on a descent
     ray when the infimum is -inf), refuted when it is at least
-    -tol * max(1, ||B||), and inconclusive in between.  (B)' per pair through the sufficient conic
-    route J_-(B) subset of J_+(A), with slice witness points reported for
-    refutations.
+    -tol * max(1, ||B||), and inconclusive in between.  (B)' per pair
+    through the sufficient conic route J_-(B) subset of J_+(A), with slice
+    witness points reported for refutations.
+
+    A pair without a certificate takes its witness point from the optimizer
+    of its condition-(B) refutation SDP (min <A,X> s.t. <B,X> <= 0, trace
+    X = 1), split into rank-one pieces against B (Sturm & Zhang 2003): a
+    piece u with q(u,1,B) <= tol and q(u,1,A) < -tol is a witness.  Only
+    when no piece passes does it solve the SDP again with B shifted by
+    tol/2 (_pair_slice_witness), in the pair's orientation and then the
+    other.
 
     A conic refutation alone does not disprove the slice condition (the two
     are equivalent only under lower semicontinuity of the slice map), so a
@@ -404,9 +432,14 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                 v = PairVerdict(pair=(i, j), status=CERTIFIED,
                                 certificate=base.certificate, margin=base.margin)
             else:
-                point = _pair_slice_witness(s.members[i], s.members[j], tol)
+                a, b = s.members[i], s.members[j]
+                point = None
+                if base.optimizer is not None:
+                    point = _slice_witness(a, b, base.optimizer.to_dense(), b.to_dense(), tol)
                 if point is None:
-                    point = _pair_slice_witness(s.members[j], s.members[i], tol)
+                    point = _pair_slice_witness(a, b, tol)
+                if point is None:
+                    point = _pair_slice_witness(b, a, tol)
                 v = PairVerdict(pair=(i, j),
                                 status=REFUTED if point is not None else INCONCLUSIVE,
                                 witness=base.witness, margin=base.margin,

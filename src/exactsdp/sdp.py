@@ -13,15 +13,21 @@ Every SDP is solved densely.  It has n >= 1 and at least one row
 numpy's zero-size arrays carry that case through the same code path as
 every other, with no branch on a dimension.
 
-The rows are flattened to an (m, n*n) matrix and scaled once per solve,
-with the objective stacked below them, so one matrix-vector product gives
-A(X,w) and <C,X> + c.w together.  Each iteration applies A, A^T and b once
-to the iterate and derives the optimality metrics, the Farkas tests and the
-embedding residuals from those products.  The Schur complement
-M_ij = <A_i, W A_j W> is one batched W A_j W and one GEMM over the
-flattened rows (the dense formula of Fujisawa, Kojima & Nakata 1997), so
-its cost is BLAS time, not Python calls, and n = 30 with m = 60 takes a few
-milliseconds per iteration.
+The iterate is carried flat: (vec X, w) and (vec S, z) are the two rows of
+one array, and the rows of the problem are one operator [A2 | Aw] of shape
+(m, n*n + p), scaled once per solve, with the objective row below it.  So
+one matrix-vector product gives A(X,w) and <C,X> + c.w together, each
+residual, norm and inner product is one call, and one update moves both
+blocks.  Each iteration applies A, A^T and b once to the iterate and
+derives the optimality metrics, the Farkas tests and the embedding
+residuals from those products; W C W, W Rd W and the predictor's
+complementarity block go through the rows in one product, and the tau
+column k_c + b and the predictor right-hand side are one two-column solve.
+The step lengths price both psd blocks with one stacked congruence and one
+stacked eigvalsh.  The Schur complement M_ij = <A_i, W A_j W> is one batched
+W A_j W and one GEMM over the flattened rows (the dense formula of
+Fujisawa, Kojima & Nakata 1997), so its cost is BLAS time, not Python
+calls, and n = 30 with m = 60 takes a few milliseconds per iteration.
 
 The tau pivot.  Eliminating dy from the Newton system leaves one scalar
 equation for dtau, with pivot t1 - q_cc - kappa/tau where
@@ -40,9 +46,11 @@ The pair search takes one stacked eigenvalue call per golden-section step
 for all pairs together, so its per-call overhead grows with the number of
 steps, not with the number of pairs times steps.  A pair leaves the search
 at its first positive-definite probe when a snapped certificate there is
-positive definite, and the stacks shrink to the pairs still searching, so a
-family whose pairs are clearly certified pays a few calls, not 77.  The
-margin reported with a certificate is that certificate's, not the best one.
+positive definite, and a pair whose concave upper bound after the first
+call shows that no certificate can pass leaves with none; the stacks
+shrink to the pairs still searching, so a family whose pairs are clearly
+certified or clearly refuted pays a few calls, not 77.  The margin reported
+with a certificate is that certificate's, not the best one.
 """
 from __future__ import annotations
 
@@ -117,24 +125,6 @@ def _sym(a):
     return (a + a.T) / 2.0
 
 
-class _Point:
-    __slots__ = ("X", "w", "y", "S", "z", "tau", "kappa")
-
-    def __init__(self, n, p, m):
-        self.X = np.eye(n)
-        self.w = np.ones(p)
-        self.y = np.zeros(m)
-        self.S = np.eye(n)
-        self.z = np.ones(p)
-        self.tau = 1.0
-        self.kappa = 1.0
-
-
-def _pair_norm(mat, vec):
-    flat = mat.ravel()
-    return math.sqrt(float(flat @ flat) + float(vec @ vec))
-
-
 def _chol_or_sqrt(X):
     try:
         return np.linalg.cholesky(X)
@@ -161,23 +151,23 @@ def _nt_scaling(X, S):
     return G, Ginv, sigma
 
 
-def _step_to_boundary(pt, sigma, dXs, dw, dSs, dz, dtau, dkappa):
+def _step_to_boundary(T, scale2, dv, v):
     """Largest step along the direction that keeps every cone block closed;
     NaN when the direction is not finite.
 
-    dXs = G^-1 dX G^-T and dSs = G^T dS G are the psd blocks in the scaled
-    space, where the iterate is diag(sigma) in both, so one stacked eigvalsh
-    prices both.  Every block v + a dv stays in its cone up to a = 1 / r,
+    T stacks the psd blocks in the scaled space, G^-1 dX G^-T and G^T dS G,
+    where the iterate is diag(sigma) in both, and scale2 is the outer product
+    of sigma^-1/2 with itself, so one stacked eigvalsh prices both.  dv and v
+    are the nonnegative blocks (w, z, tau, kappa) of the direction and of
+    the iterate.  Every block v + a dv stays in its cone up to a = 1 / r,
     with r = -lambda_min(sigma^-1/2 dv sigma^-1/2) for a psd block and
     r = max(-dv / v) for the nonnegative ones (v > 0 in the interior)."""
-    scale = 1.0 / np.sqrt(sigma)
-    E = np.stack((dXs, dSs)) * (scale[:, None] * scale[None, :])
+    E = T * scale2
     try:
         lmin = np.linalg.eigvalsh((E + E.transpose(0, 2, 1)) / 2.0)[:, 0]
     except np.linalg.LinAlgError:  # LAPACK may refuse a non-finite matrix
         return math.nan
-    rate = float(np.concatenate((-lmin, -dw / pt.w, -dz / pt.z,
-                                 (-dtau / pt.tau, -dkappa / pt.kappa))).max())
+    rate = -float(np.concatenate((lmin, dv / v)).min())
     if not math.isfinite(rate):
         return math.nan
     return math.inf if rate <= 0.0 else 1.0 / rate
@@ -196,6 +186,11 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     as dual_eq and the rest as dual_ineq.  n >= 1 and at least one row; the
     w block may be empty (p = 0).
 
+    The iterate is carried flat: xs[0] = (vec X, w) and xs[1] = (vec S, z),
+    with the rows as one operator [A2 | Aw] and the objective row below it,
+    so each residual, norm and product is one call, and one update moves
+    both.
+
     A run cut by max_iter or ended as "numerical" reports the best iterate
     seen, the one with the smallest max(pres, dres, gap); an iterate within
     tol ends the run as "optimal" where it is reached.  "infeasible" and
@@ -204,31 +199,28 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n, p, m = d.n, d.p, len(d.b)
+    N = n * n
     nu = n + p
 
     # row/objective scaling for conditioning, on the flattened rows; undone
     # on exit
-    A2 = d.Am.reshape(m, n * n)
+    A2 = d.Am.reshape(m, N)
     rho = np.maximum(np.sqrt((A2 * A2).sum(axis=1) + (d.Aw * d.Aw).sum(axis=1)), 1e-12)
-    A2 = A2 / rho[:, None]
-    Aw = d.Aw / rho[:, None]
+    AA = np.hstack([A2, d.Aw]) / rho[:, None]
     b = d.b / rho
-    rho_c = max(1.0, _pair_norm(d.Cm, d.cw))
-    Cm = d.Cm / rho_c
-    cw = d.cw / rho_c
-    Am = A2.reshape(m, n, n)
+    cc = np.concatenate([d.Cm.ravel(), d.cw])
+    rho_c = max(1.0, math.sqrt(float(cc @ cc)))
+    cc = cc / rho_c
+    norm_c = math.sqrt(float(cc @ cc))
     # the objective rides below the rows: one product gives A(X,w) and
     # <C,X> + c.w together
-    AC = np.vstack([A2, Cm.reshape(1, n * n)])
-    AwC = np.vstack([Aw, cw[None, :]])
+    AC = np.vstack([AA, cc])
+    Am, Aw = np.ascontiguousarray(AA[:, :N]).reshape(m, n, n), AA[:, N:]
 
-    def apply_AC(X, w):
-        r = AC @ X.ravel() + AwC @ w
-        return r[:m], float(r[m])
-
-    pt = _Point(n, p, m)
+    xs = np.tile(np.concatenate([np.eye(n).ravel(), np.ones(p)]), (2, 1))
+    y = np.zeros(m)
+    tau = kappa = 1.0
     norm_b = float(np.linalg.norm(b))
-    norm_c = _pair_norm(Cm, cw)
     mu0 = (n + p + 1.0) / (nu + 1.0)
     mu_hist = []
     # the best iterate: its metrics and references to its blocks, which every
@@ -238,33 +230,31 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     since_best = 0
     status = "max_iter"
 
-    def state():
-        """The metrics (pres, dres, gap, pobj, dobj) of the iterate divided by
-        tau, the products A(X,w), <C,X> + c.w, A^T y and b.y, and the
-        embedding residuals (Rp, Rd_m, Rd_w, Rg): each operator applied once."""
-        AX, cx = apply_AC(pt.X, pt.w)
-        Aty_m, Aty_w, by = (pt.y @ A2).reshape(n, n), pt.y @ Aw, float(b @ pt.y)
-        Rp = AX - b * pt.tau
-        Rd_m = Aty_m + pt.S - Cm * pt.tau
-        Rd_w = Aty_w + pt.z - cw * pt.tau
-        pres = math.sqrt(float(Rp @ Rp)) / pt.tau / (1.0 + norm_b)
-        dres = _pair_norm(Rd_m, Rd_w) / pt.tau / (1.0 + norm_c)
-        pobj, dobj = cx / pt.tau, by / pt.tau
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return ((pres, dres, gap, pobj, dobj), (AX, cx, Aty_m, Aty_w, by),
-                (Rp, Rd_m, Rd_w, cx - by + pt.kappa))
-
     for it in range(1, max_iter + 1):
-        comp = float(pt.X.ravel() @ pt.S.ravel()) + float(pt.w @ pt.z) + pt.tau * pt.kappa
+        x, s = xs
+        comp = float(x @ s) + tau * kappa
         mu = comp / (nu + 1.0)
         mu_hist.append(mu)
 
-        metrics, (AX, cx, Aty_m, Aty_w, by), (Rp, Rd_m, Rd_w, Rg) = state()
-        pres, dresr, gap = metrics[:3]
+        # A(X,w) with <C,X> + c.w, A^T y and b.y, each operator once; the
+        # metrics, the Farkas tests and the embedding residuals
+        # (Rp, Rd, Rg) derive from these products
+        r = AC @ x
+        AX, cx = r[:m], float(r[m])
+        Aty_s = y @ AA + s
+        by = float(b @ y)
+        Rp = AX - b * tau
+        Rd = Aty_s - cc * tau
+        Rg = cx - by + kappa
+        pres = math.sqrt(float(Rp @ Rp)) / tau / (1.0 + norm_b)
+        dresr = math.sqrt(float(Rd @ Rd)) / tau / (1.0 + norm_c)
+        pobj, dobj = cx / tau, by / tau
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        metrics = (pres, dresr, gap, pobj, dobj)
         metric = max(pres, dresr, gap)
         if metric < best_metric:
             best_metric = metric
-            best = (metrics, pt.X, pt.w, pt.y, pt.S, pt.z, pt.tau, pt.kappa)
+            best = (metrics, xs, y, tau, kappa)
             since_best = 0
         else:
             since_best += 1
@@ -275,7 +265,7 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         # Farkas-type certificate checks (homogeneous embedding by-product);
         # these must run before stall detection: on infeasible or unbounded
         # instances the optimality metrics never improve
-        if by > 1e-10 and _pair_norm(Aty_m + pt.S, Aty_w + pt.z) <= _INF_CERT_TOL * by:
+        if by > 1e-10 and math.sqrt(float(Aty_s @ Aty_s)) <= _INF_CERT_TOL * by:
             status = "infeasible"
             break
         if cx < -1e-10 and math.sqrt(float(AX @ AX)) <= _INF_CERT_TOL * (-cx):
@@ -288,136 +278,165 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
             break
 
         try:
-            G, Ginv, sigma = _nt_scaling(pt.X, pt.S)
+            G, Ginv, sigma = _nt_scaling(x[:N].reshape(n, n), s[:N].reshape(n, n))
         except np.linalg.LinAlgError:
             status = "numerical"
             break
         W = G @ G.T
-        D = pt.w / pt.z
+        w, z = x[N:], s[N:]
+        D = w / z
 
         M = _schur_complement(W, Am, Aw, D)  # shared by predictor and corrector
         # eigh of M scaled to unit diagonal (a zero diagonal entry has a zero
         # row): late in a run diag M spans about 1e10, and a cut relative to
         # lambda_max(M) would drop the small rows
-        dm = np.diag(M)
+        dm = M.diagonal()
         ds = np.where(dm > 0.0, dm, 1.0) ** -0.5
-        Ms = _sym(M * np.outer(ds, ds))
+        Ms = _sym(M * (ds[:, None] * ds))
         try:
             evals, evecs = np.linalg.eigh(Ms)
         except np.linalg.LinAlgError:
             status = "numerical"
             break
         cut = float(evals.max()) * 1e-14 + 1e-300
-        inv_e = np.where(evals > cut, 1.0 / np.maximum(evals, cut), 0.0)
+        # msolve takes its right-hand sides as columns
+        inv_e = np.where(evals > cut, 1.0 / np.maximum(evals, cut), 0.0)[:, None]
+        ds = ds[:, None]
 
-        def msolve(r):
-            rs = ds * r
+        def msolve(R):
+            """M^-1 applied to each column of R, with one refinement step."""
+            rs = ds * R
             sol = evecs @ (inv_e * (evecs.T @ rs))
             sol = sol + evecs @ (inv_e * (evecs.T @ (rs - Ms @ sol)))
             return ds * sol
 
-        k_c, q_cc = apply_AC(W @ Cm @ W, D * cw)
-        g2, q2 = apply_AC(W @ Rd_m @ W, D * Rd_w)
-        u2 = msolve(k_c + b)
+        # per iteration: the congruences into the scaled space, sigma^-1/2 on
+        # both sides, the nonnegative blocks (w, z, tau, kappa), the Psi
+        # divisor sigma_i + sigma_j, w o z and tau kappa
+        cong = np.array((Ginv, G.T))
+        cong_t = cong.transpose(0, 2, 1)
+        scale = 1.0 / np.sqrt(sigma)
+        scale2 = scale[:, None] * scale[None, :]
+        v = np.concatenate((xs[:, N:].ravel(), (tau, kappa)))
+        psi_scale = 2.0 / (sigma[:, None] + sigma[None, :])
+        sigma_sq = sigma * sigma
+        wz = w * z
+        tk = tau * kappa
+
+        def complementarity(sig_c, corr):
+            """(vec G Psi G', rc_w / z) and rc_tau; corr = None (predictor) or
+            the scaled affine products (corrector)."""
+            Rc = np.zeros((n, n)) if corr is None else -corr[0]
+            Rc.reshape(-1)[::n + 1] += sig_c * mu - sigma_sq
+            rc_w = sig_c * mu - wz
+            rc_tau = sig_c * mu - tk
+            if corr is not None:
+                rc_w = rc_w - corr[1]
+                rc_tau = rc_tau - corr[2]
+            return np.concatenate(((G @ (Rc * psi_scale) @ G.T).ravel(), rc_w / z)), rc_tau
+
+        # (W C W, D c) and (W Rd W, D Rd_w) and the predictor's complementarity
+        # block through the rows in one product; then the tau column k_c + b
+        # and the predictor right-hand side in one two-column solve
+        g_pred, rc_pred = complementarity(0.0, None)
+        CR = np.array((cc, Rd))
+        F = np.concatenate(((W @ CR[:, :N].reshape(2, n, n) @ W).reshape(2, N),
+                            CR[:, N:] * D), axis=1)
+        P = np.concatenate((F, g_pred[None])) @ AC.T
+        k_c, g2, g1 = P[:, :m]
+        q_cc, q2, q1 = P[:, m].tolist()
+        g2_rp = g2 + Rp
+        u2, u1_pred = msolve(np.array((k_c + b, -g1 - g2_rp)).T).T
         kb = k_c - b
         # the tau pivot t1 - q_cc equals -(q_cc - k_c'M^-1 k_c) - b'M^-1 b,
         # negative in exact arithmetic; late in a run both terms are large
         # and a computed pivot >= 0 is roundoff, so tau is held for the step
         pivot = float(kb @ u2) - q_cc
         hold_tau = pivot >= 0.0
-        denom = pivot - pt.kappa / pt.tau
-        # Psi = 2 Rc / (sigma_i + sigma_j): Rc is per direction, the divisor is not
-        psi_scale = 2.0 / (sigma[:, None] + sigma[None, :])
-        sigma_sq = sigma * sigma
-        wz = pt.w * pt.z
-        tk = pt.tau * pt.kappa
+        denom = pivot - kappa / tau
 
-        def direction(sig_c, corr):
-            """corr = None (predictor) or scaled affine products (corrector)."""
-            one_ms = 1.0 - sig_c
-            Rc = np.diag(sig_c * mu - sigma_sq)
-            rc_w = sig_c * mu - wz
-            rc_tau = sig_c * mu - tk
-            if corr is not None:
-                Rc = Rc - corr[0]
-                rc_w = rc_w - corr[1]
-                rc_tau = rc_tau - corr[2]
-            GPsiG = G @ (Rc * psi_scale) @ G.T
-            gw = rc_w / pt.z
-
-            g1, q1 = apply_AC(GPsiG, gw)
-            u1 = msolve(-g1 - one_ms * (g2 + Rp))
+        def direction(one_ms, g, rc_tau, q1, u1):
+            """(dxs, dy, dtau, dkappa) from the complementarity block g, its
+            objective product q1 and u1 = M^-1 (-g1 - one_ms (g2 + Rp))."""
             dtau = 0.0 if hold_tau else (
-                (-one_ms * Rg - q1 - one_ms * q2 - rc_tau / pt.tau - float(kb @ u1)) / denom)
+                (-one_ms * Rg - q1 - one_ms * q2 - rc_tau / tau - float(kb @ u1)) / denom)
             dy = u1 + dtau * u2
-            dS = _sym(-one_ms * Rd_m + Cm * dtau - (dy @ A2).reshape(n, n))
-            dX = _sym(GPsiG - W @ dS @ W)
-            dz = -one_ms * Rd_w + cw * dtau - dy @ Aw
-            dw = gw - D * dz
-            dkappa = (rc_tau - pt.kappa * dtau) / pt.tau
-            return dX, dw, dy, dS, dz, dtau, dkappa
+            dsz = -one_ms * Rd + cc * dtau - dy @ AA
+            dS = dsz[:N].reshape(n, n)
+            dS += dS.T
+            dS *= 0.5
+            dxw = g - np.concatenate(((W @ dS @ W).ravel(), D * dsz[N:]))
+            dX = dxw[:N].reshape(n, n)
+            dX += dX.T
+            dX *= 0.5
+            return np.array((dxw, dsz)), dy, dtau, (rc_tau - kappa * dtau) / tau
+
+        def step(dxs, dtau, dkappa):
+            """The scaled psd blocks of a direction and its step to the boundary."""
+            T = cong @ dxs[:, :N].reshape(2, n, n) @ cong_t
+            dv = np.concatenate((dxs[:, N:].ravel(), (dtau, dkappa)))
+            return T, _step_to_boundary(T, scale2, dv, v)
 
         # predictor
-        dXa, dwa, _, dSa, dza, dta, dka = direction(0.0, None)
-        dXs, dSs = Ginv @ dXa @ Ginv.T, G.T @ dSa @ G
-        alpha_aff = _step_to_boundary(pt, sigma, dXs, dwa, dSs, dza, dta, dka)
+        dxs_a, _, dta, dka = direction(1.0, g_pred, rc_pred, q1, u1_pred)
+        T_a, alpha_aff = step(dxs_a, dta, dka)
         if math.isnan(alpha_aff):
             status = "numerical"
             break
         alpha_aff = min(alpha_aff, 1.0)
-        comp_aff = (float((pt.X + alpha_aff * dXa).ravel() @ (pt.S + alpha_aff * dSa).ravel())
-                    + float((pt.w + alpha_aff * dwa) @ (pt.z + alpha_aff * dza))
-                    + (pt.tau + alpha_aff * dta) * (pt.kappa + alpha_aff * dka))
+        x_aff, s_aff = xs + alpha_aff * dxs_a
+        comp_aff = float(x_aff @ s_aff) + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
         sig_c = min(max((max(comp_aff, 0.0) / comp) ** 3, 1e-12), 0.999)
 
         # corrector
-        dX, dw, dy, dS, dz, dtau, dkappa = direction(
-            sig_c, (_sym(dXs @ dSs), dwa * dza, dta * dka))
-        alpha = _step_to_boundary(pt, sigma, Ginv @ dX @ Ginv.T, dw, G.T @ dS @ G, dz,
-                                  dtau, dkappa)
+        one_ms = 1.0 - sig_c
+        g, rc_tau = complementarity(
+            sig_c, (_sym(T_a[0] @ T_a[1]), dxs_a[0, N:] * dxs_a[1, N:], dta * dka))
+        r = AC @ g
+        dxs, dy, dtau, dkappa = direction(one_ms, g, rc_tau, float(r[m]),
+                                          msolve((-r[:m] - one_ms * g2_rp)[:, None])[:, 0])
+        _, alpha = step(dxs, dtau, dkappa)
         alpha = min(_STEP_FRACTION * alpha, 1.0)
         if not math.isfinite(alpha) or alpha <= 1e-10:
             status = "numerical"
             break
 
-        pt.X = _sym(pt.X + alpha * dX)
-        pt.S = _sym(pt.S + alpha * dS)
-        pt.w = pt.w + alpha * dw
-        pt.z = pt.z + alpha * dz
-        pt.y = pt.y + alpha * dy
-        pt.tau += alpha * dtau
-        pt.kappa += alpha * dkappa
-        if not (pt.tau > 0 and pt.kappa > 0):
+        xs = xs + alpha * dxs
+        y = y + alpha * dy
+        tau += alpha * dtau
+        kappa += alpha * dkappa
+        if not (tau > 0 and kappa > 0):
             status = "numerical"
             break
 
     if status in ("max_iter", "numerical") and best is not None:
-        metrics, pt.X, pt.w, pt.y, pt.S, pt.z, pt.tau, pt.kappa = best
+        metrics, xs, y, tau, kappa = best
     pres, dresr, gap, pobj, dobj = metrics
 
     # undo scaling; duals of ">="-form rows are the nonnegative slack
     # multipliers ("<=" rows were negated on entry, so theirs stay nonnegative)
-    y = pt.y / pt.tau * rho_c / rho
-    X = SymMat.from_dense(_sym(pt.X / pt.tau))
+    X, w = xs[0, :N].reshape(n, n), xs[0, N:]
+    yy = y / tau * rho_c / rho
     certificate = None
+    X_out = SymMat.from_dense(_sym(X / tau))
     if status == "infeasible":
-        certificate = {"kind": "primal_infeasible", "y": pt.y * rho_c / rho}
-        X = None
+        certificate = {"kind": "primal_infeasible", "y": y * rho_c / rho}
+        X_out = None
     elif status == "unbounded":
-        certificate = {"kind": "dual_infeasible", "X": pt.X, "w": pt.w}
-        X = None
+        certificate = {"kind": "dual_infeasible", "X": X, "w": w}
+        X_out = None
     return SdpSolution(
         status=status,
-        X=X,
-        dual_eq=y[:n_eq],
-        dual_ineq=y[n_eq:],
+        X=X_out,
+        dual_eq=yy[:n_eq],
+        dual_ineq=yy[n_eq:],
         value=pobj * rho_c,
         dual_value=dobj * rho_c,
         residuals=(pres, dresr, gap),
         iterations=it,
         certificate=certificate,
         mu_history=tuple(mu_hist),
-        slack=pt.w / pt.tau,
+        slack=w / tau,
     )
 
 
@@ -586,6 +605,15 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
     scalar branch rule per pair.  tau = (1-mu)/mu is then snapped to a
     simple decimal (see _snaps).
 
+    The first call also evaluates phi(0) = lambda_min(B) and
+    phi(1) = lambda_min(A).  By concavity the secant through c and e bounds
+    phi above outside [c, e], and the smaller of the secants through (0, c)
+    and (e, 1) bounds it inside.  A pair whose bound over [0, 1] is below
+    -(tol + 1e-12) * scale has lambda_min(A + t B) = (1 + t) phi(1/(1 + t))
+    below -tol * min(1, t) * scale for every t > 0, so no snap candidate can
+    pass: it leaves with None after that one call.  The bound is checked
+    once, so certified and boundary pairs pay nothing per step.
+
     Any positive-definite combination certifies a pair, so the search need
     not reach the maximum.  At its first probe with lambda_min > 0 (the
     better of the two initial points, c on a tie as the branch rule keeps
@@ -618,15 +646,31 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
     scales = [float(v) for v in scale]
     out = [None] * P
 
-    def phi(mu, a, b):
-        return lambda_min_stack(mu[:, None, None] * a + (1.0 - mu)[:, None, None] * b)
+    def combos(mu, a, b):
+        return mu[:, None, None] * a + (1.0 - mu)[:, None, None] * b
 
     live, a, b = np.arange(P), A, B
     bar = np.zeros(P)  # a probe above it triggers the exit check; inf once checked
     lo, hi = np.zeros(P), np.ones(P)
     c = hi - _INVPHI * (hi - lo)
     e = lo + _INVPHI * (hi - lo)
-    fc, fe = phi(c, a, b), phi(e, a, b)
+    # phi at c and e, and at the ends: phi(0) = lambda_min(B), phi(1) = lambda_min(A)
+    fc, fe, f0, f1 = lambda_min_stack(
+        np.concatenate((combos(c, a, b), combos(e, a, b), b, a))).reshape(4, P)
+    # concave upper bound over [0, 1]: the secant through c and e bounds phi
+    # outside [c, e], the secants through (0, c) and (e, 1) bound it inside,
+    # where the smaller of the two peaks at an end or where they cross
+    s_ce, s_0c, s_e1 = (fe - fc) / (e - c), (fc - f0) / c, (f1 - fe) / (1.0 - e)
+    den = s_0c - s_e1
+    with np.errstate(over="ignore"):  # a crossing far off [c, e] clips to an end
+        cross = np.clip((fe - s_e1 * e - f0) / np.where(den != 0.0, den, 1.0), c, e)
+    x = np.where(den != 0.0, cross, c)
+    bound = np.maximum(np.maximum(fc - s_ce * c, fc + s_ce * (1.0 - c)),
+                       np.minimum(f0 + s_0c * x, fe + s_e1 * (x - e)))
+    # no snap candidate can pass below it: such a pair is refuted here
+    keep = ~(bound < -(tol + 1e-12) * np.asarray(scales))
+    live, a, b, bar, lo, hi, c, e, fc, fe = (
+        v[keep] for v in (live, a, b, bar, lo, hi, c, e, fc, fe))
     probe, found = np.where(fc >= fe, c, e), np.maximum(fc, fe) > bar
     steps = 0
     while live.size:
@@ -647,7 +691,7 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
         lo = np.where(left, lo, c)
         step = _INVPHI * (hi - lo)
         probe = np.where(left, hi - step, lo + step)
-        fx = phi(probe, a, b)
+        fx = lambda_min_stack(combos(probe, a, b))
         c, e = np.where(left, probe, e), np.where(left, c, probe)
         fc, fe = np.where(left, fx, fe), np.where(left, fc, fx)
         found = fx > bar

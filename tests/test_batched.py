@@ -20,7 +20,7 @@ from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, check_condition_
 from exactsdp.gallery import ball_family, disk_member, ex61_matrices, fig2_members
 from exactsdp.model import build_family, constraint_set, normalize
 from exactsdp.sdp import solve_ab_certificate
-from exactsdp.symmat import (SymMat, dense_stack, inner, inner_packed, is_psd,
+from exactsdp.symmat import (SymMat, dense_stack, gram, inner, inner_packed, is_psd,
                              lambda_min, lambda_min_stack, packed_stack)
 
 TOL = 1e-8
@@ -210,6 +210,75 @@ def test_golden_section_stops_at_float_resolution():
     # the 120-step reference above agrees bitwise with the shorter search
     assert sdpmod._INVPHI ** sdpmod._GOLDEN_ITERS <= 2.0 ** -52
     assert sdpmod._INVPHI ** (sdpmod._GOLDEN_ITERS - 1) > 2.0 ** -52
+
+
+def _count_stacked_calls(monkeypatch):
+    """The stack sizes of the pair search's lambda_min_stack calls."""
+    calls = []
+    real = sdpmod.lambda_min_stack
+
+    def counting(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(sdpmod, "lambda_min_stack", counting)
+    return calls
+
+
+def test_clearly_refuted_pair_costs_one_stacked_call(monkeypatch):
+    # overlapping disks: no combination of the pair is psd, and phi at c, at
+    # e and at the ends, taken in one stacked call, shows it
+    calls = _count_stacked_calls(monkeypatch)
+    assert solve_ab_certificate(disk_member((0.0, 0.0), 0.5), disk_member((0.5, 0.0), 0.5),
+                                TOL) is None
+    assert calls == [4]
+
+
+def _seeded_pairs():
+    """Disk pairs (overlapping, tangent, separate) and random indefinite pairs."""
+    rng = np.random.default_rng(29)
+    pairs = []
+    for k in range(60):
+        c = rng.uniform(-1.0, 1.0, 2)
+        d = (rng.uniform(0.2, 0.9), 1.0, rng.uniform(1.1, 2.0))[k % 3]
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        t = c + d * np.array([math.cos(theta), math.sin(theta)])
+        pairs.append((disk_member(tuple(c), 0.5).to_dense(), disk_member(tuple(t), 0.5).to_dense()))
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        g, h = rng.standard_normal((2, n, n))
+        pairs.append(((g + g.T) / 2.0, (h + h.T) / 2.0))
+    return pairs
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-3])
+def test_pairs_the_exit_drops_are_refuted_on_a_fine_grid(monkeypatch, tol):
+    # a pair that costs one stacked call left at the exit: its concave upper
+    # bound showed that no snap candidate can pass.  phi on 2001 points of
+    # [0, 1] stays below -tol * scale / 2 for each
+    calls = _count_stacked_calls(monkeypatch)
+    mu = np.linspace(0.0, 1.0, 2001)[:, None, None]
+    dropped = 0
+    for a, b in _seeded_pairs():
+        scale = float(np.linalg.norm(a) + np.linalg.norm(b))
+        del calls[:]
+        cert = sdpmod.ab_certificates(a[None], b[None], np.array([scale]), tol)[0]
+        if len(calls) == 1:
+            dropped += 1
+            assert cert is None
+            assert np.linalg.eigvalsh(mu * a + (1.0 - mu) * b)[:, 0].max() < -tol * scale / 2.0
+    assert dropped >= 40
+
+
+def test_probe_draws_are_made_once_per_dimension():
+    first = psd_probes(3, [disk_member((0.0, 0.0), 0.5)])
+    again = psd_probes(3, [disk_member((1.0, 0.0), 0.5), disk_member((0.0, 1.0), 0.5)])
+    assert all(p is q for p, q in zip(first[-32:], again[-32:]))
+    rng = np.random.default_rng(12345)
+    for probe in first[-32:]:
+        g = rng.standard_normal(3)
+        x = g / np.linalg.norm(g)
+        assert probe == gram(x)
 
 
 def test_pair_layer_rejects_duplicates_and_keeps_vacuous_sets():

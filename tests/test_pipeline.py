@@ -173,6 +173,61 @@ def test_pipeline_tests_inclusion_only_in_pruning(monkeypatch):
     assert len(calls[0][1]) == k
 
 
+def _embedded_disk_pair():
+    """Two overlapping radius-1/2 disks in S^3, embedded in S^4 through the
+    range of a 4 x 3 matrix L with orthonormal columns and restricted to it,
+    as the reduce-refute benchmark batches them."""
+    q, r = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    lmat = (q * np.sign(np.diag(r)))[:, :3]
+    members = [SymMat.from_dense(lmat @ d.to_dense() @ lmat.T)
+               for d in (disk_member((0.1, -0.2), 0.5), disk_member((0.6, 0.1), 0.5))]
+    q = lmat @ np.diag([1.0, -1.0, 0.0]) @ lmat.T
+    return GeoCop(n=4, Q=SymMat.from_dense(q), H=SymMat.identity(4),
+                  bset=constraint_set(4, members), restrict_to=(4, 3, tuple(lmat.ravel())))
+
+
+def test_refuted_pair_takes_its_witness_from_the_refutation_sdp(monkeypatch):
+    trace_one = _count_calls(monkeypatch, sdpmod, "trace_one_problem")
+    shifted = _count_calls(monkeypatch, certmod, "_pair_slice_witness")
+    v = run_pipeline(_embedded_disk_pair(), PipelineConfig(tol=1e-8, cert_tol=1e-8))
+    assert v.reduction.reduced_n == 3 and v.reduction.pruned_indices == ()
+    assert v.cert.condition_b.pairs[0].status == "refuted"
+    pair = v.cert.slice_conditions.b_prime_pairs[0]
+    assert pair.status == "refuted"
+    # the refutation SDP is the one trace-one SDP: its optimizer, split
+    # against B, gives the (B)' witness, and no shifted SDP is solved
+    assert len(trace_one) == 1 and len(shifted) == 0
+    x = np.append(pair.witness_point, 1.0)
+    qa, qb = (float(x @ m.to_dense() @ x) for m in v.reduction.reduced.bset.members)
+    assert qb <= 1e-8 and qa < -1e-8
+
+
+def test_overlapping_disks_solve_one_sdp_per_refuted_pair(monkeypatch):
+    # 25 disks of radius 0.6 on the integer grid: the 40 pairs at distance 1
+    # overlap, the diagonal ones (distance sqrt 2 > 1.2) do not.  Each
+    # overlapping pair costs its refutation SDP and nothing more; with a
+    # shifted witness SDP per pair the run made 81 solves
+    solves = _count_calls(monkeypatch, sdpmod, "solve")
+    fam = BallGrid(centers=tuple(integer_grid(((-2, 2), (-2, 2)))), radius=0.6)
+    prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]), H=SymMat.identity(3),
+                  bset=build_family(fam, 3))
+    v = run_pipeline(prob, PipelineConfig(tol=1e-8, cert_tol=1e-8))
+    assert len(solves) <= 42
+    assert v.reduction.pruned_indices == ()
+    members = v.reduction.reduced.bset.members
+    b_pairs, slice_pairs = v.cert.condition_b.pairs, v.cert.slice_conditions.b_prime_pairs
+    assert len(b_pairs) == len(slice_pairs) == 300
+    for bv, sv in zip(b_pairs, slice_pairs):
+        i, j = bv.pair
+        overlap = math.dist(fam.centers[i], fam.centers[j]) < 1.2
+        assert sv.pair == bv.pair
+        assert bv.status == sv.status == ("refuted" if overlap else "certified")
+        if overlap:
+            x = np.append(sv.witness_point, 1.0)
+            qa, qb = (float(x @ members[k].to_dense() @ x) for k in (i, j))
+            assert qb <= 1e-8 and qa < -1e-8
+
+
 def _rotated_ex61(seed, scale=1.0):
     """Example 6.1 under a seeded random orthogonal congruence x = U y, with
     every member multiplied by scale."""

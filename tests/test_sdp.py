@@ -326,11 +326,12 @@ def _corrupt_third_direction(monkeypatch, value):
     calls = []
     real = sdp_module._step_to_boundary
 
-    def patched(pt, sigma, dXs, *rest):
+    def patched(T, *rest):
         calls.append(1)
         if len(calls) == 3:
-            dXs = np.full_like(dXs, value)
-        return real(pt, sigma, dXs, *rest)
+            T = T.copy()
+            T[0] = value  # the scaled X block
+        return real(T, *rest)
 
     monkeypatch.setattr(sdp_module, "_step_to_boundary", patched)
     return calls
@@ -357,14 +358,15 @@ def test_non_finite_direction_ends_numerical_with_best_iterate(monkeypatch, valu
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_step_to_boundary_is_nan_for_non_finite_direction(value):
-    pt = sdp_module._Point(3, 2, 1)
-    sigma = np.ones(3)
+    # sigma = 1 (scale2 all ones); the nonnegative blocks w, z (two each),
+    # tau and kappa sit at 1 with a zero direction
+    scale2 = np.ones((3, 3))
     good = -np.eye(3)
     bad = np.full((3, 3), value)
-    zero = np.zeros(2)
-    assert sdp_module._step_to_boundary(pt, sigma, good, zero, good, zero, 0.0, 0.0) == 1.0
-    assert math.isnan(sdp_module._step_to_boundary(pt, sigma, bad, zero, good, zero, 0.0, 0.0))
-    assert math.isnan(sdp_module._step_to_boundary(pt, sigma, good, zero, bad, zero, 0.0, 0.0))
+    zero, ones = np.zeros(6), np.ones(6)
+    assert sdp_module._step_to_boundary(np.stack((good, good)), scale2, zero, ones) == 1.0
+    assert math.isnan(sdp_module._step_to_boundary(np.stack((bad, good)), scale2, zero, ones))
+    assert math.isnan(sdp_module._step_to_boundary(np.stack((good, bad)), scale2, zero, ones))
 
 
 def test_step_to_boundary_is_nan_when_lapack_refuses(monkeypatch):
@@ -373,10 +375,9 @@ def test_step_to_boundary_is_nan_when_lapack_refuses(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(sdp_module.np.linalg, "eigvalsh", refuse)
-    pt = sdp_module._Point(2, 0, 1)
     d = np.full((2, 2), math.nan)
-    assert math.isnan(sdp_module._step_to_boundary(pt, np.ones(2), d, np.zeros(0), d,
-                                                   np.zeros(0), 0.0, 0.0))
+    assert math.isnan(sdp_module._step_to_boundary(np.stack((d, d)), np.ones((2, 2)),
+                                                   np.zeros(2), np.ones(2)))
 
 
 def test_certified_relaxations_solve_to_1e9():
