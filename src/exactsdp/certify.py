@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,30 @@ INCONCLUSIVE = "inconclusive"
 NOT_CERTIFIED = "not_certified"
 
 _REFUTE_FACTOR = 10.0
+
+
+def _band(value: float, tol: float, scale: float) -> Optional[bool]:
+    """Is value >= 0 at scale s = max(1, ||A||)?  True when >= -tol s, False
+    when <= -10 tol s, None in between and for NaN (a solve not optimal)."""
+    if value >= -tol * scale:
+        return True
+    if value <= -_REFUTE_FACTOR * tol * scale:
+        return False
+    return None
+
+
+def _trace_one_min(c: SymMat, members, tol: float) -> tuple:
+    """(value, optimizer) of min <C,X> s.t. <B,X> >= 0 (B in members), trace
+    X = 1, at min(tol, 1e-9); (NaN, None) unless the solve ends optimal."""
+    sol = sdpmod.solve(sdpmod.trace_one_problem(c, members), tol=min(tol, 1e-9))
+    if sol.status != "optimal":
+        return math.nan, None
+    return sol.value, sol.X
+
+
+def _slater(s: ConstraintSet, tol: float) -> tuple:
+    """The (status, X, t, E) Slater solve of s (sdp.solve_slater)."""
+    return sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
 
 
 @dataclass
@@ -77,7 +101,6 @@ class StructuralReport:
     a4: bool
     a5: bool
     slater_margin: float = math.nan
-    slater_point: Optional[SymMat] = None  # optimal X of the Slater SDP
     a4_psd_members: tuple = ()
     a5_violations: tuple = ()
     a5_undecided: tuple = ()
@@ -158,25 +181,16 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
     probe_scale = np.maximum(1.0, np.sqrt(inner_packed(xs, xs, n)))
     clearly_negative = vals < -_REFUTE_FACTOR * tol * scale[:, None] * probe_scale
     probed_out = ((vals >= 0.0)[ib] & clearly_negative[ia]).any(axis=1)
+    statuses = {True: CERTIFIED, False: REFUTED, None: INCONCLUSIVE}
     out = []
     for (i, j), psd, refuted in zip(pairs, diff_psd.tolist(), probed_out.tolist()):
         if psd:
             out.append(CERTIFIED)
-            continue
-        if refuted:
-            out.append(REFUTED)
-            continue
-        sol = sdpmod.solve(sdpmod.trace_one_problem(members[i], [members[j]]),
-                           tol=min(tol, 1e-9))
-        scale_a = float(scale[i])
-        if sol.status != "optimal":
-            out.append(INCONCLUSIVE)
-        elif sol.value >= -tol * scale_a:
-            out.append(CERTIFIED)
-        elif sol.value <= -_REFUTE_FACTOR * tol * scale_a:
+        elif refuted:
             out.append(REFUTED)
         else:
-            out.append(INCONCLUSIVE)
+            value, _ = _trace_one_min(members[i], [members[j]], tol)
+            out.append(statuses[_band(value, tol, float(scale[i]))])
     return out
 
 
@@ -242,18 +256,12 @@ def _pair_verdicts(members, pairs, tol: float) -> list:
             verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, tau),
                                         margin=lam / max(scale, 1.0)))
             continue
-        a, b = members[i], members[j]
-        sol = sdpmod.solve(sdpmod.trace_one_problem(a, [b.scale(-1.0)]), tol=min(tol, 1e-9))
+        value, x = _trace_one_min(members[i], [members[j].scale(-1.0)], tol)
         scale_a = max(1.0, norms[i])
-        optimizer = sol.X if sol.status == "optimal" else None
-        if sol.status == "optimal" and sol.value <= -_REFUTE_FACTOR * tol * scale_a:
-            verdicts.append(PairVerdict(pair=(i, j), status=REFUTED,
-                                        witness=_canonical_witness(sol.X),
-                                        margin=sol.value / scale_a, optimizer=optimizer))
-        else:
-            margin = sol.value / scale_a if sol.status == "optimal" else math.nan
-            verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE, margin=margin,
-                                        optimizer=optimizer))
+        refuted = _band(value, tol, scale_a) is False
+        verdicts.append(PairVerdict(pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
+                                    witness=_canonical_witness(x) if refuted else None,
+                                    margin=value / scale_a, optimizer=x))
     return verdicts
 
 
@@ -310,11 +318,14 @@ def _rank_one_pieces(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.array(done + list(p))
 
 
-def _slice_witness(a: SymMat, b: SymMat, x: np.ndarray, g: np.ndarray, tol: float):
+def _slice_witness(a: SymMat, b: SymMat, x: Optional[SymMat], g: np.ndarray, tol: float):
     """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None: splits the psd x
-    into rank-one pieces of equal <G,.> and reports, among the pieces off the
-    plane at infinity, the point deepest in A that passes that test."""
-    pieces = _rank_one_pieces(x, g)
+    (None, from a solve that did not end optimal, gives None) into rank-one
+    pieces of equal <G,.> and reports, among the pieces off the plane at
+    infinity, the point deepest in A that passes that test."""
+    if x is None:
+        return None
+    pieces = _rank_one_pieces(x.to_dense(), g)
     # below |x_n| = sqrt(eps / tol) |x| rounding in q at u = x[:-1] / x_n reaches tol
     finite = (np.abs(pieces[:, -1])
               > math.sqrt(np.finfo(float).eps / tol) * np.linalg.norm(pieces, axis=1))
@@ -334,11 +345,8 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     point."""
     g = b.to_dense()
     g[-1, -1] -= 0.5 * tol
-    sol = sdpmod.solve(sdpmod.trace_one_problem(a, [SymMat.from_dense(-g)]),
-                       tol=min(tol, 1e-9))
-    if sol.status != "optimal":
-        return None
-    return _slice_witness(a, b, sol.X.to_dense(), g, tol)
+    _, x = _trace_one_min(a, [SymMat.from_dense(-g)], tol)
+    return _slice_witness(a, b, x, g, tol)
 
 
 def slice_infimum(b: SymMat, tol: float) -> tuple:
@@ -385,7 +393,7 @@ def slice_infimum(b: SymMat, tol: float) -> tuple:
 
 
 def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
-                        pair_verdicts: Optional[dict] = None) -> SliceReport:
+                        condition_b: Optional[ConditionBReport] = None) -> SliceReport:
     """(C)' per member through the closed-form slice infimum (slice_infimum):
     certified when it is at most -10 tol * max(1, ||B||), with the witness
     point slice_infimum gives (the minimizer -P^+ c, or a point on a descent
@@ -394,13 +402,14 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     through the sufficient conic route J_-(B) subset of J_+(A), with slice
     witness points reported for refutations.
 
-    A pair without a certificate takes its witness point from the optimizer
-    of its condition-(B) refutation SDP (min <A,X> s.t. <B,X> <= 0, trace
-    X = 1), split into rank-one pieces against B (Sturm & Zhang 2003): a
-    piece u with q(u,1,B) <= tol and q(u,1,A) < -tol is a witness.  Only
-    when no piece passes does it solve the SDP again with B shifted by
-    tol/2 (_pair_slice_witness), in the pair's orientation and then the
-    other.
+    The pairs are the verdicts of `condition_b`, check_condition_B on s
+    (run here when not given); a certified one stands as it is.  A pair
+    without a certificate takes its witness point from the optimizer of its
+    condition-(B) refutation SDP (min <A,X> s.t. <B,X> <= 0, trace X = 1),
+    split into rank-one pieces against B (Sturm & Zhang 2003): a piece u
+    with q(u,1,B) <= tol and q(u,1,A) < -tol is a witness.  Only when no
+    piece passes does it solve the SDP again with B shifted by tol/2
+    (_pair_slice_witness), in the pair's orientation and then the other.
 
     A conic refutation alone does not disprove the slice condition (the two
     are equivalent only under lower semicontinuity of the slice map), so a
@@ -411,40 +420,25 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
         raise ValueError("empty constraint set")
     if s.n < 2:
         raise ValueError("slice conditions need n >= 2")
+    statuses = {False: CERTIFIED, True: REFUTED, None: INCONCLUSIVE}
     c_members = []
     for idx, m in enumerate(s.members):
-        scale = max(1.0, m.norm())
         value, point = slice_infimum(m, tol)
-        if value <= -_REFUTE_FACTOR * tol * scale:
-            status = CERTIFIED
-        else:
-            status, point = (REFUTED if value >= -tol * scale else INCONCLUSIVE), None
+        status = statuses[_band(value, tol, max(1.0, m.norm()))]
         c_members.append(MemberVerdict(index=idx, status=status, value=value,
-                                       witness_point=point))
+                                       witness_point=point if status == CERTIFIED else None))
 
-    if pair_verdicts is None:
-        pair_verdicts = {v.pair: v for v in check_condition_B(s, tol).pairs}
+    if condition_b is None:
+        condition_b = check_condition_B(s, tol)
     b_pairs = []
-    for i in range(len(s.members)):
-        for j in range(i + 1, len(s.members)):
-            base = pair_verdicts[(i, j)]
-            if base.status == CERTIFIED:
-                v = PairVerdict(pair=(i, j), status=CERTIFIED,
-                                certificate=base.certificate, margin=base.margin)
-            else:
-                a, b = s.members[i], s.members[j]
-                point = None
-                if base.optimizer is not None:
-                    point = _slice_witness(a, b, base.optimizer.to_dense(), b.to_dense(), tol)
-                if point is None:
-                    point = _pair_slice_witness(a, b, tol)
-                if point is None:
-                    point = _pair_slice_witness(b, a, tol)
-                v = PairVerdict(pair=(i, j),
-                                status=REFUTED if point is not None else INCONCLUSIVE,
-                                witness=base.witness, margin=base.margin,
-                                witness_point=point)
-            b_pairs.append(v)
+    for base in condition_b.pairs:
+        if base.status != CERTIFIED:
+            a, b = (s.members[k] for k in base.pair)
+            point = (_slice_witness(a, b, base.optimizer, b.to_dense(), tol)
+                     or _pair_slice_witness(a, b, tol) or _pair_slice_witness(b, a, tol))
+            base = replace(base, status=REFUTED if point is not None else INCONCLUSIVE,
+                           witness_point=point)
+        b_pairs.append(base)
     return SliceReport(b_prime_status=_fold_status(b_pairs),
                        c_prime_status=_fold_status(c_members),
                        b_prime_pairs=tuple(b_pairs), c_prime_members=tuple(c_members))
@@ -469,9 +463,7 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     """
     a1 = all(m.is_finite() for m in s.members)
     # (A-3): Slater point via max t s.t. X >= tI over the feasible slice
-    if slater is None:
-        slater = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
-    status, xstar, tstar, _ = slater
+    status, _, tstar, _ = slater if slater is not None else _slater(s, tol)
     a3 = status == "optimal" and tstar > tol
     # (A-4)
     psd_members = tuple(i for i, m in enumerate(s.members) if is_psd(m, tol))
@@ -485,7 +477,6 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     return StructuralReport(
         a1=a1, a2=None, a3=a3, a4=a4, a5=a5,
         slater_margin=tstar if status == "optimal" else -math.inf,
-        slater_point=xstar if status == "optimal" else None,
         a4_psd_members=psd_members,
         a5_violations=tuple(violations),
         a5_undecided=tuple(undecided),
@@ -497,22 +488,19 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
 # --------------------------------------------------------------------------
 
 def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
-             slater_point: Optional[SymMat] = None) -> Classification:
+             slater: Optional[tuple] = None) -> Classification:
     """Case (a) at the first member B with max <B,X> within tol * max(1, ||B||)
     of zero over the trace-one feasible slice (a boundary member), case (b)
-    when no member is one.  A member positive at the Slater point is clearly
-    interior and needs no SDP; the others take one each, in order, until the
-    first boundary member."""
-    if slater_point is None:
-        status, x, _, _ = sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
-        slater_point = x if status == "optimal" else None
+    when no member is one.  A member positive at an optimal Slater point
+    (`slater`, as in check_structural) is clearly interior and needs no SDP;
+    the others take one each, in order, until the first boundary member."""
+    status, x, _, _ = slater if slater is not None else _slater(s, tol)
     for idx, m in enumerate(s.members):
         scale = max(1.0, m.norm())
-        if slater_point is not None and inner(m, slater_point) > _REFUTE_FACTOR * tol * scale:
+        if status == "optimal" and inner(m, x) > _REFUTE_FACTOR * tol * scale:
             continue
-        sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members),
-                           tol=min(tol, 1e-9))
-        if sol.status == "optimal" and -sol.value <= tol * scale:
+        value, _ = _trace_one_min(m.scale(-1.0), s.members, tol)
+        if _band(value, tol, scale):
             return Classification(case="a", exposing_index=idx)
     return Classification(case="b")
 
@@ -523,17 +511,19 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
 
 def certify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
             slater: Optional[tuple] = None, inclusions: Optional[dict] = None) -> CertReport:
-    """All checks on s; `slater` and `inclusions` go to check_structural.
+    """All checks on s; `slater`, solved here once when not given, goes to
+    check_structural and classify, and `inclusions` to check_structural.
     The slice conditions are checked when n >= 2."""
+    if slater is None:
+        slater = _slater(s, tol)
     structural = check_structural(s, tol, slater=slater, inclusions=inclusions)
     cond_b = check_condition_B(s, tol)
     slice_rep = None
     if s.n >= 2:
-        cache = {v.pair: v for v in cond_b.pairs}
-        slice_rep = check_Bprime_Cprime(s, tol, pair_verdicts=cache)
+        slice_rep = check_Bprime_Cprime(s, tol, condition_b=cond_b)
     classification = None
     if cond_b.status == CERTIFIED:
-        classification = classify(s, tol, slater_point=structural.slater_point)
+        classification = classify(s, tol, slater=slater)
     geometric_path = cond_b.status == CERTIFIED
     slice_path = (slice_rep is not None
                   and slice_rep.b_prime_status == CERTIFIED

@@ -125,41 +125,40 @@ def ex63_congruence():
     return prob, ref
 
 
-def fig6b_members(lam2: float = 16.0, lam3: float = 1.0):
+def fig6b_members():
     """Three congruence-transformed parabolas with disjoint strict regions."""
     fam = ParabolaSet(members=(
-        ParabolaMember(lambdas=(lam2, lam3)),
-        ParabolaMember(lambdas=(lam2, lam3),
+        ParabolaMember(lambdas=(16.0, 1.0)),
+        ParabolaMember(lambdas=(16.0, 1.0),
                        transform=(-1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0)),
-        ParabolaMember(lambdas=(lam2, lam3),
+        ParabolaMember(lambdas=(16.0, 1.0),
                        transform=(0, 1.0, 0, 1.0, 0, 0, 0, 0, 1.0)),
     ))
     return build_family(fam, 3)
 
 
-def fig6c_members(lam2: float = 16.0):
+def fig6c_members():
     """Band between two nested parabolas: f-(1,B1) = {-u1 + 16 u2^2 + 3 <= 0}
     inside, f+(1,B2) = {-u1 + 16 u2^2 + 1 <= 0} through the flipped sign."""
     fam = ParabolaSet(members=(
-        ParabolaMember(lambdas=(lam2, 3.0)),
-        ParabolaMember(lambdas=(lam2, 1.0), sign=-1),
+        ParabolaMember(lambdas=(16.0, 3.0)),
+        ParabolaMember(lambdas=(16.0, 1.0), sign=-1),
     ))
     return build_family(fam, 3)
 
 
-def ex64_family(sigmas=(0.0,), lambdas=(1.0, 1.0, 1.0), split: int = 1) -> GeneralizedHyperbola:
-    return GeneralizedHyperbola(lambdas=tuple(lambdas), sigmas=tuple(sigmas), split=split)
+def ex64_family(sigmas=(0.0,)) -> GeneralizedHyperbola:
+    return GeneralizedHyperbola(lambdas=(1.0, 1.0, 1.0), sigmas=tuple(sigmas), split=1)
 
 
-def ex64_tau_search(tol: float = 1e-8, max_doublings: int = 24,
-                    lambdas=(1.0, 1.0, 1.0), split: int = 1, sigma: float = 0.0):
-    """Smallest power-of-two tau whose pair with sigma carries a certificate."""
-    fam0 = ex64_family(sigmas=(sigma,), lambdas=lambdas, split=split)
-    n = len(lambdas)
-    base = fam0.member(sigma, n)
+def ex64_tau_search(tol: float = 1e-8):
+    """Smallest tau among 1, 2, 4, ..., 2**23 whose pair with sigma = 0
+    carries a certificate; None when none does."""
+    fam0 = ex64_family()
+    base = fam0.member(0.0, 3)
     tau = 1.0
-    for _ in range(max_doublings):
-        other = fam0.member(sigma + tau, n)
+    for _ in range(24):
+        other = fam0.member(tau, 3)
         if check_pair_B(base, other, tol).status == CERTIFIED:
             return tau
         tau *= 2.0

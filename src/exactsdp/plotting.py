@@ -19,6 +19,7 @@ from .model import ConstraintSet, quadform_packed
 GRAY = (200, 200, 200)
 WHITE = (255, 255, 255)
 _SVG_REGION_ROWS = 160
+_SVG_WIDTH = 640
 
 
 def pixel_centers(box, resolution: int):
@@ -107,10 +108,11 @@ def _marching_segments(field: np.ndarray, xs, ys):
     return segs
 
 
-def write_svg(s: ConstraintSet, mask: np.ndarray, box, path: str,
-              width: int = 640):
-    """SVG 1.1 overlay: the gray region as row run-length rectangles at a
-    coarse resolution plus the members' zero curves stroked."""
+def write_svg(s: ConstraintSet, mask: np.ndarray, box, path: str):
+    """SVG 1.1 overlay, _SVG_WIDTH pixels wide: the gray region as row
+    run-length rectangles at a coarse resolution plus the members' zero
+    curves stroked."""
+    width = _SVG_WIDTH
     (x0, x1), (y0, y1) = box
     height = int(round(width * (y1 - y0) / (x1 - x0)))
 

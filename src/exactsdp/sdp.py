@@ -125,22 +125,14 @@ def _sym(a):
     return (a + a.T) / 2.0
 
 
-def _chol_or_sqrt(X):
-    try:
-        return np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        d, V = np.linalg.eigh(_sym(X))
-        floor = max(float(d.max()), 1.0) * 1e-14
-        return V * np.sqrt(np.maximum(d, floor))
-
-
 def _nt_scaling(X, S):
     """Factor G with G^-1 X G^-T = G^T S G = diag(sigma).
 
-    Raises LinAlgError when L1' S L1 (L1 L1' = X) has a computed eigenvalue
-    <= 0: the iterate has left the interior in floating point, and G, which
-    scales by its eigenvalues ** -1/4, would overflow the next direction."""
-    L1 = _chol_or_sqrt(X)
+    Raises LinAlgError when X has no Cholesky factor L1 or L1' S L1 has a
+    computed eigenvalue <= 0: the iterate has left the interior in floating
+    point, and G, which scales by its eigenvalues ** -1/4, would overflow the
+    next direction."""
+    L1 = np.linalg.cholesky(X)
     Msym = _sym(L1.T @ S @ L1)
     d, V = np.linalg.eigh(Msym)
     if not d[0] > 0.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import types
@@ -7,10 +8,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exactsdp import sdp as sdpmod
-from exactsdp.certify import (CERTIFIED, Classification, INCONCLUSIVE, REFUTED,
-                              PairVerdict, _pair_slice_witness, _rank_one_pieces, certify,
-                              check_Bprime_Cprime, check_condition_B, check_pair_B,
-                              check_structural, classify)
+from exactsdp.certify import (CERTIFIED, Classification, ConditionBReport, INCONCLUSIVE,
+                              REFUTED, PairVerdict, _band, _pair_slice_witness,
+                              _rank_one_pieces, certify, check_Bprime_Cprime,
+                              check_condition_B, check_pair_B, check_structural, classify,
+                              inclusion_status)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
 from exactsdp.reduction import facial_reduce, remove_redundant
 from exactsdp.sdp import solve, solve_ab_certificate, trace_one_problem
@@ -70,6 +72,35 @@ def test_pair_inconclusive_band():
     b = SymMat.diag([-1.0, 1.0 - 2e-7])
     v = check_pair_B(a, b, TOL)
     assert v.status == INCONCLUSIVE
+
+
+def test_band_edges():
+    for scale in (1.0, 4.0):
+        assert _band(-TOL * scale, TOL, scale) is True
+        assert _band(-10.0 * TOL * scale, TOL, scale) is False
+        assert _band(-5.0 * TOL * scale, TOL, scale) is None
+    assert _band(math.nan, TOL, 1.0) is None
+    assert _band(-math.inf, TOL, 1.0) is False
+
+
+def _solve_ending(monkeypatch, status):
+    """Make every sdp.solve call end with `status`, its iterate kept."""
+    real = sdpmod.solve
+    monkeypatch.setattr(sdpmod, "solve",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), status=status))
+
+
+def test_inclusion_sdp_between_the_edges_is_inconclusive(monkeypatch):
+    # X11 >= X22 over the trace-one slice: min <A,X> = -delta at e1 e1'.  A - B
+    # is not psd and no probe is clearly negative, so the SDP decides
+    b = SymMat.diag([1.0, -1.0])
+    calls = _count_calls(monkeypatch, "solve")
+    assert inclusion_status(SymMat.diag([-2e-9, 1.0]), b, TOL) == CERTIFIED
+    assert inclusion_status(SymMat.diag([-5e-8, 1.0]), b, TOL) == INCONCLUSIVE
+    assert len(calls) == 2
+    monkeypatch.undo()
+    _solve_ending(monkeypatch, "max_iter")
+    assert inclusion_status(SymMat.diag([-2e-9, 1.0]), b, TOL) == INCONCLUSIVE
 
 
 def test_condition_B_aggregates():
@@ -154,6 +185,13 @@ def test_pair_slice_witness_reports_only_checked_points():
     assert found >= 1
 
 
+def test_pair_slice_witness_needs_an_optimal_solve(monkeypatch):
+    first, second = disk_member((0.0, 0.0), 0.5), disk_member((0.5, 0.0), 0.5)
+    assert _pair_slice_witness(first, second, TOL) is not None
+    _solve_ending(monkeypatch, "max_iter")
+    assert _pair_slice_witness(first, second, TOL) is None
+
+
 def test_rank_one_pieces_split_x_evenly_in_g():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -226,9 +264,9 @@ def _checked_bprime(members, tol):
     witness point must pass the test in one of the two orientations,
     evaluated as x' M x in numpy.  The pair enters without a condition (B)
     certificate, so that every pair takes the slice-witness route."""
-    open_pair = {(0, 1): PairVerdict(pair=(0, 1), status=INCONCLUSIVE)}
+    open_pair = ConditionBReport(INCONCLUSIVE, (PairVerdict((0, 1), INCONCLUSIVE),))
     s = constraint_set(members[0].n, members)
-    pair = check_Bprime_Cprime(s, tol, pair_verdicts=open_pair).b_prime_pairs[0]
+    pair = check_Bprime_Cprime(s, tol, condition_b=open_pair).b_prime_pairs[0]
     if pair.witness_point is not None:
         x = np.append(pair.witness_point, 1.0)
         q = [float(x @ m.to_dense() @ x) for m in members]
@@ -355,6 +393,24 @@ def test_certify_solves_slater_once(monkeypatch):
     # the shared Slater point gives what classify finds on its own
     assert rep.classification == classify(s, TOL)
     assert len(calls) == 2
+
+
+def test_certify_solves_slater_once_when_it_ends_max_iter(monkeypatch):
+    s = normalize(constraint_set(3, fig2_members()))
+    real = sdpmod.solve_slater
+    calls = []
+
+    def cut_short(*args, **kwargs):
+        calls.append(args)
+        return ("max_iter",) + real(*args, **kwargs)[1:]
+
+    monkeypatch.setattr(sdpmod, "solve_slater", cut_short)
+    rep = certify(s, TOL)
+    assert not rep.structural.a3 and rep.condition_b.status == CERTIFIED
+    # classify reuses that solve: with no optimal point it skips no member
+    # and reaches the verdict an optimal Slater point gives
+    assert len(calls) == 1
+    assert rep.classification == classify(s, TOL, slater=real(s.members, s.n, tol=1e-9))
 
 
 def test_package_certify_is_the_submodule():

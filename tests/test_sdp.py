@@ -356,6 +356,32 @@ def test_non_finite_direction_ends_numerical_with_best_iterate(monkeypatch, valu
     assert sol.X == ref.X
 
 
+def test_failed_cholesky_ends_numerical_with_best_iterate(monkeypatch):
+    # one Cholesky factorization per iteration, in the NT scaling
+    q = random_sym(np.random.default_rng(5), 4)
+    calls = []
+    real = np.linalg.cholesky
+
+    def failing_third(a):
+        calls.append(1)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a)
+
+    monkeypatch.setattr(sdp_module.np.linalg, "cholesky", failing_third)
+    sol = trace_one_min(q)
+    assert len(calls) == 3
+    assert sol.status == "numerical" and sol.iterations == 3
+    # the third iterate was measured before its scaling failed: the solve
+    # reports the best of three iterates, as a run cut after three does
+    monkeypatch.undo()
+    ref = solve(SdpProblem(n=4, objective=q, eq_constraints=((SymMat.identity(4), 1.0),)),
+                tol=1e-9, max_iter=3)
+    assert ref.status == "max_iter"
+    assert sol.value == ref.value and sol.residuals == ref.residuals
+    assert sol.X == ref.X
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_step_to_boundary_is_nan_for_non_finite_direction(value):
     # sigma = 1 (scale2 all ones); the nonnegative blocks w, z (two each),
