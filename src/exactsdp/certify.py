@@ -1,14 +1,21 @@
 """Exactness-condition checkers.
 
 Structural conditions (A-1)..(A-5), the pairwise condition (B) through
-(alpha, beta) certificates with SDP refutation fallback, the slice
+(alpha, beta) certificates with a refutation fallback, the slice
 conditions (B)'/(C)' on the z = 1 sections ((C)' in closed form, through
 the Schur complement of each member), and the boundary-member
 classification.  The pair layer (condition (B)) and the inclusion layer
 ((A-5) and pruning) run over all pairs at once on dense stacks: one batched
 golden section, one stacked PSD test and one probe pass, in the operation
 order of the one-pair calls, so a verdict does not depend on which other
-pairs were batched with it.  Only the pairs these leave open get an SDP.
+pairs were batched with it.  The pairs these leave open pose a trace-one
+SDP with one member row each, the refutation or the inclusion question;
+all of them go to one stacked pencil search (sdp.pencil_bounds, the
+two-constraint S-lemma), which returns a dual lower bound and the value of
+a feasible X.  The band reads the lower bound at its nonnegative end and
+that value at its negative end, so both rest on checked numbers, not on
+a solve within tolerance.  Only classify solves an interior-point SDP
+here, besides the Slater point.
 """
 from __future__ import annotations
 
@@ -32,23 +39,15 @@ NOT_CERTIFIED = "not_certified"
 _REFUTE_FACTOR = 10.0
 
 
-def _band(value: float, tol: float, scale: float) -> Optional[bool]:
-    """Is value >= 0 at scale s = max(1, ||A||)?  True when >= -tol s, False
-    when <= -10 tol s, None in between and for NaN (a solve not optimal)."""
-    if value >= -tol * scale:
+def _band(lower: float, tol: float, scale: float, upper: Optional[float] = None) -> Optional[bool]:
+    """Is a value >= 0 at scale s = max(1, ||A||)?  True when its lower bound
+    is >= -tol s, False when its upper bound (lower when not given) is
+    <= -10 tol s, None in between and for NaN (no answer)."""
+    if lower >= -tol * scale:
         return True
-    if value <= -_REFUTE_FACTOR * tol * scale:
+    if (lower if upper is None else upper) <= -_REFUTE_FACTOR * tol * scale:
         return False
     return None
-
-
-def _trace_one_min(c: SymMat, members, tol: float) -> tuple:
-    """(value, optimizer) of min <C,X> s.t. <B,X> >= 0 (B in members), trace
-    X = 1, at min(tol, 1e-9); (NaN, None) unless the solve ends optimal."""
-    sol = sdpmod.solve(sdpmod.trace_one_problem(c, members), tol=min(tol, 1e-9))
-    if sol.status != "optimal":
-        return math.nan, None
-    return sol.value, sol.X
 
 
 def _slater(s: ConstraintSet, tol: float) -> tuple:
@@ -64,9 +63,9 @@ class PairVerdict:
     witness: Optional[SymMat] = None      # psd X with <B,X> <= 0, <A,X> < 0
     margin: float = math.nan
     witness_point: Optional[tuple] = None  # u with q(u,1,B) <= 0, q(u,1,A) < 0
-    # the unrounded optimizer of the refutation SDP, for the (B)' witness
+    # the unrounded dense X of the refutation pencil, for the (B)' witness
     # search; not part of the verdict
-    optimizer: Optional[SymMat] = field(default=None, repr=False, compare=False)
+    optimizer: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -163,8 +162,11 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
 
     A - B psd is sufficient; a probe X with <B,X> >= 0 and <A,X> clearly
     negative refutes.  Both tests run on all pairs at once, and only the
-    pairs they leave open go to the trace-normalized SDP
-    min <A,X> s.t. <B,X> >= 0 (nonnegative value means inclusion).
+    pairs they leave open go, together, to the pencil of
+    min <A,X> s.t. <B,X> >= 0, trace X = 1 (sdp.pencil_bounds): a
+    nonnegative value means inclusion, read through the band from its dual
+    lower bound, and a clearly negative one refutes it, read from the
+    feasible X's value.  Each question stops as soon as the band is decided.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
@@ -181,16 +183,17 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
     probe_scale = np.maximum(1.0, np.sqrt(inner_packed(xs, xs, n)))
     clearly_negative = vals < -_REFUTE_FACTOR * tol * scale[:, None] * probe_scale
     probed_out = ((vals >= 0.0)[ib] & clearly_negative[ia]).any(axis=1)
-    statuses = {True: CERTIFIED, False: REFUTED, None: INCONCLUSIVE}
-    out = []
-    for (i, j), psd, refuted in zip(pairs, diff_psd.tolist(), probed_out.tolist()):
-        if psd:
-            out.append(CERTIFIED)
-        elif refuted:
-            out.append(REFUTED)
-        else:
-            value, _ = _trace_one_min(members[i], [members[j]], tol)
-            out.append(statuses[_band(value, tol, float(scale[i]))])
+    out = [CERTIFIED if psd else REFUTED if refuted else INCONCLUSIVE
+           for psd, refuted in zip(diff_psd.tolist(), probed_out.tolist())]
+    open_ = np.flatnonzero(~diff_psd & ~probed_out)
+    if open_.size:
+        dense = dense_stack(packed, n)
+        s = scale[ia[open_]]
+        bounds = sdpmod.pencil_bounds(dense[ia[open_]], dense[ib[open_]],
+                                      (-tol * s, -_REFUTE_FACTOR * tol * s))
+        statuses = {True: CERTIFIED, False: REFUTED, None: INCONCLUSIVE}
+        for k, r, sk in zip(open_.tolist(), bounds, s.tolist()):
+            out[k] = INCONCLUSIVE if r is None else statuses[_band(r.lower, tol, sk, r.upper)]
     return out
 
 
@@ -236,19 +239,23 @@ def _canonical_witness(x: SymMat) -> SymMat:
 def _pair_verdicts(members, pairs, tol: float) -> list:
     """Decide J_0(B) subset of J_+(A) for each pair (i, j), A = members[i].
 
-    One batched (alpha, beta) search covers every pair; a pair it leaves
-    without a certificate gets the trace-normalized refutation SDP
-    min <A,X> s.t. <B,X> <= 0, whose minimizer is reported as a witness when
-    the value is clearly negative.  The optimizer of an optimal solve rides
-    along unrounded, so check_Bprime_Cprime can split it into (B)' witness
-    points without solving the SDP again.
+    One batched (alpha, beta) search covers every pair; the pairs it leaves
+    without a certificate go, together, to the pencil of the refutation
+    problem min <A,X> s.t. <B,X> <= 0, trace X = 1 (sdp.pencil_bounds with
+    G = -B).  Its feasible X is reported as a witness when the value of X is
+    clearly negative, and it rides along unrounded, so check_Bprime_Cprime
+    can split it into (B)' witness points without another solve.  A pencil
+    without an attained supremum leaves the pair inconclusive.
     """
     n = members[0].n
     dense = dense_stack(packed_stack(members, n), n)
     norms = [m.norm() for m in members]
     scales = [norms[i] + norms[j] for i, j in pairs]
-    certs = sdpmod.ab_certificates(dense[[i for i, _ in pairs]], dense[[j for _, j in pairs]],
-                                   np.array(scales), tol)
+    ia, ib = [i for i, _ in pairs], [j for _, j in pairs]
+    certs = sdpmod.ab_certificates(dense[ia], dense[ib], np.array(scales), tol)
+    open_ = [k for k, cert in enumerate(certs) if cert is None]
+    bounds = iter(sdpmod.pencil_bounds(dense[[ia[k] for k in open_]],
+                                       -dense[[ib[k] for k in open_]]) if open_ else ())
     verdicts = []
     for (i, j), scale, cert in zip(pairs, scales, certs):
         if cert is not None:
@@ -256,12 +263,16 @@ def _pair_verdicts(members, pairs, tol: float) -> list:
             verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, tau),
                                         margin=lam / max(scale, 1.0)))
             continue
-        value, x = _trace_one_min(members[i], [members[j].scale(-1.0)], tol)
+        r = next(bounds)
+        if r is None:
+            verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE))
+            continue
         scale_a = max(1.0, norms[i])
-        refuted = _band(value, tol, scale_a) is False
-        verdicts.append(PairVerdict(pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
-                                    witness=_canonical_witness(x) if refuted else None,
-                                    margin=value / scale_a, optimizer=x))
+        refuted = _band(r.lower, tol, scale_a, r.upper) is False
+        verdicts.append(PairVerdict(
+            pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
+            witness=_canonical_witness(SymMat.from_dense(r.X)) if refuted else None,
+            margin=r.upper / scale_a, optimizer=r.X))
     return verdicts
 
 
@@ -318,14 +329,14 @@ def _rank_one_pieces(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.array(done + list(p))
 
 
-def _slice_witness(a: SymMat, b: SymMat, x: Optional[SymMat], g: np.ndarray, tol: float):
-    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None: splits the psd x
-    (None, from a solve that did not end optimal, gives None) into rank-one
-    pieces of equal <G,.> and reports, among the pieces off the plane at
-    infinity, the point deepest in A that passes that test."""
+def _slice_witness(a: SymMat, b: SymMat, x: Optional[np.ndarray], g: np.ndarray, tol: float):
+    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None: splits the dense
+    psd x (None, from a pencil without an attained supremum, gives None)
+    into rank-one pieces of equal <G,.> and reports, among the pieces off
+    the plane at infinity, the point deepest in A that passes that test."""
     if x is None:
         return None
-    pieces = _rank_one_pieces(x.to_dense(), g)
+    pieces = _rank_one_pieces(x, g)
     # below |x_n| = sqrt(eps / tol) |x| rounding in q at u = x[:-1] / x_n reaches tol
     finite = (np.abs(pieces[:, -1])
               > math.sqrt(np.finfo(float).eps / tol) * np.linalg.norm(pieces, axis=1))
@@ -337,16 +348,27 @@ def _slice_witness(a: SymMat, b: SymMat, x: Optional[SymMat], g: np.ndarray, tol
     return tuple(float(v) for v in pts[ok][int(np.argmin(qa[ok]))])
 
 
+_SHIFT_MARGIN = 1e-6
+
+
 def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
-    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None, from a solve of its
-    own: min <A,X> s.t. <B',X> <= 0, trace X = 1 with B' = B - (tol/2) e_n e_n'
-    (the shift leaves the solve error room under tol), split against B'.  The
-    fallback of check_Bprime_Cprime when the refutation optimizer gives no
-    point."""
+    """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None, from a pencil of
+    its own: min <A,X> s.t. <B',X> <= 0, trace X = 1 with
+    B' = B - tol (1 - delta) e_n e_n', delta = _SHIFT_MARGIN = 1e-6, split
+    against B'.  The fallback of check_Bprime_Cprime when the refutation X
+    gives no point.
+
+    The pencil's X is feasible up to roundoff, so the shift can come within
+    delta tol of tol; delta keeps the rounding of q(u, 1, B) under tol.  On
+    1,800 pairs of radius-1/2 disks (centre distance 0.90-1.02, angle
+    0-pi/2) at tol 1e-2, 1e-8 and 1e-9, and on 250 pairs per tol within tol
+    of the reach, every delta from 1e-12 to 1e-4 found a witness in both
+    orientations wherever one exists, and every point passed a recheck;
+    1e-6 stays six orders of magnitude above the roundoff."""
     g = b.to_dense()
-    g[-1, -1] -= 0.5 * tol
-    _, x = _trace_one_min(a, [SymMat.from_dense(-g)], tol)
-    return _slice_witness(a, b, x, g, tol)
+    g[-1, -1] -= (1.0 - _SHIFT_MARGIN) * tol
+    r = sdpmod.pencil_bounds(a.to_dense()[None], -g[None])[0]
+    return None if r is None else _slice_witness(a, b, r.X, g, tol)
 
 
 def slice_infimum(b: SymMat, tol: float) -> tuple:
@@ -404,12 +426,13 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
 
     The pairs are the verdicts of `condition_b`, check_condition_B on s
     (run here when not given); a certified one stands as it is.  A pair
-    without a certificate takes its witness point from the optimizer of its
-    condition-(B) refutation SDP (min <A,X> s.t. <B,X> <= 0, trace X = 1),
+    without a certificate takes its witness point from the X of its
+    condition-(B) refutation pencil (min <A,X> s.t. <B,X> <= 0, trace X = 1),
     split into rank-one pieces against B (Sturm & Zhang 2003): a piece u
     with q(u,1,B) <= tol and q(u,1,A) < -tol is a witness.  Only when no
-    piece passes does it solve the SDP again with B shifted by tol/2
-    (_pair_slice_witness), in the pair's orientation and then the other.
+    piece passes does it ask the pencil again with B shifted by
+    tol (1 - _SHIFT_MARGIN) (_pair_slice_witness), in the pair's
+    orientation and then the other.
 
     A conic refutation alone does not disprove the slice condition (the two
     are equivalent only under lower semicontinuity of the slice map), so a
@@ -499,8 +522,8 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
         scale = max(1.0, m.norm())
         if status == "optimal" and inner(m, x) > _REFUTE_FACTOR * tol * scale:
             continue
-        value, _ = _trace_one_min(m.scale(-1.0), s.members, tol)
-        if _band(value, tol, scale):
+        sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members), tol=min(tol, 1e-9))
+        if _band(sol.value if sol.status == "optimal" else math.nan, tol, scale):
             return Classification(case="a", exposing_index=idx)
     return Classification(case="b")
 

@@ -5,7 +5,10 @@ through a homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, which yields infeasibility/unboundedness
 certificates as a by-product.  Also hosts the (alpha, beta) pair-certificate
 search, a golden section over the concave 1-D function that runs for a whole
-stack of pairs at once, and the small auxiliary SDP formulations used by the
+stack of pairs at once; the pencil search (pencil_bounds) that answers every
+trace-one SDP with one member row, min <A,X> s.t. <G,X> >= 0, trace X = 1,
+through the concave dual max over y >= 0 of lambda_min(A - yG), with no
+interior-point solve; and the small auxiliary SDP formulations used by the
 certification and reduction stages.
 
 Every SDP is solved densely.  It has n >= 1 and at least one row
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -489,10 +492,13 @@ def relaxation_problem(p: GeoCop) -> SdpProblem:
 def trace_one_problem(objective: SymMat, members) -> SdpProblem:
     """min <C,X> s.t. trace X = 1, <B,X> >= 0 for all members, X psd.
 
-    The trace-one SDPs of certify and reduction are all of this form: the
-    refutation SDP min <A,X> s.t. <B,X> <= 0 takes the member -B, the
-    inclusion SDP (value >= 0 iff J+(B) is included in J+(A)) takes B, and
-    max <F,X> over the trace-one feasible slice takes the objective -F.
+    The trace-one SDPs of certify are all of this form: the refutation SDP
+    min <A,X> s.t. <B,X> <= 0 takes the member -B, the inclusion SDP
+    (value >= 0 iff J+(B) is included in J+(A)) takes B, and max <F,X> over
+    the trace-one feasible slice takes the objective -F.  Only the last, in
+    classify, has more than one member and is solved as an SDP; the
+    one-member questions go to pencil_bounds, and the tests keep this form
+    as their independent reference.
     """
     return SdpProblem(
         n=objective.n,
@@ -698,6 +704,144 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
                             if lam / (1.0 + t) >= best_val - 1e-12 * s)
             ok = s == 0.0 or lam >= -tol * min(1.0, tau) * s
             out[p] = (tau, lam) if ok else None
+    return out
+
+
+# --------------------------------------------------------------------------
+# one-member trace-one questions through the pencil A - yG
+# --------------------------------------------------------------------------
+
+# stop once upper - lower <= _PENCIL_GAP * max(1, ||A||)
+_PENCIL_GAP = 1e-12
+# the bracket search gives up past y = 2 ** _PENCIL_DOUBLINGS
+_PENCIL_DOUBLINGS = 40
+# stacked eigh calls in all; the gap or the float resolution of the bracket
+# ends a search long before
+_PENCIL_CALLS = 100
+# the probes of the first call, and the factors on the low end of an open
+# bracket that give the probes of the next
+_PENCIL_FIRST = (0.0, 1.0, 2.0)
+_PENCIL_GROWTH = (2.0, 4.0, 8.0)
+
+
+def _pencil_pick(k: int) -> np.ndarray:
+    """(low end, high end) as indices into (low end, high end, probes) for
+    each pattern of probes with g >= lean, the pattern read as bits: the
+    last low probe, or the old low end, and the first high probe, or the
+    old high end."""
+    pick = []
+    for code in range(2 ** k):
+        high = [bool(code >> i & 1) for i in range(k)]
+        low = [i for i in range(k) if not high[i]]
+        pick.append((2 + low[-1] if low else 0, 2 + high.index(True) if any(high) else 1))
+    return np.array(pick)
+
+
+_PENCIL_PICK = _pencil_pick(len(_PENCIL_FIRST))
+
+
+class PencilBound(NamedTuple):
+    """Both ends of min <A,X> s.t. <G,X> >= 0, trace X = 1, X psd."""
+
+    lower: float     # lambda_min(A - yG): no feasible X goes below it
+    y: float         # the multiplier y >= 0 of lower, its dual certificate
+    upper: float     # <A,X> of X
+    X: np.ndarray    # feasible: psd, trace 1, <G,X> >= 0, rank <= 2
+
+
+def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) -> list:
+    """Solve min <A,X> s.t. <G,X> >= 0, trace X = 1, X psd for (P, n, n)
+    stacks A and G through its dual, max over y >= 0 of
+    phi(y) = lambda_min(A - yG), a concave function of one variable (the
+    two-constraint S-lemma; Polik & Terlaky 2007, "A survey of the S-lemma").
+
+    With (lambda_j, v_j) the eigenpairs of A - yG, v = v_0, g(y) = v'Gv is
+    nondecreasing, -g is a supergradient of phi (Overton 1992), and where
+    lambda_0 is simple g' = 2 sum_{j>0} (v_j'Gv)^2 / (lambda_j - lambda_0).
+    Every phi(y) bounds the value below, and
+    X = theta v_lo v_lo' + (1 - theta) v_hi v_hi', from two points with
+    g(y_lo) < 0 <= g(y_hi), is feasible and bounds it above.  Each stacked
+    eigh call probes three points per question:
+      - first y = 0, 1 and 2.  When v'Gv >= 0 at y = 0, X = vv' and the two
+        ends meet (the constraint is inactive);
+      - then, while g < 0 at every point so far, 2, 4 and 8 times the
+        largest y.  Past y = 2 ** _PENCIL_DOUBLINGS the question gets None:
+        the supremum is not attained, as when lambda_max(G) <= 0;
+      - then a Newton step on g from each end of the bracket, exact where g
+        is linear and quadratic near a smooth maximum, and the point where
+        the supporting lines of phi at the two ends cross, exact where phi
+        is the minimum of two eigenvalue branches (a kink).  A point outside
+        the bracket is replaced by its midpoint.
+    A question stops once upper - lower <= _PENCIL_GAP * max(1, ||A||), when
+    its bracket reaches float resolution, after _PENCIL_CALLS calls, or,
+    given `band` = (nonnegative_at, negative_at) as two (P,) arrays, as soon
+    as lower >= nonnegative_at or upper <= negative_at.  The stacks shrink to
+    the questions still open.
+
+    "g >= 0" reads g >= 8 n^2 eps ||G||, a lean that keeps the computed
+    <G,X> nonnegative through roundoff however its sum is taken; theta puts
+    <G,X> on the lean.
+
+    Returns one entry per question: a PencilBound (lower the better phi of
+    the two bracket ends, y its multiplier, upper = <A,X>), or None.
+    """
+    if A.shape != G.shape:
+        raise ValueError("dimension mismatch")
+    if not (np.isfinite(A).all() and np.isfinite(G).all()):
+        raise ValueError("non-finite entries")
+    P, n = A.shape[:2]
+    eps = np.finfo(float).eps
+    out = [None] * P
+    if P == 0:
+        return out
+    scale = np.maximum(1.0, np.sqrt(np.einsum("pij,pij->p", A, A)))
+    lean = 8.0 * n * n * eps * np.sqrt(np.einsum("pij,pij->p", G, G))
+    cut_lo, cut_hi = (np.full(P, np.inf), np.full(P, -np.inf)) if band is None else band
+    live, rows, ag = np.arange(P), np.arange(P)[:, None], np.stack((A, G), axis=1)
+    # ends[:, 0] is the low end (g < lean) and ends[:, 1] the high end, each
+    # as (y, <A,vv'>, g, phi, g', v); a missing end has y = -inf (low) or inf
+    # (high), g = y and phi = -inf, so an open bracket keeps growing
+    ends = np.zeros((P, 2, 5 + n))
+    ends[:, :, :4] = [[-np.inf, 0.0, -np.inf, -np.inf], [np.inf, 0.0, np.inf, -np.inf]]
+    ys = np.tile(_PENCIL_FIRST, (P, 1))
+    with np.errstate(invalid="ignore", divide="ignore"):  # open brackets compute NaN
+        for _ in range(_PENCIL_CALLS):
+            lam, vec = np.linalg.eigh(ag[:, None, 0] - ys[:, :, None, None] * ag[:, None, 1])
+            v = vec[..., 0]
+            agv = np.einsum("pmij,pkj->pkmi", ag, v)
+            w = np.einsum("pkji,pkj->pki", vec, agv[:, :, 1])
+            slope = 2.0 * np.sum(w[..., 1:] ** 2 / (lam[..., 1:] - lam[..., :1]), axis=2)
+            probes = np.concatenate((ys[..., None], np.einsum("pkmi,pki->pkm", agv, v),
+                                     lam[..., :1], slope[..., None], v), axis=2)
+            # the probes lie inside the bracket, in ascending order: the low end
+            # becomes the last low probe, the high end the first high one
+            pick = _PENCIL_PICK[(probes[:, :, 2] >= lean[:, None]) @ (1, 2, 4)]
+            ends = np.concatenate((ends, probes), axis=1)[rows, pick]
+            (yl, al, gl, fl, sl), (yh, ah, gh, fh, sh) = ends[:, 0, :5].T, ends[:, 1, :5].T
+            theta = (gh - lean) / (gh - gl)
+            upper = theta * al + (1.0 - theta) * ah
+            lower = np.maximum(fl, fh)
+            done = ((upper - lower <= _PENCIL_GAP * scale) | (yl >= (1.0 - 4.0 * eps) * yh)
+                    | (lower >= cut_lo) | (upper <= cut_hi))
+            lost = yl >= 2.0 ** _PENCIL_DOUBLINGS
+            keep = ~(done | lost)
+            if not keep.all():
+                for i in np.flatnonzero(done).tolist():
+                    vl, vh = ends[i, 0, 5:], ends[i, 1, 5:]
+                    x = theta[i] * np.outer(vl, vl) + (1.0 - theta[i]) * np.outer(vh, vh)
+                    y = yl[i] if fl[i] >= fh[i] else yh[i]
+                    out[live[i]] = PencilBound(float(lower[i]), float(y), float(upper[i]), x)
+                if not keep.any():
+                    break
+                live, ag, ends, scale, lean, cut_lo, cut_hi, yl, gl, al, sl, yh, gh, ah, sh = (
+                    t[keep] for t in (live, ag, ends, scale, lean, cut_lo, cut_hi,
+                                      yl, gl, al, sl, yh, gh, ah, sh))
+                rows = rows[:live.size]
+            ys = np.stack((yl + (lean - gl) / sl, yh - (gh - lean) / sh,
+                           (ah - al) / (gh - gl)), axis=1)
+            ys = np.where((ys > yl[:, None]) & (ys < yh[:, None]), ys, ((yl + yh) / 2.0)[:, None])
+            ys.sort(axis=1)
+            ys = np.where(yh[:, None] < np.inf, ys, yl[:, None] * _PENCIL_GROWTH)
     return out
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import types
@@ -83,24 +82,26 @@ def test_band_edges():
     assert _band(-math.inf, TOL, 1.0) is False
 
 
-def _solve_ending(monkeypatch, status):
-    """Make every sdp.solve call end with `status`, its iterate kept."""
-    real = sdpmod.solve
-    monkeypatch.setattr(sdpmod, "solve",
-                        lambda *a, **k: dataclasses.replace(real(*a, **k), status=status))
-
-
 def test_inclusion_sdp_between_the_edges_is_inconclusive(monkeypatch):
     # X11 >= X22 over the trace-one slice: min <A,X> = -delta at e1 e1'.  A - B
-    # is not psd and no probe is clearly negative, so the SDP decides
+    # is not psd and no probe is clearly negative, so the pencil of the
+    # inclusion SDP decides, with no interior-point solve
     b = SymMat.diag([1.0, -1.0])
-    calls = _count_calls(monkeypatch, "solve")
+    calls = _count_calls(monkeypatch, "pencil_bounds")
+    solves = _count_calls(monkeypatch, "solve")
     assert inclusion_status(SymMat.diag([-2e-9, 1.0]), b, TOL) == CERTIFIED
     assert inclusion_status(SymMat.diag([-5e-8, 1.0]), b, TOL) == INCONCLUSIVE
-    assert len(calls) == 2
-    monkeypatch.undo()
-    _solve_ending(monkeypatch, "max_iter")
-    assert inclusion_status(SymMat.diag([-2e-9, 1.0]), b, TOL) == INCONCLUSIVE
+    assert len(calls) == 2 and not solves
+    # B = diag(0, -1): <B,X> >= 0 leaves only X = e1 e1', so the supremum of
+    # lambda_min(A - yB) is not attained; its value -5e-8 lies between the
+    # edges, and the pencil gives no X to refute with
+    assert inclusion_status(SymMat.diag([-5e-8, 1.0]), SymMat.diag([0.0, -1.0]),
+                            TOL) == INCONCLUSIVE
+    assert len(calls) == 3 and sdpmod.pencil_bounds(*calls[2]) == [None]
+    # B negative definite: J+(B) = {0}, and A - 4B psd is a dual certificate
+    # of the inclusion, though no trace-one X has <B,X> >= 0
+    assert inclusion_status(SymMat.diag([-2.0, 1.0]), SymMat.diag([-1.0, -1.0]),
+                            TOL) == CERTIFIED
 
 
 def test_condition_B_aggregates():
@@ -185,10 +186,10 @@ def test_pair_slice_witness_reports_only_checked_points():
     assert found >= 1
 
 
-def test_pair_slice_witness_needs_an_optimal_solve(monkeypatch):
+def test_pair_slice_witness_needs_an_attained_supremum(monkeypatch):
     first, second = disk_member((0.0, 0.0), 0.5), disk_member((0.5, 0.0), 0.5)
     assert _pair_slice_witness(first, second, TOL) is not None
-    _solve_ending(monkeypatch, "max_iter")
+    monkeypatch.setattr(sdpmod, "pencil_bounds", lambda a, g, band=None: [None] * len(a))
     assert _pair_slice_witness(first, second, TOL) is None
 
 
@@ -214,13 +215,12 @@ def test_rank_one_pieces_split_x_evenly_in_g():
 def test_thin_lens_witness_found_where_the_shifted_sdp_sees_one():
     # radius-1/2 disks at distance d: a point at most tol outside one disk and
     # more than tol inside the other exists iff d < sqrt(1/4 + tol) +
-    # sqrt(1/4 - tol) (0.99979 at tol = 0.01).  The refutation SDP sees the
-    # points at most tol/2 outside, so it finds one when d < sqrt(1/4 + tol/2)
-    # + sqrt(1/4 - tol) (0.99488); in between it may report none
+    # sqrt(1/4 - tol) (0.99979 at tol = 0.01).  The shifted problem sees the
+    # points at most tol (1 - 1e-6) outside, so it finds one wherever one
+    # exists, up to a band of width about 1e-8 below that limit
     tol = 0.01
     exists = math.sqrt(0.25 + tol) + math.sqrt(0.25 - tol)
-    seen = math.sqrt(0.25 + tol / 2) + math.sqrt(0.25 - tol)
-    for distance in (0.90, 0.94, 0.97, 0.99, 0.994, 1.0, 1.02):
+    for distance in (0.90, 0.94, 0.97, 0.99, 0.994, 0.997, 0.9995, 1.0, 1.02):
         for angle in (0.0, 0.2, 0.7, 1.3):
             t = distance * np.array([math.cos(angle), math.sin(angle)])
             first, second = disk_member((0.0, 0.0), 0.5), disk_member(tuple(t), 0.5)
@@ -231,10 +231,22 @@ def test_thin_lens_witness_found_where_the_shifted_sdp_sees_one():
                     found += 1
                     x = np.append(u, 1.0)
                     assert x @ b.to_dense() @ x <= tol and x @ a.to_dense() @ x < -tol
-            if distance < seen:
+            if distance < exists:
                 assert found == 2, (distance, angle)
-            if distance >= exists:
+            else:
                 assert found == 0, (distance, angle)
+
+
+def test_thin_lens_pair_inside_the_old_band_is_refuted():
+    # d = 0.997 lies between sqrt(1/4 + tol/2) + sqrt(1/4 - tol) = 0.99488 and
+    # the existence limit 0.99979: its witnesses need q(u,1,B) in (tol/2, tol],
+    # which a solve of B shifted by tol/2 could not reach, so the pair stayed
+    # inconclusive
+    tol = 0.01
+    t = 0.997 * np.array([math.cos(0.2), math.sin(0.2)])
+    members = [disk_member((0.0, 0.0), 0.5), disk_member(tuple(t), 0.5)]
+    assert _checked_bprime(members, tol) == REFUTED
+    assert _checked_bprime(members[::-1], tol) == REFUTED
 
 
 def test_slice_witness_without_dimension_cap():

@@ -194,25 +194,26 @@ def test_refuted_pair_takes_its_witness_from_the_refutation_sdp(monkeypatch):
     assert v.cert.condition_b.pairs[0].status == "refuted"
     pair = v.cert.slice_conditions.b_prime_pairs[0]
     assert pair.status == "refuted"
-    # the refutation SDP is the one trace-one SDP: its optimizer, split
-    # against B, gives the (B)' witness, and no shifted SDP is solved
-    assert len(trace_one) == 1 and len(shifted) == 0
+    # the refutation SDP is answered by its pencil, not by an interior-point
+    # solve: the pencil's X, split against B, gives the (B)' witness, and no
+    # shifted pencil is needed
+    assert len(trace_one) == 0 and len(shifted) == 0
     x = np.append(pair.witness_point, 1.0)
     qa, qb = (float(x @ m.to_dense() @ x) for m in v.reduction.reduced.bset.members)
     assert qb <= 1e-8 and qa < -1e-8
 
 
-def test_overlapping_disks_solve_one_sdp_per_refuted_pair(monkeypatch):
+def test_overlapping_disks_solve_only_the_relaxation(monkeypatch):
     # 25 disks of radius 0.6 on the integer grid: the 40 pairs at distance 1
-    # overlap, the diagonal ones (distance sqrt 2 > 1.2) do not.  Each
-    # overlapping pair costs its refutation SDP and nothing more; with a
-    # shifted witness SDP per pair the run made 81 solves
+    # overlap, the diagonal ones (distance sqrt 2 > 1.2) do not.  The
+    # overlapping pairs are refuted by the pencil of their refutation SDP, so
+    # the relaxation is the one interior-point solve
     solves = _count_calls(monkeypatch, sdpmod, "solve")
     fam = BallGrid(centers=tuple(integer_grid(((-2, 2), (-2, 2)))), radius=0.6)
     prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, 0.0]), H=SymMat.identity(3),
                   bset=build_family(fam, 3))
     v = run_pipeline(prob, PipelineConfig(tol=1e-8, cert_tol=1e-8))
-    assert len(solves) <= 42
+    assert len(solves) == 1
     assert v.reduction.pruned_indices == ()
     members = v.reduction.reduced.bset.members
     b_pairs, slice_pairs = v.cert.condition_b.pairs, v.cert.slice_conditions.b_prime_pairs

@@ -468,3 +468,91 @@ def test_end_game_breakdown_ends_without_overflow():
         sol = solve(relaxation_problem(prob), tol=1e-9)
     assert sol.status in ("optimal", "numerical")
     assert math.isfinite(sol.value) and max(sol.residuals) <= 1e-7
+
+
+# --------------------------------------------------------------------------
+# the pencil of the one-member trace-one SDP
+# --------------------------------------------------------------------------
+
+def _pencil_pairs():
+    """300 seeded random symmetric pairs with n = 2-6, then Example 6.1's
+    ordered pairs with G = B and G = -B."""
+    rng = np.random.default_rng(2026)
+    pairs = []
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        pairs.append(tuple(random_sym(rng, n).to_dense() for _ in range(2)))
+    ms = [m.to_dense() for m in ex61_matrices()]
+    pairs += [(ms[i], sign * ms[j]) for i in range(3) for j in range(3) if i != j
+              for sign in (1.0, -1.0)]
+    return pairs
+
+
+def _pencil(a, g):
+    return sdp_module.pencil_bounds(a[None], g[None])[0]
+
+
+def test_pencil_brackets_the_sdp_and_is_checked_by_numpy():
+    # the interior-point reference runs at 1e-10: at 1e-9 its own value sits
+    # up to 3e-9 s above the optimum on a few of these pairs
+    nones = 0
+    for a, g in _pencil_pairs():
+        s = max(1.0, float(np.linalg.norm(a)))
+        r = _pencil(a, g)
+        sol = solve(trace_one_problem(SymMat.from_dense(a), [SymMat.from_dense(g)]), tol=1e-10)
+        assert (r is None) == (sol.status == "infeasible"), sol.status
+        if r is None:
+            nones += 1
+            assert np.linalg.eigvalsh(g)[-1] <= 0.0
+            continue
+        if sol.status == "optimal":
+            assert r.lower <= sol.value + 2e-9 * s and r.upper >= sol.value - 2e-9 * s
+        assert r.upper - r.lower <= 1e-12 * s
+        # the witness: psd, trace one, feasible, with the value reported
+        x = r.X
+        assert np.linalg.eigvalsh(x)[0] >= -1e-15
+        assert abs(np.trace(x) - 1.0) <= 1e-14
+        assert np.sum(g * x) >= 0.0
+        assert abs(np.sum(a * x) - r.upper) <= 1e-14 * s
+        # the dual certificate: lambda_min(A - yG) at its y >= 0
+        assert r.y >= 0.0 and abs(np.linalg.eigvalsh(a - r.y * g)[0] - r.lower) <= 1e-14 * s
+    assert nones > 0
+
+
+def test_pencil_value_invariant_under_congruence():
+    rng = np.random.default_rng(7)
+    for a, g in _pencil_pairs():
+        u, _ = np.linalg.qr(rng.standard_normal(a.shape))
+        r, rot = _pencil(a, g), _pencil(u.T @ a @ u, u.T @ g @ u)
+        assert (r is None) == (rot is None)
+        if r is not None:
+            s = max(1.0, float(np.linalg.norm(a)))
+            assert abs(rot.lower - r.lower) <= 1e-12 * s
+            assert abs(rot.upper - r.upper) <= 1e-12 * s
+
+
+def test_pencil_answers_a_stack_as_one_question_each():
+    pairs = _pencil_pairs()
+    for n in range(2, 7):
+        same = [(a, g) for a, g in pairs if a.shape[0] == n]
+        stacked = sdp_module.pencil_bounds(np.array([a for a, _ in same]),
+                                           np.array([g for _, g in same]))
+        for (a, g), r in zip(same, stacked):
+            alone = _pencil(a, g)
+            assert (r is None) == (alone is None)
+            if r is not None:
+                assert (r.lower, r.y, r.upper) == (alone.lower, alone.y, alone.upper)
+                assert np.array_equal(r.X, alone.X)
+    assert sdp_module.pencil_bounds(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == []
+
+
+def test_pencil_at_y_zero_and_at_a_kink():
+    # the bottom eigenvector of A is feasible: y = 0 and X = vv'
+    r = _pencil(np.diag([-1.0, 2.0]), np.diag([1.0, -1.0]))
+    assert r.y == 0.0 and r.lower == r.upper == -1.0
+    assert np.array_equal(r.X, np.diag([1.0, 0.0]))
+    # two eigenvalue branches cross at the maximum: X mixes both eigenvectors
+    a, g = np.diag([1.0, -1.0]), np.diag([1.0, -(1.0 - 2e-7)])
+    r = _pencil(a, g)
+    assert r.upper - r.lower <= 1e-12 and abs(r.lower + 1e-7 / (1.0 - 1e-7)) <= 1e-15
+    assert np.linalg.matrix_rank(r.X, tol=1e-6) == 2
