@@ -1,25 +1,24 @@
 """Exactness-condition checkers.
 
-Structural conditions (A-1)..(A-5), the pairwise condition (B) through
-(alpha, beta) certificates with a refutation fallback, the slice
+Structural conditions (A-1)..(A-5), the pairwise condition (B), the slice
 conditions (B)'/(C)' on the z = 1 sections ((C)' in closed form, through
 the Schur complement of each member), and the boundary-member
 classification.  The pair layer (condition (B)) and the inclusion layer
-((A-5) and pruning) run over all pairs at once on dense stacks: one batched
-golden section, one stacked PSD test and one probe pass, in the operation
-order of the one-pair calls, so a verdict does not depend on which other
-pairs were batched with it.  The pairs these leave open pose a trace-one
-SDP with one member row each, the refutation or the inclusion question;
-all of them go to one stacked pencil search (sdp.pencil_bounds, the
-two-constraint S-lemma), which returns a dual lower bound and the value of
-a feasible X.  The band reads the lower bound at its nonnegative end and
-that value at its negative end, so both rest on checked numbers, not on
-a solve within tolerance.  Only classify solves an interior-point SDP
-here, besides the Slater point.
+((A-5) and pruning) run over all pairs at once on dense stacks.  Both end
+in one stacked pencil search (sdp.pencil_bounds, the two-constraint
+S-lemma) of a trace-one SDP with one member row, which returns a dual
+lower bound and the value of a feasible X.  A condition-(B) pair asks the
+pencil of its refutation problem min <A,X> s.t. <B,X> <= 0, trace X = 1
+once: its dual end gives the (alpha, beta) certificate when some A + yB is
+psd, and otherwise its feasible X refutes the pair or leaves it open.  An
+inclusion the PSD test and the probes leave open asks its own pencil.  The
+band reads the lower bound at its nonnegative end and the value of X at its
+negative end, so both rest on checked numbers, not on a solve within
+tolerance.  Only classify solves an interior-point SDP here, besides the
+Slater point.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -124,36 +123,18 @@ class CertReport:
 
 
 # --------------------------------------------------------------------------
-# deterministic PSD probes (cheap disprovers for inclusion-type questions)
+# covariant PSD probes (cheap disprovers for inclusion-type questions)
 # --------------------------------------------------------------------------
 
-_PROBE_SEED = 12345
-_PROBE_COUNT = 32
-
-
-@functools.lru_cache(maxsize=32)
-def _random_probes(n: int) -> tuple:
-    """_PROBE_COUNT seeded random unit rank-ones, drawn once per n."""
-    rng = np.random.default_rng(_PROBE_SEED)
-    out = []
-    for _ in range(_PROBE_COUNT):
-        g = rng.standard_normal(n)
-        out.append(gram(g / np.linalg.norm(g)))
-    return tuple(out)
-
-
 def psd_probes(n: int, members):
-    """I / n, each e_i e_i', the top and bottom eigenvector rank-ones of
-    each member, and _PROBE_COUNT seeded random unit rank-ones."""
+    """I / n and the top and bottom eigenvector rank-ones of each member:
+    every probe follows a congruence of the members."""
     probes = [SymMat.identity(n).scale(1.0 / n)]
-    eye = np.eye(n)
-    for i in range(n):
-        probes.append(gram(eye[i]))
     for m in members:
         _, vecs = np.linalg.eigh(m.to_dense())
         probes.append(gram(vecs[:, -1]))  # top eigvec: makes <m, probe> = lambda_max
         probes.append(gram(vecs[:, 0]))
-    return probes + list(_random_probes(n))
+    return probes
 
 
 def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
@@ -239,40 +220,36 @@ def _canonical_witness(x: SymMat) -> SymMat:
 def _pair_verdicts(members, pairs, tol: float) -> list:
     """Decide J_0(B) subset of J_+(A) for each pair (i, j), A = members[i].
 
-    One batched (alpha, beta) search covers every pair; the pairs it leaves
-    without a certificate go, together, to the pencil of the refutation
-    problem min <A,X> s.t. <B,X> <= 0, trace X = 1 (sdp.pencil_bounds with
-    G = -B).  Its feasible X is reported as a witness when the value of X is
-    clearly negative, and it rides along unrounded, so check_Bprime_Cprime
-    can split it into (B)' witness points without another solve.  A pencil
-    without an attained supremum leaves the pair inconclusive.
+    One stacked pencil search (sdp.ab_certificates) covers every pair: it
+    certifies a pair with (1, y) when A + yB is psd to the tolerance, and
+    otherwise returns its bounds on the refutation problem
+    min <A,X> s.t. <B,X> <= 0, trace X = 1.  Its feasible X is reported as a
+    witness when the value of X is clearly negative, and it rides along
+    unrounded, so check_Bprime_Cprime can split it into (B)' witness points
+    without another solve.  A pencil without an attained supremum leaves the
+    pair inconclusive.
     """
     n = members[0].n
     dense = dense_stack(packed_stack(members, n), n)
     norms = [m.norm() for m in members]
     scales = [norms[i] + norms[j] for i, j in pairs]
-    ia, ib = [i for i, _ in pairs], [j for _, j in pairs]
-    certs = sdpmod.ab_certificates(dense[ia], dense[ib], np.array(scales), tol)
-    open_ = [k for k, cert in enumerate(certs) if cert is None]
-    bounds = iter(sdpmod.pencil_bounds(dense[[ia[k] for k in open_]],
-                                       -dense[[ib[k] for k in open_]]) if open_ else ())
+    results = sdpmod.ab_certificates(dense[[i for i, _ in pairs]], dense[[j for _, j in pairs]],
+                                     np.array(scales), tol)
     verdicts = []
-    for (i, j), scale, cert in zip(pairs, scales, certs):
+    for (i, j), scale, (cert, r) in zip(pairs, scales, results):
         if cert is not None:
-            tau, lam = cert
-            verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, tau),
+            y, lam = cert
+            verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, y),
                                         margin=lam / max(scale, 1.0)))
-            continue
-        r = next(bounds)
-        if r is None:
+        elif r is None:
             verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE))
-            continue
-        scale_a = max(1.0, norms[i])
-        refuted = _band(r.lower, tol, scale_a, r.upper) is False
-        verdicts.append(PairVerdict(
-            pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
-            witness=_canonical_witness(SymMat.from_dense(r.X)) if refuted else None,
-            margin=r.upper / scale_a, optimizer=r.X))
+        else:
+            scale_a = max(1.0, norms[i])
+            refuted = _band(r.lower, tol, scale_a, r.upper) is False
+            verdicts.append(PairVerdict(
+                pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
+                witness=_canonical_witness(SymMat.from_dense(r.X)) if refuted else None,
+                margin=r.upper / scale_a, optimizer=r.X))
     return verdicts
 
 
@@ -516,13 +493,17 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     of zero over the trace-one feasible slice (a boundary member), case (b)
     when no member is one.  A member positive at an optimal Slater point
     (`slater`, as in check_structural) is clearly interior and needs no SDP;
-    the others take one each, in order, until the first boundary member."""
+    the others take one each, in order, until the first boundary member.
+    Each is solved at min(tol / 10, 1e-9): a solve at t can leave its value
+    a few t times the scale above the optimum, and the band reads a
+    boundary member at -tol times the scale."""
     status, x, _, _ = slater if slater is not None else _slater(s, tol)
     for idx, m in enumerate(s.members):
         scale = max(1.0, m.norm())
         if status == "optimal" and inner(m, x) > _REFUTE_FACTOR * tol * scale:
             continue
-        sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members), tol=min(tol, 1e-9))
+        sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members),
+                           tol=min(tol / 10.0, 1e-9))
         if _band(sol.value if sol.status == "optimal" else math.nan, tol, scale):
             return Classification(case="a", exposing_index=idx)
     return Classification(case="b")

@@ -3,12 +3,13 @@
 Solves min <C,X> + c.w  s.t.  linear rows on (X, w),  X psd,  w >= 0
 through a homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, which yields infeasibility/unboundedness
-certificates as a by-product.  Also hosts the (alpha, beta) pair-certificate
-search, a golden section over the concave 1-D function that runs for a whole
-stack of pairs at once; the pencil search (pencil_bounds) that answers every
-trace-one SDP with one member row, min <A,X> s.t. <G,X> >= 0, trace X = 1,
-through the concave dual max over y >= 0 of lambda_min(A - yG), with no
-interior-point solve; and the small auxiliary SDP formulations used by the
+certificates as a by-product.  Also hosts the pencil search (pencil_bounds)
+that answers every trace-one SDP with one member row,
+min <A,X> s.t. <G,X> >= 0, trace X = 1, through the concave dual
+max over y >= 0 of lambda_min(A - yG), with no interior-point solve; the
+(alpha, beta) pair certificate (ab_certificates), read from the same pencil
+with G = -B, so one search per pair gives the certificate or the
+refutation; and the small auxiliary SDP formulations used by the
 certification and reduction stages.
 
 Every SDP is solved densely.  It has n >= 1 and at least one row
@@ -44,16 +45,6 @@ by it throws tau far off its path.  A computed t1 - q_cc >= 0 therefore
 holds tau for that step (dtau = 0, the fixed-tau infeasible direction),
 which needs no threshold.  A direction that is not finite ends the solve as
 "numerical" with the best iterate.
-
-The pair search takes one stacked eigenvalue call per golden-section step
-for all pairs together, so its per-call overhead grows with the number of
-steps, not with the number of pairs times steps.  A pair leaves the search
-at its first positive-definite probe when a snapped certificate there is
-positive definite, and a pair whose concave upper bound after the first
-call shows that no certificate can pass leaves with none; the stacks
-shrink to the pairs still searching, so a family whose pairs are clearly
-certified or clearly refuted pays a few calls, not 77.  The margin reported
-with a certificate is that certificate's, not the best one.
 """
 from __future__ import annotations
 
@@ -553,161 +544,6 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFA
 
 
 # --------------------------------------------------------------------------
-# pairwise (alpha, beta) certificate
-# --------------------------------------------------------------------------
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# fewest steps that shrink the bracket [0, 1] below the float spacing 2**-52
-# near 1: further steps cannot move mu
-_GOLDEN_ITERS = math.ceil(math.log(2.0 ** -52) / math.log(_INVPHI))
-
-
-def _snaps(A: np.ndarray, B: np.ndarray, pairs, mu: np.ndarray, scales: list) -> list:
-    """For each pair p in pairs, its snap candidates t, simplest first, each
-    with lambda_min(A[p] + t B[p]), from one stacked eigvalsh.  The
-    candidates are tau = (1-mu)/mu rounded to 0, 1, 3, 6, 9 and 12 decimals,
-    then tau itself."""
-    mu = np.minimum(np.maximum(mu, 1e-12), 1.0 - 1e-12)
-    owner, cands, spans = [], [], []
-    for p, tau in zip(pairs, ((1.0 - mu) / mu).tolist()):
-        if scales[p] == 0.0:
-            tried = [1.0]  # O + O is psd
-        else:
-            tried = []
-            for t in (float(round(tau)), round(tau, 1), round(tau, 3), round(tau, 6),
-                      round(tau, 9), round(tau, 12), tau):
-                if t > 0.0 and t not in tried:
-                    tried.append(t)
-        spans.append(slice(len(cands), len(cands) + len(tried)))
-        owner += [p] * len(tried)
-        cands += tried
-    t = np.array(cands)
-    combos = B[owner]
-    combos *= t[:, None, None]
-    combos += A[owner]  # A + t B, in place: one (candidates, n, n) temporary less
-    lams = lambda_min_stack(combos).tolist()
-    return [list(zip(cands[span], lams[span])) for span in spans]
-
-
-def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float = DEFAULT_TOL):
-    """Search, for every pair p, for alpha, beta > 0 with alpha*A[p] + beta*B[p] psd.
-
-    A and B are (P, n, n) dense stacks and scale[p] = ||A[p]|| + ||B[p]||.
-    lambda_min(A + tau B)/(1 + tau) equals lambda_min(mu A + (1-mu) B) at
-    mu = 1/(1+tau), which is concave in mu (a min of linear functionals), so
-    a golden-section search over mu in (0,1) finds the global maximum.  It
-    runs at most _GOLDEN_ITERS steps, the fewest that shrink the bracket to
-    _INVPHI ** steps <= 2**-52, the float resolution of mu: 75 steps, so 77
-    stacked eigvalsh calls with the two initial points.  All pairs step
-    together: each step is one stacked eigvalsh, and np.where applies the
-    scalar branch rule per pair.  tau = (1-mu)/mu is then snapped to a
-    simple decimal (see _snaps).
-
-    The first call also evaluates phi(0) = lambda_min(B) and
-    phi(1) = lambda_min(A).  By concavity the secant through c and e bounds
-    phi above outside [c, e], and the smaller of the secants through (0, c)
-    and (e, 1) bounds it inside.  A pair whose bound over [0, 1] is below
-    -(tol + 1e-12) * scale has lambda_min(A + t B) = (1 + t) phi(1/(1 + t))
-    below -tol * min(1, t) * scale for every t > 0, so no snap candidate can
-    pass: it leaves with None after that one call.  The bound is checked
-    once, so certified and boundary pairs pay nothing per step.
-
-    Any positive-definite combination certifies a pair, so the search need
-    not reach the maximum.  At its first probe with lambda_min > 0 (the
-    better of the two initial points, c on a tie as the branch rule keeps
-    it, then each step's new point) a pair evaluates that probe's snap
-    candidates, and it leaves the search with the first candidate t that has
-    lambda_min(A + t B) > 0.  If none has, it searches on and is not checked
-    again.  Whenever a pair leaves, the stacks shrink to the pairs still
-    searching, and later steps run eigvalsh on those only.  A pair that does
-    not leave runs every step with the arithmetic it would have alone (the
-    rows of a stacked eigvalsh are independent), then takes the first snap
-    candidate within 1e-12 * scale of the best one.
-
-    (1, tau) is accepted when lambda_min(A + tau B) >= -tol * min(1, tau) *
-    scale.  That is the test lambda_min >= -tol * scale applied to the
-    certificate scaled so that its smaller coefficient is 1, so it reads the
-    same for the swapped pair and its certificate (1, 1/tau).  A pair that
-    left early passes it with no slack.
-
-    Returns one entry per pair: (tau, lambda_min(A + tau B)) for the
-    certificate (1, tau), or None.  The margin is that of the reported
-    certificate; for a pair that left early it is not the best margin.
-    """
-    if A.shape != B.shape:
-        raise ValueError("dimension mismatch")
-    if np.all(A == B, axis=(1, 2)).any():
-        raise ValueError("the pair certificate needs two distinct matrices")
-    P = A.shape[0]
-    if P == 0:
-        return []
-    scales = [float(v) for v in scale]
-    out = [None] * P
-
-    def combos(mu, a, b):
-        return mu[:, None, None] * a + (1.0 - mu)[:, None, None] * b
-
-    live, a, b = np.arange(P), A, B
-    bar = np.zeros(P)  # a probe above it triggers the exit check; inf once checked
-    lo, hi = np.zeros(P), np.ones(P)
-    c = hi - _INVPHI * (hi - lo)
-    e = lo + _INVPHI * (hi - lo)
-    # phi at c and e, and at the ends: phi(0) = lambda_min(B), phi(1) = lambda_min(A)
-    fc, fe, f0, f1 = lambda_min_stack(
-        np.concatenate((combos(c, a, b), combos(e, a, b), b, a))).reshape(4, P)
-    # concave upper bound over [0, 1]: the secant through c and e bounds phi
-    # outside [c, e], the secants through (0, c) and (e, 1) bound it inside,
-    # where the smaller of the two peaks at an end or where they cross
-    s_ce, s_0c, s_e1 = (fe - fc) / (e - c), (fc - f0) / c, (f1 - fe) / (1.0 - e)
-    den = s_0c - s_e1
-    with np.errstate(over="ignore"):  # a crossing far off [c, e] clips to an end
-        cross = np.clip((fe - s_e1 * e - f0) / np.where(den != 0.0, den, 1.0), c, e)
-    x = np.where(den != 0.0, cross, c)
-    bound = np.maximum(np.maximum(fc - s_ce * c, fc + s_ce * (1.0 - c)),
-                       np.minimum(f0 + s_0c * x, fe + s_e1 * (x - e)))
-    # no snap candidate can pass below it: such a pair is refuted here
-    keep = ~(bound < -(tol + 1e-12) * np.asarray(scales))
-    live, a, b, bar, lo, hi, c, e, fc, fe = (
-        v[keep] for v in (live, a, b, bar, lo, hi, c, e, fc, fe))
-    probe, found = np.where(fc >= fe, c, e), np.maximum(fc, fe) > bar
-    steps = 0
-    while live.size:
-        if found.any():
-            hits = np.flatnonzero(found)
-            for k, snaps in zip(hits, _snaps(A, B, live[hits], probe[hits], scales)):
-                out[live[k]] = next(((t, lam) for t, lam in snaps if lam > 0.0), None)
-                found[k] = out[live[k]] is not None
-            bar[hits] = np.inf
-            if found.any():
-                keep = ~found
-                live, a, b, bar, lo, hi, c, e, fc, fe = (
-                    v[keep] for v in (live, a, b, bar, lo, hi, c, e, fc, fe))
-        if steps == _GOLDEN_ITERS:
-            break
-        left = fc >= fe  # keep [lo, e]; otherwise keep [c, hi]
-        hi = np.where(left, e, hi)
-        lo = np.where(left, lo, c)
-        step = _INVPHI * (hi - lo)
-        probe = np.where(left, hi - step, lo + step)
-        fx = lambda_min_stack(combos(probe, a, b))
-        c, e = np.where(left, probe, e), np.where(left, c, probe)
-        fc, fe = np.where(left, fx, fe), np.where(left, fc, fx)
-        found = fx > bar
-        steps += 1
-
-    if live.size:
-        for p, snaps in zip(live.tolist(), _snaps(A, B, live, (lo + hi) / 2.0, scales)):
-            s = scales[p]
-            best_val = max(lam / (1.0 + t) for t, lam in snaps)
-            # earliest = simplest within snapping slack
-            tau, lam = next((t, lam) for t, lam in snaps
-                            if lam / (1.0 + t) >= best_val - 1e-12 * s)
-            ok = s == 0.0 or lam >= -tol * min(1.0, tau) * s
-            out[p] = (tau, lam) if ok else None
-    return out
-
-
-# --------------------------------------------------------------------------
 # one-member trace-one questions through the pencil A - yG
 # --------------------------------------------------------------------------
 
@@ -826,11 +662,15 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
             lost = yl >= 2.0 ** _PENCIL_DOUBLINGS
             keep = ~(done | lost)
             if not keep.all():
-                for i in np.flatnonzero(done).tolist():
-                    vl, vh = ends[i, 0, 5:], ends[i, 1, 5:]
-                    x = theta[i] * np.outer(vl, vl) + (1.0 - theta[i]) * np.outer(vh, vh)
-                    y = yl[i] if fl[i] >= fh[i] else yh[i]
-                    out[live[i]] = PencilBound(float(lower[i]), float(y), float(upper[i]), x)
+                # the answers of the questions done, X built for all of them at once
+                i = np.flatnonzero(done)
+                vl, vh, t = ends[i, 0, 5:], ends[i, 1, 5:], theta[i, None, None]
+                xs = (t * (vl[:, :, None] * vl[:, None, :])
+                      + (1.0 - t) * (vh[:, :, None] * vh[:, None, :]))
+                y = np.where(fl[i] >= fh[i], yl[i], yh[i])
+                for k, lo, yk, up, x in zip(live[i].tolist(), lower[i].tolist(), y.tolist(),
+                                            upper[i].tolist(), xs):
+                    out[k] = PencilBound(lo, yk, up, x)
                 if not keep.any():
                     break
                 live, ag, ends, scale, lean, cut_lo, cut_hi, yl, gl, al, sl, yh, gh, ah, sh = (
@@ -845,11 +685,62 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
     return out
 
 
+# --------------------------------------------------------------------------
+# pairwise (alpha, beta) certificate, read from the pencil A + yB
+# --------------------------------------------------------------------------
+
+def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float = DEFAULT_TOL):
+    """For every pair p, alpha, beta > 0 with alpha*A[p] + beta*B[p] psd.
+
+    A and B are (P, n, n) dense stacks and scale[p] = ||A[p]|| + ||B[p]||.
+    A certificate is a y > 0 with lambda_min(A + yB) >= 0, and the maximum
+    over y >= 0 of lambda_min(A + yB) is the dual of the refutation problem
+    min <A,X> s.t. <B,X> <= 0, trace X = 1 (the two-constraint S-lemma).
+    So one pencil_bounds(A, -B) call answers the certificate and the
+    refutation together.  Its band stops a pair at its first bracket end
+    with lambda_min(A + yB) >= 0; a pair that reaches none runs to
+    convergence, as the refutation needs.
+
+    (1, y) is accepted when y > 0 and lambda_min(A + yB) >=
+    -tol * min(1, y) * scale.  That is the test lambda_min >= -tol * scale
+    applied to the certificate scaled so that its smaller coefficient is 1,
+    so it reads the same for the swapped pair and its certificate (1, 1/y).
+    A pencil that ends at y = 0 has lambda_min(A) there; when that is
+    positive, y = lambda_min(A) / max(2 ||B||_F, lambda_min(A)) keeps
+    lambda_min(A + yB) >= lambda_min(A) / 2 (Weyl), and lambda_min(A + yB) is
+    evaluated once more for it.
+
+    Returns one (certificate, bound) per pair: the certificate
+    (y, lambda_min(A + yB)) for (1, y), or None, and the pair's PencilBound,
+    or None when the supremum is not attained.  Raises ValueError for a pair
+    of identical matrices.
+    """
+    if A.shape != B.shape:
+        raise ValueError("dimension mismatch")
+    if np.all(A == B, axis=(1, 2)).any():
+        raise ValueError("the pair certificate needs two distinct matrices")
+    P = A.shape[0]
+    if P == 0:
+        return []
+    bounds = pencil_bounds(A, -B, (np.zeros(P), np.full(P, -np.inf)))
+    y = np.array([math.nan if r is None else r.y for r in bounds])
+    lam = np.array([math.nan if r is None else r.lower for r in bounds])
+    inside = np.flatnonzero((y == 0.0) & (lam > 0.0))
+    if inside.size:
+        b = B[inside]
+        y[inside] = lam[inside] / np.maximum(2.0 * np.sqrt(np.einsum("pij,pij->p", b, b)),
+                                             lam[inside])
+        lam[inside] = lambda_min_stack(A[inside] + y[inside, None, None] * b)
+    ok = (y > 0.0) & (lam >= -tol * np.minimum(1.0, y) * scale)
+    return [((yp, lp) if okp else None, r)
+            for yp, lp, okp, r in zip(y.tolist(), lam.tolist(), ok.tolist(), bounds)]
+
+
 def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):
     """The pair certificate of one pair (see ab_certificates): (1.0, tau) with
     A + tau B psd within tol * min(1, tau) * (||A|| + ||B||), or None."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    cert = ab_certificates(a.to_dense()[None], b.to_dense()[None],
-                           np.array([a.norm() + b.norm()]), tol)[0]
+    cert, _ = ab_certificates(a.to_dense()[None], b.to_dense()[None],
+                              np.array([a.norm() + b.norm()]), tol)[0]
     return None if cert is None else (1.0, cert[0])

@@ -1,11 +1,14 @@
-"""The batched pair and inclusion layers against the one-pair code they replace.
+"""The batched pair and inclusion layers against independent scalar code.
 
-The reference functions below are the scalar loops the batched layers
-replaced: one golden section per pair with one lambda_min per step, which
-stops at the first positive-definite probe as the batched search does, and
-one inner product per probe.  The batched layers
-promise the same operations in the same order, so results are compared
-bitwise (repr tells -0.0 from 0.0), not within a tolerance.
+The reference functions below are scalar loops: a golden section per pair
+over lambda_min(mu A + (1 - mu) B) with one lambda_min per step, and one
+inner product per probe.  The inclusion layer promises the operations of
+its loop in the same order, so its results are compared exactly.  The pair
+layer reads its certificates from the pencil A + yB instead, so the golden
+section is its oracle for the status only, and every certificate is
+rechecked against the acceptance rule with numpy's eigvalsh.  A stacked
+pair layer still returns bitwise what one-pair calls return (repr tells
+-0.0 from 0.0).
 """
 import math
 
@@ -16,11 +19,11 @@ from hypothesis import strategies as st
 
 from exactsdp import sdp as sdpmod
 from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, check_condition_B,
-                              inclusion_status, inclusion_table, psd_probes)
+                              check_pair_B, inclusion_status, inclusion_table, psd_probes)
 from exactsdp.gallery import ball_family, disk_member, ex61_matrices, fig2_members
 from exactsdp.model import build_family, constraint_set, normalize
 from exactsdp.sdp import solve_ab_certificate
-from exactsdp.symmat import (SymMat, dense_stack, gram, inner, inner_packed, is_psd,
+from exactsdp.symmat import (SymMat, dense_stack, inner, inner_packed, is_psd,
                              lambda_min, lambda_min_stack, packed_stack)
 
 TOL = 1e-8
@@ -57,7 +60,7 @@ def _snap_candidates(mu):
 def _ref_ab_search(a, b, tol):
     """Scalar golden section that a pair leaves at its first positive-definite
     probe when a snap candidate there is positive definite; returns
-    ((tau, margin as check_pair_B reported it) or None, left early)."""
+    (tau, margin) for the certificate (1, tau), or None."""
     scale = _ref_norm(a) + _ref_norm(b)
 
     def phi(mu):
@@ -78,7 +81,7 @@ def _ref_ab_search(a, b, tol):
             checked = True
             cert = exit_check(x)
             if cert is not None:
-                return (cert[0], cert[1] / max(scale, 1.0)), True
+                return cert[0], cert[1] / max(scale, 1.0)
         if step == 120:
             break
         if fc >= fe:
@@ -96,12 +99,15 @@ def _ref_ab_search(a, b, tol):
     best_val = max(v for _, v in evaluated)
     tau = next(t for t, v in evaluated if v >= best_val - 1e-12 * scale)
     if lambda_min(a.add(b, tau)) >= -tol * min(1.0, tau) * scale:
-        return (tau, lambda_min(a.add(b, tau)) / max(scale, 1.0)), False
-    return None, False
+        return tau, lambda_min(a.add(b, tau)) / max(scale, 1.0)
+    return None
 
 
-def _ref_ab_certificate(a, b, tol):
-    return _ref_ab_search(a, b, tol)[0]
+def _passes_rule(a, b, tau, tol):
+    """numpy's eigvalsh recheck of the acceptance rule for (1, tau) on dense
+    a and b: tau > 0 and lambda_min(A + tau B) >= -tol min(1, tau) scale."""
+    scale = np.linalg.norm(a) + np.linalg.norm(b)
+    return tau > 0.0 and np.linalg.eigvalsh(a + tau * b)[0] >= -tol * min(1.0, tau) * scale
 
 
 def _ref_inclusion_status(a, b, tol, probes):
@@ -141,13 +147,16 @@ def test_pair_layer_matches_scalar_search(name):
     k = len(s.members)
     assert [v.pair for v in rep.pairs] == [(i, j) for i in range(k) for j in range(i + 1, k)]
     for v in rep.pairs:
-        ref = _ref_ab_certificate(s.members[v.pair[0]], s.members[v.pair[1]], TOL)
+        a, b = (s.members[i] for i in v.pair)
+        ref = _ref_ab_search(a, b, TOL)
+        assert (v.status == CERTIFIED) == (ref is not None), v.pair
         if ref is None:
-            assert v.certificate is None and v.status != CERTIFIED
+            assert v.certificate is None
         else:
-            assert v.status == CERTIFIED
-            assert repr(v.certificate) == repr((1.0, ref[0]))
-            assert repr(v.margin) == repr(ref[1])
+            alpha, tau = v.certificate
+            assert alpha == 1.0 and _passes_rule(a.to_dense(), b.to_dense(), tau, TOL)
+            lam = np.linalg.eigvalsh(a.to_dense() + tau * b.to_dense())[0]
+            assert abs(v.margin - lam / max(1.0, a.norm() + b.norm())) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(SETS))
@@ -165,9 +174,10 @@ def test_one_pair_calls_match_scalar_code():
     s = SETS["ex6.1"]()
     a, b, c = s.members
     for x, y in ((a, b), (b, c), (a, c), (c, a)):
-        ref = _ref_ab_certificate(x, y, TOL)
+        ref = _ref_ab_search(x, y, TOL)
         got = solve_ab_certificate(x, y, TOL)
-        assert repr(got) == repr(None if ref is None else (1.0, ref[0]))
+        assert (got is None) == (ref is None)
+        assert got is None or _passes_rule(x.to_dense(), y.to_dense(), got[1], TOL)
         assert inclusion_status(x, y, TOL) == _ref_inclusion_status(
             x, y, TOL, psd_probes(4, (x, y)))
 
@@ -187,6 +197,16 @@ def _disk_pair_stacks(draw):
     return pairs
 
 
+def _same(x, y):
+    """Bitwise equality of two (certificate, PencilBound) results."""
+    if repr(x[0]) != repr(y[0]) or (x[1] is None) != (y[1] is None):
+        return False
+    if x[1] is None:
+        return True
+    return (repr(x[1][:3]) == repr(y[1][:3])
+            and x[1].X.tobytes() == y[1].X.tobytes())
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_disk_pair_stacks(), st.sampled_from([TOL, 0.01]))
@@ -197,41 +217,14 @@ def test_stacked_pairs_match_one_pair_calls(pairs, tol):
     got = sdpmod.ab_certificates(A, B, scale, tol)
     for p, (a, b) in enumerate(pairs):
         alone = sdpmod.ab_certificates(A[p:p + 1], B[p:p + 1], scale[p:p + 1], tol)[0]
-        assert repr(got[p]) == repr(alone)
-        if _ref_ab_search(a, b, tol)[1]:
-            # a pair leaves only at a positive-definite probe, and its
-            # certificate is positive definite, with no tolerance slack
-            tau, margin = got[p]
-            assert margin > 0.0
-            assert np.linalg.eigvalsh(A[p] + tau * B[p])[0] > 0.0
-
-
-def test_golden_section_stops_at_float_resolution():
-    # the 120-step reference above agrees bitwise with the shorter search
-    assert sdpmod._INVPHI ** sdpmod._GOLDEN_ITERS <= 2.0 ** -52
-    assert sdpmod._INVPHI ** (sdpmod._GOLDEN_ITERS - 1) > 2.0 ** -52
-
-
-def _count_stacked_calls(monkeypatch):
-    """The stack sizes of the pair search's lambda_min_stack calls."""
-    calls = []
-    real = sdpmod.lambda_min_stack
-
-    def counting(mats):
-        calls.append(len(mats))
-        return real(mats)
-
-    monkeypatch.setattr(sdpmod, "lambda_min_stack", counting)
-    return calls
-
-
-def test_clearly_refuted_pair_costs_one_stacked_call(monkeypatch):
-    # overlapping disks: no combination of the pair is psd, and phi at c, at
-    # e and at the ends, taken in one stacked call, shows it
-    calls = _count_stacked_calls(monkeypatch)
-    assert solve_ab_certificate(disk_member((0.0, 0.0), 0.5), disk_member((0.5, 0.0), 0.5),
-                                TOL) is None
-    assert calls == [4]
+        assert _same(got[p], alone)
+        cert, bound = got[p]
+        assert cert is None or _passes_rule(A[p], B[p], cert[0], tol)
+        # the two searches read different points of the pencil, so where its
+        # best margin lies in the tolerance band [-tol scale, 0) each may
+        # certify a pair the other leaves open; outside it they agree
+        if bound is None or not -tol * scale[p] <= bound.lower < 0.0:
+            assert (cert is None) == (_ref_ab_search(a, b, tol) is None)
 
 
 def _seeded_pairs():
@@ -252,33 +245,34 @@ def _seeded_pairs():
 
 
 @pytest.mark.parametrize("tol", [TOL, 1e-3])
-def test_pairs_the_exit_drops_are_refuted_on_a_fine_grid(monkeypatch, tol):
-    # a pair that costs one stacked call left at the exit: its concave upper
-    # bound showed that no snap candidate can pass.  phi on 2001 points of
-    # [0, 1] stays below -tol * scale / 2 for each
-    calls = _count_stacked_calls(monkeypatch)
-    mu = np.linspace(0.0, 1.0, 2001)[:, None, None]
-    dropped = 0
+def test_uncertified_pairs_have_no_passing_grid_point(tol):
+    # every certificate passes the rule, and a pair left without one has no
+    # tau = (1 - mu) / mu on 2001 points of (0, 1) that would pass it
+    mu = np.linspace(0.0, 1.0, 2001)[1:-1]
+    tau = (1.0 - mu) / mu
+    certified = 0
     for a, b in _seeded_pairs():
-        scale = float(np.linalg.norm(a) + np.linalg.norm(b))
-        del calls[:]
-        cert = sdpmod.ab_certificates(a[None], b[None], np.array([scale]), tol)[0]
-        if len(calls) == 1:
-            dropped += 1
-            assert cert is None
-            assert np.linalg.eigvalsh(mu * a + (1.0 - mu) * b)[:, 0].max() < -tol * scale / 2.0
-    assert dropped >= 40
+        s = float(np.linalg.norm(a) + np.linalg.norm(b))
+        cert, _ = sdpmod.ab_certificates(a[None], b[None], np.array([s]), tol)[0]
+        if cert is not None:
+            certified += 1
+            assert _passes_rule(a, b, cert[0], tol)
+        else:
+            lam = np.linalg.eigvalsh(a + tau[:, None, None] * b)[:, 0]
+            assert (lam < -tol * np.minimum(1.0, tau) * s).all()
+    assert 20 <= certified <= 100
 
 
-def test_probe_draws_are_made_once_per_dimension():
-    first = psd_probes(3, [disk_member((0.0, 0.0), 0.5)])
-    again = psd_probes(3, [disk_member((1.0, 0.0), 0.5), disk_member((0.0, 1.0), 0.5)])
-    assert all(p is q for p, q in zip(first[-32:], again[-32:]))
-    rng = np.random.default_rng(12345)
-    for probe in first[-32:]:
-        g = rng.standard_normal(3)
-        x = g / np.linalg.norm(g)
-        assert probe == gram(x)
+def test_probes_follow_an_orthogonal_congruence():
+    # members with simple eigenvalues, so each probe is determined
+    rng = np.random.default_rng(5)
+    members = [SymMat.from_dense((g + g.T) / 2.0) for g in rng.standard_normal((3, 4, 4))]
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    turned = [SymMat.from_dense(q.T @ m.to_dense() @ q) for m in members]
+    probes, turned_probes = psd_probes(4, members), psd_probes(4, turned)
+    assert len(probes) == len(turned_probes) == 1 + 2 * len(members)
+    for x, y in zip(probes, turned_probes):
+        assert np.allclose(q.T @ x.to_dense() @ q, y.to_dense(), atol=1e-12)
 
 
 def test_pair_layer_rejects_duplicates_and_keeps_vacuous_sets():
@@ -377,3 +371,42 @@ def test_disk_families_invariant_under_order_and_scaling(case):
 @given(_families(_indefinite_family))
 def test_indefinite_families_invariant_under_order_and_scaling(case):
     _check_invariance(*case)
+
+
+# --------------------------------------------------------------------------
+# property: simultaneous orthogonal congruence
+# --------------------------------------------------------------------------
+
+def _turn(draw, members):
+    """The members under one orthogonal congruence Q' M Q drawn from a seed."""
+    n = members[0].n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return [SymMat.from_dense(q.T @ m.to_dense() @ q) for m in members]
+
+
+@st.composite
+def _turned_disk_pairs(draw):
+    pairs = draw(_disk_pair_stacks())
+    return [(pair, _turn(draw, pair)) for pair in pairs]
+
+
+@st.composite
+def _turned_families(draw):
+    members = _indefinite_family(draw)
+    return members, _turn(draw, members)
+
+
+@PROPERTY_SETTINGS
+@given(_turned_disk_pairs())
+def test_disk_pair_statuses_invariant_under_congruence(cases):
+    # apart, tangent and overlapping disks, each pair under its own rotation
+    for (a, b), (ta, tb) in cases:
+        assert check_pair_B(a, b, TOL).status == check_pair_B(ta, tb, TOL).status
+
+
+@PROPERTY_SETTINGS
+@given(_turned_families())
+def test_indefinite_pair_statuses_invariant_under_congruence(case):
+    members, turned = case
+    assert _verdicts(members)[0] == _verdicts(turned)[0]

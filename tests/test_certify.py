@@ -45,8 +45,14 @@ def test_pair_refuted_with_witness_invariants():
 def test_pair_certified_disk_pair():
     a, b = fig1_member(1), fig1_member(6)
     v = check_pair_B(a, b, TOL)
-    assert v.status == CERTIFIED and v.certificate == (1.0, 0.6)
-    assert lambda_min(a.scale(v.certificate[0]).add(b, v.certificate[1])) > 0.0
+    assert v.status == CERTIFIED and v.certificate[0] == 1.0
+    # A + tau B = diag(1 - tau, 1 - tau, tau - 1/2) is psd for tau in [1/2, 1];
+    # numpy's eigvalsh rechecks the acceptance rule and the reported margin
+    tau = v.certificate[1]
+    assert 0.5 <= tau <= 1.0
+    lam = np.linalg.eigvalsh(a.to_dense() + tau * b.to_dense())[0]
+    assert lam >= -TOL * min(1.0, tau) * (a.norm() + b.norm())
+    assert abs(v.margin - lam / max(1.0, a.norm() + b.norm())) <= 1e-15
 
 
 def test_pair_status_symmetric():
@@ -362,6 +368,26 @@ def test_classify_cases(monkeypatch):
     assert cl2.case == "b"
     cl3 = classify(constraint_set(2, [SymMat.zeros(2)]), TOL)
     assert cl3.case == "a"
+
+
+def test_classify_solves_below_the_band_at_small_tol(monkeypatch):
+    # a solve at tol t can leave its value about 2.6 t max(1, ||A||) above the
+    # optimum, and the band reads a boundary member at -tol; so at
+    # tol = 1e-9 the SDP is solved at 1e-10, and at the default 1e-8 at 1e-9
+    b, c = ex61_reduced_matrices()
+    tols = []
+    original = sdpmod.solve
+
+    def recording(p, tol=sdpmod.DEFAULT_TOL, **kwargs):
+        tols.append(tol)
+        return original(p, tol=tol, **kwargs)
+
+    monkeypatch.setattr(sdpmod, "solve", recording)
+    assert classify(constraint_set(2, [b, c]), 1e-9).case == "a"
+    assert tols and max(tols) <= 1e-10
+    del tols[:]
+    classify(constraint_set(2, [b, c]), TOL)
+    assert tols == [1e-9]
 
 
 def test_classify_checks_every_member_before_case_b(monkeypatch):
