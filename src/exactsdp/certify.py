@@ -49,11 +49,6 @@ def _band(lower: float, tol: float, scale: float, upper: Optional[float] = None)
     return None
 
 
-def _slater(s: ConstraintSet, tol: float) -> tuple:
-    """The (status, X, t, E) Slater solve of s (sdp.solve_slater)."""
-    return sdpmod.solve_slater(s.members, s.n, tol=min(tol, 1e-9))
-
-
 @dataclass
 class PairVerdict:
     pair: tuple
@@ -463,7 +458,9 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     """
     a1 = all(m.is_finite() for m in s.members)
     # (A-3): Slater point via max t s.t. X >= tI over the feasible slice
-    status, _, tstar, _ = slater if slater is not None else _slater(s, tol)
+    if slater is None:
+        slater = sdpmod.solve_slater(s.members, s.n, tol=tol)
+    status, _, tstar, _ = slater
     a3 = status == "optimal" and tstar > tol
     # (A-4)
     psd_members = tuple(i for i, m in enumerate(s.members) if is_psd(m, tol))
@@ -497,12 +494,14 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     Each is solved at min(tol / 10, 1e-9): a solve at t can leave its value
     a few t times the scale above the optimum, and the band reads a
     boundary member at -tol times the scale."""
-    status, x, _, _ = slater if slater is not None else _slater(s, tol)
+    if slater is None:
+        slater = sdpmod.solve_slater(s.members, s.n, tol=tol)
+    status, x, _, _ = slater
     for idx, m in enumerate(s.members):
         scale = max(1.0, m.norm())
         if status == "optimal" and inner(m, x) > _REFUTE_FACTOR * tol * scale:
             continue
-        sol = sdpmod.solve(sdpmod.trace_one_problem(m.scale(-1.0), s.members),
+        sol = sdpmod.solve(sdpmod.SdpProblem(m.scale(-1.0), SymMat.identity(s.n), s.members),
                            tol=min(tol / 10.0, 1e-9))
         if _band(sol.value if sol.status == "optimal" else math.nan, tol, scale):
             return Classification(case="a", exposing_index=idx)
@@ -519,7 +518,7 @@ def certify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     check_structural and classify, and `inclusions` to check_structural.
     The slice conditions are checked when n >= 2."""
     if slater is None:
-        slater = _slater(s, tol)
+        slater = sdpmod.solve_slater(s.members, s.n, tol=tol)
     structural = check_structural(s, tol, slater=slater, inclusions=inclusions)
     cond_b = check_condition_B(s, tol)
     slice_rep = None

@@ -88,7 +88,16 @@ def _matrix(node, n: int, path: str) -> SymMat:
     upper = node["upper"]
     if not isinstance(upper, list) or len(upper) != packed_len(n):
         raise DocError(path + ".upper", "need %d entries for n=%d" % (packed_len(n), n))
-    return SymMat.from_upper(n, [_num(v, "%s.upper[%d]" % (path, i)) for i, v in enumerate(upper)])
+    return _sized(SymMat.from_upper(
+        n, [_num(v, "%s.upper[%d]" % (path, i)) for i, v in enumerate(upper)]), path)
+
+
+def _sized(m: SymMat, path: str, prefix: str = "") -> SymMat:
+    """m, or a DocError at path when <m,m> overflows: its norm would be inf,
+    and normalize could not scale it."""
+    if not math.isfinite(m.norm()):
+        raise DocError(path, prefix + "entries too large: <M,M> overflows")
+    return m
 
 
 def _family(node, n: int, path: str):
@@ -169,9 +178,14 @@ def parse_problem(data) -> tuple:
         elif "family" in c:
             try:
                 fam = _family(c["family"], n, path + ".family")
-                members.extend(build_family(fam, n).members)
+                # a member that overflows is refused here, not warned about
+                with np.errstate(over="ignore", invalid="ignore"):
+                    members.extend(_sized(m, path + ".family", "member %d: " % k)
+                                   for k, m in enumerate(build_family(fam, n).members))
             except DocError:
                 raise
+            except OverflowError:
+                raise DocError(path + ".family", "entries too large: a member overflows")
             except ValueError as exc:
                 raise DocError(path + ".family", str(exc))
         else:

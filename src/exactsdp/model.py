@@ -289,12 +289,15 @@ def normalize(s: ConstraintSet) -> ConstraintSet:
     """Unit Frobenius norm for every member; exact duplicates dropped.
 
     Zero matrices are dropped unless the set is exactly {O}; J_+ is unchanged
-    because membership is scale invariant.
+    because membership is scale invariant.  Raises ValueError for a member
+    whose norm overflows.
     """
     kept = []
     seen = set()
     for m in s.members:
         nrm = m.norm()
+        if not math.isfinite(nrm):
+            raise ValueError("a member's norm overflows")
         if nrm == 0.0:
             continue
         unit = m.scale(1.0 / nrm)

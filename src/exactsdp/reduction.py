@@ -110,8 +110,7 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
             # max t s.t. X >= tI, <B,X> >= 0, trace X = 1; with no margin its
             # dual certificate E is psd and zero on the feasible cone, so the
             # face lies in ker E (E is an exposing matrix)
-            slater = sdpmod.solve_slater(cur_members or [SymMat.zeros(cur_n)], cur_n,
-                                         tol=min(tol, 1e-9))
+            slater = sdpmod.solve_slater(cur_members or [SymMat.zeros(cur_n)], cur_n, tol=tol)
             status, _, tstar, E = slater
             if status == "infeasible":
                 # feasible cone is {O}
@@ -119,7 +118,7 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
                 rounds += 1
                 break
             if status not in ("optimal", "max_iter"):
-                raise RuntimeError("max-rank detection failed with solver status %r" % status)
+                raise ValueError("max-rank detection failed with solver status %r" % status)
             if tstar > tol:
                 break
             e = E.to_dense()
@@ -129,6 +128,10 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
             lifted = basis_total @ e @ basis_total.T
             exposing = lifted if exposing is None else exposing + lifted
         rounds += 1
+        basis_total = basis_total @ P
+        cur_n = P.shape[1]
+        if cur_n == 0:
+            break  # no x in range(0) = {0} meets x'Hx = 1
         cur_Q = SymMat.from_dense(P.T @ dense[0] @ P)
         cur_H = SymMat.from_dense(P.T @ dense[1] @ P)
         new_members = []
@@ -138,10 +141,6 @@ def facial_reduce(p: GeoCop, tol: float = sdpmod.DEFAULT_TOL) -> ReductionResult
                 continue  # a zero projection constrains nothing on the face
             new_members.append(SymMat.from_dense(pm))
         cur_members = new_members
-        basis_total = basis_total @ P
-        cur_n = P.shape[1]
-        if cur_n == 0:
-            break
 
     if exposing is not None:
         exposing = SymMat.from_dense((exposing + exposing.T) / 2.0)

@@ -1,21 +1,24 @@
 """Dense primal-dual interior-point SDP solver.
 
-Solves min <C,X> + c.w  s.t.  linear rows on (X, w),  X psd,  w >= 0
+Every interior-point SDP of the package has one form (SdpProblem):
+min <C,X> s.t. <H,X> = 1, <B_j,X> >= 0 for every member, X psd.  The
+relaxation takes C = Q, and classify's trace-one SDP takes C = -B and
+H = I.  The member rows carry slacks w >= 0, and the Slater solve poses the
+same rows on Z = X - tI with t as one more entry of w.  The core solves
+min <C,X> + c.w  s.t.  linear rows on (X, w),  X psd,  w >= 0
 through a homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, which yields infeasibility/unboundedness
 certificates as a by-product.  Also hosts the pencil search (pencil_bounds)
 that answers every trace-one SDP with one member row,
 min <A,X> s.t. <G,X> >= 0, trace X = 1, through the concave dual
-max over y >= 0 of lambda_min(A - yG), with no interior-point solve; the
+max over y >= 0 of lambda_min(A - yG), with no interior-point solve; and the
 (alpha, beta) pair certificate (ab_certificates), read from the same pencil
-with G = -B, so one search per pair gives the certificate or the
-refutation; and the small auxiliary SDP formulations used by the
-certification and reduction stages.
+with G = -B, so one search per pair gives the certificate or the refutation.
 
-Every SDP is solved densely.  It has n >= 1 and at least one row
-(SdpProblem refuses a problem without rows); the w block may be empty, and
-numpy's zero-size arrays carry that case through the same code path as
-every other, with no branch on a dimension.
+Every SDP is solved densely.  It has n >= 1 and the H row; the w block is
+empty when there are no members, and numpy's zero-size arrays carry that
+case through the same code path as every other, with no branch on a
+dimension.
 
 The iterate is carried flat: (vec X, w) and (vec S, z) are the two rows of
 one array, and the rows of the problem are one operator [A2 | Aw] of shape
@@ -49,7 +52,7 @@ which needs no threshold.  A direction that is not finite ends the solve as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -65,22 +68,16 @@ _STEP_FRACTION = 0.99
 
 @dataclass(frozen=True)
 class SdpProblem:
-    n: int
+    """min <C,X> s.t. <H,X> = 1, <B,X> >= 0 for every member B, X psd, in
+    the dimension of the objective C."""
+
     objective: SymMat
-    eq_constraints: tuple = ()    # of (SymMat, rhs)
-    ineq_constraints: tuple = ()  # of (SymMat, sense in {">=", "<="}, rhs)
+    H: SymMat
+    members: tuple = ()
 
     def __post_init__(self):
-        if self.objective.n != self.n:
-            raise ValueError("objective dimension mismatch")
-        if not self.eq_constraints and not self.ineq_constraints:
-            raise ValueError("an SDP needs at least one constraint row")
-        for m, rhs in self.eq_constraints:
-            if m.n != self.n or not math.isfinite(rhs):
-                raise ValueError("bad equality constraint")
-        for m, sense, rhs in self.ineq_constraints:
-            if m.n != self.n or sense not in (">=", "<=") or not math.isfinite(rhs):
-                raise ValueError("bad inequality constraint")
+        if any(m.n != self.objective.n for m in (self.H, *self.members)):
+            raise ValueError("dimension mismatch")
 
 
 @dataclass
@@ -95,7 +92,7 @@ class SdpSolution:
     iterations: int = 0
     certificate: Optional[dict] = None
     mu_history: tuple = ()
-    slack: Optional[np.ndarray] = None  # the w >= 0 block (slacks of ">=" rows)
+    slack: Optional[np.ndarray] = None  # the w >= 0 block (slacks of the member rows)
 
 
 # --------------------------------------------------------------------------
@@ -166,24 +163,21 @@ def _schur_complement(W, Am, Aw, D):
     return (W @ Am @ W).reshape(A2.shape) @ A2.T + (Aw * D) @ Aw.T
 
 
-def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
-    """Solve the conic data; multipliers of the first n_eq rows are reported
-    as dual_eq and the rest as dual_ineq.  n >= 1 and at least one row; the
-    w block may be empty (p = 0).
+def _conic_solve(d: _ConicData, tol: float = DEFAULT_TOL) -> SdpSolution:
+    """Solve the conic data; the multiplier of the first row (the H row) is
+    reported as dual_eq and the rest as dual_ineq.  n >= 1 and at least one
+    row; the w block may be empty (p = 0).
 
     The iterate is carried flat: xs[0] = (vec X, w) and xs[1] = (vec S, z),
     with the rows as one operator [A2 | Aw] and the objective row below it,
     so each residual, norm and product is one call, and one update moves
     both.
 
-    A run cut by max_iter or ended as "numerical" reports the best iterate
-    seen, the one with the smallest max(pres, dres, gap); an iterate within
-    tol ends the run as "optimal" where it is reached.  "infeasible" and
-    "unbounded" report the current iterate, whose products are the
-    certificate.  Raises ValueError for max_iter < 1."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    A run cut after DEFAULT_MAX_ITER iterations (read at call time) or
+    ended as "numerical" reports the best iterate seen, the one with the
+    smallest max(pres, dres, gap); an iterate within tol ends the run as
+    "optimal" where it is reached.  "infeasible" and "unbounded" report the
+    current iterate, whose products are the certificate."""
     n, p, m = d.n, d.p, len(d.b)
     N = n * n
     nu = n + p
@@ -216,7 +210,7 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     since_best = 0
     status = "max_iter"
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         x, s = xs
         comp = float(x @ s) + tau * kappa
         mu = comp / (nu + 1.0)
@@ -399,8 +393,8 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
         metrics, xs, y, tau, kappa = best
     pres, dresr, gap, pobj, dobj = metrics
 
-    # undo scaling; duals of ">="-form rows are the nonnegative slack
-    # multipliers ("<=" rows were negated on entry, so theirs stay nonnegative)
+    # undo scaling; the multipliers of the member rows are those of their
+    # nonnegative slacks
     X, w = xs[0, :N].reshape(n, n), xs[0, N:]
     yy = y / tau * rho_c / rho
     certificate = None
@@ -414,8 +408,8 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
     return SdpSolution(
         status=status,
         X=X_out,
-        dual_eq=yy[:n_eq],
-        dual_ineq=yy[n_eq:],
+        dual_eq=yy[:1],
+        dual_ineq=yy[1:],
         value=pobj * rho_c,
         dual_value=dobj * rho_c,
         residuals=(pres, dresr, gap),
@@ -430,101 +424,51 @@ def _conic_solve(d: _ConicData, n_eq: int, tol: float = DEFAULT_TOL,
 # public SdpProblem interface
 # --------------------------------------------------------------------------
 
-def _slack_block(n_eq: int, k: int) -> np.ndarray:
-    """[0; -I]: rows after the first n_eq subtract their own slack."""
-    return np.vstack([np.zeros((n_eq, k)), np.diag(np.full(k, -1.0))])
-
-
-def _assemble(p: SdpProblem):
-    mats = [mat for mat, _ in p.eq_constraints] + [mat for mat, _, _ in p.ineq_constraints]
-    n_eq, k = len(p.eq_constraints), len(p.ineq_constraints)
-    # "<=" rows are negated into ">=" form
-    sign = np.array([1.0] * n_eq + [1.0 if sense == ">=" else -1.0
-                                    for _, sense, _ in p.ineq_constraints])
-    rhs = np.array([r for _, r in p.eq_constraints] + [r for _, _, r in p.ineq_constraints],
-                   dtype=float)
-    d = _ConicData(
-        n=p.n,
+def _assemble(p: SdpProblem) -> _ConicData:
+    """The H row, then one row <B_j,X> - w_j = 0 per member."""
+    n, k = p.objective.n, len(p.members)
+    return _ConicData(
+        n=n,
         p=k,
         Cm=p.objective.to_dense(),
         cw=np.zeros(k),
-        Am=dense_stack(packed_stack(mats, p.n), p.n) * sign[:, None, None],
-        Aw=_slack_block(n_eq, k),
-        b=rhs * sign,
+        Am=dense_stack(packed_stack([p.H, *p.members], n), n),
+        Aw=np.vstack([np.zeros((1, k)), np.diag(np.full(k, -1.0))]),
+        b=np.concatenate([[1.0], np.zeros(k)]),
     )
-    return d, n_eq
 
 
-def solve(p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+def solve(p: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve the SDP; optimal solutions come with primal/dual residuals, and
     infeasibility / unboundedness are reported through Farkas-type certificates."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if not p.objective.is_finite():
         raise ValueError("non-finite objective")
-    d, n_eq = _assemble(p)
-    return _conic_solve(d, n_eq, tol=tol, max_iter=max_iter)
+    return _conic_solve(_assemble(p), tol=tol)
 
-
-# --------------------------------------------------------------------------
-# auxiliary SDP formulations used by certify / reduce
-# --------------------------------------------------------------------------
 
 def relaxation_problem(p: GeoCop) -> SdpProblem:
     """min <Q,X> s.t. <H,X> = 1, <B,X> >= 0 for all members, X psd."""
-    return SdpProblem(
-        n=p.n,
-        objective=p.Q,
-        eq_constraints=((p.H, 1.0),),
-        ineq_constraints=tuple((m, ">=", 0.0) for m in p.bset.members),
-    )
-
-
-def trace_one_problem(objective: SymMat, members) -> SdpProblem:
-    """min <C,X> s.t. trace X = 1, <B,X> >= 0 for all members, X psd.
-
-    The trace-one SDPs of certify are all of this form: the refutation SDP
-    min <A,X> s.t. <B,X> <= 0 takes the member -B, the inclusion SDP
-    (value >= 0 iff J+(B) is included in J+(A)) takes B, and max <F,X> over
-    the trace-one feasible slice takes the objective -F.  Only the last, in
-    classify, has more than one member and is solved as an SDP; the
-    one-member questions go to pencil_bounds, and the tests keep this form
-    as their independent reference.
-    """
-    return SdpProblem(
-        n=objective.n,
-        objective=objective,
-        eq_constraints=((SymMat.identity(objective.n), 1.0),),
-        ineq_constraints=tuple((m, ">=", 0.0) for m in members),
-    )
+    return SdpProblem(p.Q, p.H, p.bset.members)
 
 
 def slater_data(members, n: int) -> _ConicData:
     """max t s.t. X >= t I, <B,X> >= 0, trace X = 1  via  Z = X - t I psd.
 
-    Variables: Z (psd block), w = (t, slacks).  Objective: min -t.
+    The rows of the trace-one SDP on X = Z + tI: each row matrix A takes
+    the column tr A for t, the first entry of w, and the objective is -t.
     """
-    mats = dense_stack(packed_stack(members, n), n)
-    k = len(mats)
-    p = 1 + k
-    # trace Z + n t = 1;  <B_j,Z> + t tr(B_j) - s_j = 0
-    t_col = np.concatenate([[float(n)], np.trace(mats, axis1=1, axis2=2)])
-    cw = np.zeros(p)
-    cw[0] = -1.0
-    return _ConicData(
-        n=n,
-        p=p,
-        Cm=np.zeros((n, n)),
-        cw=cw,
-        Am=np.concatenate([np.eye(n)[None], mats]),
-        Aw=np.column_stack([t_col, _slack_block(1, k)]),
-        b=np.concatenate([[1.0], np.zeros(k)]),
-    )
+    d = _assemble(SdpProblem(SymMat.zeros(n), SymMat.identity(n), tuple(members)))
+    return replace(d, p=d.p + 1, cw=np.concatenate([[-1.0], d.cw]),
+                   Aw=np.column_stack([np.trace(d.Am, axis1=1, axis2=2), d.Aw]))
 
 
-def solve_slater(members, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     """Returns (status, X_star, t_star, E): a max-rank feasible point, its
     margin, and the dual certificate E = -sum_j y_j B_j of the member rows.
+    The solve runs at min(tol, 1e-9): facial reduction and (A-3) compare
+    t_star with tol itself, so the solve is held below it.
 
     Dual feasibility reads E = S + y0 I with S psd and y_j >= 0, and
     tr E >= 1 + n y0, where y0 = -t_star at the optimum.  So when t_star is
@@ -534,7 +478,7 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL, max_iter: int = DEFA
     status is optimal or max_iter.
     """
     data = slater_data(members, n)
-    sol = _conic_solve(data, 1, tol=tol, max_iter=max_iter)
+    sol = _conic_solve(data, tol=min(tol, 1e-9))
     if sol.status not in ("optimal", "max_iter"):
         return sol.status, None, -math.inf, None
     t = float(sol.slack[0])

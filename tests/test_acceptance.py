@@ -205,9 +205,7 @@ def test_criterion_8_solver_unit_and_certificate_soundness():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         q = random_sym(rng, n)
-        sol = solve(SdpProblem(n=n, objective=q,
-                               eq_constraints=((SymMat.identity(n), 1.0),)),
-                    tol=1e-9)
+        sol = solve(SdpProblem(q, SymMat.identity(n)), tol=1e-9)
         lam = float(eigvals_sym(q)[-1])
         assert sol.status == "optimal"
         assert abs(sol.value - lam) <= 1e-8

@@ -119,7 +119,7 @@ def _ref_inclusion_status(a, b, tol, probes):
     for x in probes:
         if inner(b, x) >= 0.0 and inner(a, x) < -10.0 * tol * scale_a * max(1.0, _ref_norm(x)):
             return REFUTED
-    sol = sdpmod.solve(sdpmod.trace_one_problem(a, [b]), tol=min(tol, 1e-9))
+    sol = sdpmod.solve(sdpmod.SdpProblem(a, SymMat.identity(a.n), (b,)), tol=min(tol, 1e-9))
     if sol.status != "optimal":
         return INCONCLUSIVE
     if sol.value >= -tol * scale_a:

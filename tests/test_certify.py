@@ -14,7 +14,7 @@ from exactsdp.certify import (CERTIFIED, Classification, ConditionBReport, INCON
                               inclusion_status)
 from exactsdp.model import GeoCop, constraint_set, eval_quadratic, normalize
 from exactsdp.reduction import facial_reduce, remove_redundant
-from exactsdp.sdp import solve, solve_ab_certificate, trace_one_problem
+from exactsdp.sdp import SdpProblem, solve, solve_ab_certificate
 from exactsdp.symmat import SymMat, inner, is_psd, lambda_min
 from exactsdp.gallery import (FIG1_COMBOS, build_case, disk_member, ex61_matrices,
                               ex61_reduced_matrices, fig1_member, fig2_members,
@@ -414,7 +414,8 @@ def test_certificate_and_sdp_paths_agree_under_structure():
                     continue
                 a, b = s.members[i], s.members[j]
                 cert = solve_ab_certificate(a, b, TOL)
-                zeta = solve(trace_one_problem(a, [b.scale(-1.0)]), tol=1e-9).value
+                zeta = solve(SdpProblem(a, SymMat.identity(a.n), (b.scale(-1.0),)),
+                             tol=1e-9).value
                 scale = max(1.0, a.norm())
                 if cert is not None:
                     assert zeta >= -10.0 * TOL * scale

@@ -302,3 +302,45 @@ def test_restriction_is_refused_where_not_applied(tmp_path, capsys, command):
     assert err.startswith("error: $.restrict_matrix:")
     assert "pipeline" in err and "reduce" in err
     assert not list(tmp_path.iterdir())
+
+
+# member 0 has x'B0x = -1 at x = (0, 1), but <B0,B0> overflows: its norm was
+# inf, normalize scaled it to zero and pruning dropped it, so pipeline
+# certified (0, 1) with exit 0
+_OVERFLOWING = {"n": 2, "Q": {"upper": ["1", "0", "-1"]}, "H": {"upper": ["1", "0", "1"]},
+                "constraints": [{"matrix": {"upper": ["1e200", "2", "-1"]}},
+                                {"matrix": {"upper": ["-1", "0", "1"]}}]}
+
+
+@pytest.mark.parametrize("command", ["pipeline", "certify"])
+def test_overflowing_matrix_exit_one(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_OVERFLOWING))
+    code, out, err = run([command, "--input", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.constraints[0].matrix:")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "reduce"])
+def test_unreachable_tol_exit_one_without_traceback(capsys, command):
+    # at tol 1e-16 the Slater solve of facial reduction ends "numerical"
+    path = os.path.join(os.path.dirname(RESTRICTED), "worked-example.json")
+    code, out, err = run([command, "--input", path, "--tol", "1e-16"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: max-rank detection failed with solver status 'numerical'\n"
+
+
+def test_rank_zero_restriction_is_infeasible(tmp_path, capsys):
+    # x in range(0) = {0} cannot meet x'Hx = 1: the problem is infeasible
+    doc = dict(_GOOD, restrict_matrix={"cols": 1, "entries": ["0", "0", "0"]})
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["pipeline", "--input", str(path)], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["value"] == "inf" and doc["reduction"]["reduced_n"] == 0
+    code, out, _ = run(["reduce", "--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["reduction"]["reduced_n"] == 0

@@ -48,6 +48,33 @@ def test_bad_entry_reports_indexed_path():
     assert err.value.path == "$.Q.upper[2]"
 
 
+@pytest.mark.parametrize("where", ["Q", "H", "constraints"])
+def test_overflowing_matrix_reports_path(where):
+    # finite entries whose <M,M> overflows: normalize cannot scale them
+    doc = json.loads(json.dumps(MINIMAL))
+    node = doc["constraints"][0]["matrix"] if where == "constraints" else doc[where]
+    node["upper"][1] = "1e160"
+    with pytest.raises(docio.DocError) as err:
+        docio.parse_problem(json.dumps(doc))
+    assert err.value.path == {"Q": "$.Q", "H": "$.H",
+                              "constraints": "$.constraints[0].matrix"}[where]
+
+
+@pytest.mark.parametrize("family,message", [
+    ({"centers": [[0, 0], [1e160, 0]], "radius": "0.5"}, "member 1: entries too large"),
+    ({"centers": [[0, 0]], "radius": "1e200"}, "entries too large"),
+])
+def test_overflowing_family_member_reports_path(family, message):
+    # the realized member overflows (numpy) or its r^2 does (Python float)
+    doc = dict(MINIMAL, n=3, Q={"upper": ["1", "0", "0", "-1", "0", "0"]},
+               H={"upper": ["1", "0", "0", "1", "0", "1"]},
+               constraints=[{"family": dict(family, kind="ball_grid")}])
+    with pytest.raises(docio.DocError) as err:
+        docio.parse_problem(json.dumps(doc))
+    assert err.value.path == "$.constraints[0].family"
+    assert message in str(err.value)
+
+
 def test_ball_family_document_realizes_members():
     doc = {
         "n": 3,

@@ -122,6 +122,12 @@ def test_normalize_zero_set():
     assert len(s.members) == 1 and s.members[0].data == (0.0, 0.0, 0.0)
 
 
+def test_normalize_refuses_an_overflowing_norm():
+    # scaling by 1 / inf would turn the member into the zero matrix
+    with pytest.raises(ValueError, match="overflows"):
+        normalize(constraint_set(2, [SymMat.diag([1e200, -1.0]), SymMat.identity(2)]))
+
+
 def test_normalize_drops_duplicates_and_preserves_signs():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 3))

@@ -187,7 +187,7 @@ def _embedded_disk_pair():
 
 
 def test_refuted_pair_takes_its_witness_from_the_refutation_sdp(monkeypatch):
-    trace_one = _count_calls(monkeypatch, sdpmod, "trace_one_problem")
+    solves = _count_calls(monkeypatch, sdpmod, "solve")
     shifted = _count_calls(monkeypatch, certmod, "_pair_slice_witness")
     v = run_pipeline(_embedded_disk_pair(), PipelineConfig(tol=1e-8, cert_tol=1e-8))
     assert v.reduction.reduced_n == 3 and v.reduction.pruned_indices == ()
@@ -196,8 +196,8 @@ def test_refuted_pair_takes_its_witness_from_the_refutation_sdp(monkeypatch):
     assert pair.status == "refuted"
     # the refutation SDP is answered by its pencil, not by an interior-point
     # solve: the pencil's X, split against B, gives the (B)' witness, and no
-    # shifted pencil is needed
-    assert len(trace_one) == 0 and len(shifted) == 0
+    # shifted pencil is needed.  The relaxation is the one interior-point solve
+    assert len(solves) == 1 and len(shifted) == 0
     x = np.append(pair.witness_point, 1.0)
     qa, qb = (float(x @ m.to_dense() @ x) for m in v.reduction.reduced.bset.members)
     assert qb <= 1e-8 and qa < -1e-8

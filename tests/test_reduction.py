@@ -90,6 +90,16 @@ def test_facial_reduce_collapse_to_zero():
     assert rr.reduced_n == 0 and rr.reduced is None
 
 
+def test_facial_reduce_rank_zero_restriction_collapses_to_zero():
+    # a zero restriction matrix confines x to {0}, where x'Hx = 1 fails
+    a, b, c = ex61_matrices()
+    prob = GeoCop(n=4, Q=SymMat.identity(4), H=SymMat.identity(4),
+                  bset=constraint_set(4, [a, b, c]), restrict_to=(4, 2, (0.0,) * 8))
+    rr = facial_reduce(prob, TOL)
+    assert rr.reduced_n == 0 and rr.reduced is None and rr.rounds == 1
+    assert rr.basis.shape == (4, 0) and rr.slater_margin == -math.inf
+
+
 def test_value_preserved_by_reduction():
     prob = ex61_problem()
     # the unreduced problem has no Slater point: 1e-8 is its attainable accuracy

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import exactsdp.sdp as sdp_module
-from exactsdp.model import GeoCop, constraint_set
+from exactsdp.model import ConstraintSet, GeoCop, constraint_set
 from exactsdp.model import normalize
-from exactsdp.sdp import (SdpProblem, _assemble, _schur_complement, relaxation_problem,
-                          solve, solve_ab_certificate, solve_slater, trace_one_problem)
-from exactsdp.symmat import SymMat, eigvals_sym, lambda_min
-from exactsdp.gallery import ex61_matrices, ex61_reduced_matrices, fig2_members
+from exactsdp.sdp import (SdpProblem, _assemble, _ConicData, _schur_complement,
+                          relaxation_problem, slater_data, solve, solve_ab_certificate,
+                          solve_slater)
+from exactsdp.symmat import SymMat, dense_stack, eigvals_sym, lambda_min, packed_stack
+from exactsdp.gallery import build_case, ex61_matrices, ex61_reduced_matrices, list_cases
 from test_acceptance import _certified_instances
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -22,8 +23,7 @@ def random_sym(rng, n):
 
 
 def trace_one_min(q, tol=1e-9):
-    return solve(SdpProblem(n=q.n, objective=q,
-                            eq_constraints=((SymMat.identity(q.n), 1.0),)), tol=tol)
+    return solve(SdpProblem(q, SymMat.identity(q.n)), tol=tol)
 
 
 def test_trace_one_gives_lambda_min():
@@ -46,9 +46,7 @@ def test_trace_one_random_battery():
 
 def test_reduced_worked_example_value():
     b, c = ex61_reduced_matrices()
-    prob = SdpProblem(n=2, objective=SymMat.diag([1.0, -1.0]),
-                      eq_constraints=((SymMat.identity(2), 1.0),),
-                      ineq_constraints=((b, ">=", 0.0), (c, ">=", 0.0)))
+    prob = SdpProblem(SymMat.diag([1.0, -1.0]), SymMat.identity(2), (b, c))
     sol = solve(prob, tol=1e-9)
     assert sol.status == "optimal"
     # independent oracle: x = (cos t, sin t), constraint sin 2t = -1/2,
@@ -61,8 +59,7 @@ def test_reduced_worked_example_value():
 
 
 def test_infeasible_detection():
-    prob = SdpProblem(n=2, objective=SymMat.identity(2),
-                      eq_constraints=((SymMat.identity(2).scale(-1.0), 1.0),))
+    prob = SdpProblem(SymMat.identity(2), SymMat.identity(2).scale(-1.0))
     sol = solve(prob)
     assert sol.status == "infeasible"
     assert sol.certificate is not None and sol.certificate["kind"] == "primal_infeasible"
@@ -70,71 +67,45 @@ def test_infeasible_detection():
 
 def test_unbounded_detection():
     e11 = SymMat.from_dense([[1.0, 0.0], [0.0, 0.0]])
-    prob = SdpProblem(n=2, objective=SymMat.diag([1.0, -1.0]),
-                      eq_constraints=((e11, 1.0),))
+    prob = SdpProblem(SymMat.diag([1.0, -1.0]), e11)
     sol = solve(prob)
     assert sol.status == "unbounded"
 
 
-def test_mixed_senses_and_weak_duality():
-    # min X11 + X22 s.t. trace X = 2, X11 >= 1, X12 <= 0.25
-    e11 = SymMat.from_dense([[1.0, 0.0], [0.0, 0.0]])
-    e12 = SymMat.from_dense([[0.0, 0.5], [0.5, 0.0]])
-    prob = SdpProblem(n=2, objective=SymMat.identity(2),
-                      eq_constraints=((SymMat.identity(2), 2.0),),
-                      ineq_constraints=((e11, ">=", 1.0), (e12, "<=", 0.25)))
-    sol = solve(prob, tol=1e-9)
-    assert sol.status == "optimal"
-    assert abs(sol.value - 2.0) <= 1e-7
-    assert sol.value >= sol.dual_value - 1e-6
-    assert (sol.dual_ineq >= -1e-9).all()
-
-
 def test_rejects_bad_inputs():
-    trace_one = ((SymMat.identity(2), 1.0),)
-    with pytest.raises(ValueError):
-        SdpProblem(n=2, objective=SymMat.identity(3), eq_constraints=trace_one)
-    prob = SdpProblem(n=2, objective=SymMat.identity(2), eq_constraints=trace_one)
+    i2 = SymMat.identity(2)
+    with pytest.raises(ValueError, match="dimension"):
+        SdpProblem(SymMat.identity(3), i2)
+    with pytest.raises(ValueError, match="dimension"):
+        SdpProblem(i2, i2, (i2, SymMat.identity(3)))
     with pytest.raises(ValueError, match="tol"):
-        solve(prob, tol=0.0)
-    with pytest.raises(ValueError):
-        SdpProblem(n=2, objective=SymMat.identity(2),
-                   ineq_constraints=((SymMat.identity(2), ">", 0.0),))
-    with pytest.raises(ValueError):
-        SdpProblem(n=2, objective=SymMat.identity(2),
-                   ineq_constraints=((SymMat.identity(2), "==", 1.0),))
+        solve(SdpProblem(i2, i2), tol=0.0)
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_rejects_max_iter_below_one(max_iter):
-    # a run needs one iteration to have metrics and a best iterate to report
-    prob = SdpProblem(n=2, objective=SymMat.identity(2),
-                      eq_constraints=((SymMat.identity(2), 1.0),))
-    with pytest.raises(ValueError, match="max_iter"):
-        solve(prob, max_iter=max_iter)
-    with pytest.raises(ValueError, match="max_iter"):
-        solve_slater([SymMat.identity(2)], 2, max_iter=max_iter)
-    assert solve(prob, max_iter=1).iterations == 1
-
-
-def test_rejects_problem_without_rows():
-    # every SDP has at least one row; the interior-point core relies on it
-    with pytest.raises(ValueError, match="row"):
-        SdpProblem(n=2, objective=SymMat.identity(2))
+def test_run_cut_after_default_max_iter(monkeypatch):
+    # the iteration cap is read when a solve starts; a run cut after one
+    # iteration reports the one iterate it has
+    monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", 1)
+    sol = solve(SdpProblem(SymMat.identity(2), SymMat.identity(2)))
+    assert sol.status == "max_iter" and sol.iterations == 1
+    assert len(sol.mu_history) == 1 and sol.X is not None
+    status, x, _, _ = solve_slater([SymMat.identity(2)], 2)
+    assert status == "max_iter" and x is not None
 
 
 def test_equality_rows_come_first_in_conic_data():
-    # ">=" rows subtract a slack, "<=" rows are negated first; equality rows
-    # carry no slack: the w block of the conic data is [0; -I]
+    # the H row comes first and carries no slack; each member row subtracts
+    # its own: the w block of the conic data is [0; -I], b = (1, 0, ..., 0)
     e11 = SymMat.from_dense([[1.0, 0.0], [0.0, 0.0]])
-    prob = SdpProblem(n=2, objective=SymMat.identity(2),
-                      eq_constraints=((SymMat.identity(2), 2.0),),
-                      ineq_constraints=((e11, ">=", 1.0), (e11, "<=", 3.0)))
-    d, n_eq = _assemble(prob)
-    assert n_eq == 1 and d.p == 2
+    e12 = SymMat.from_dense([[0.0, 0.5], [0.5, 0.0]])
+    h = SymMat.diag([2.0, 3.0])
+    d = _assemble(SdpProblem(SymMat.identity(2), h, (e11, e12)))
+    assert d.n == 2 and d.p == 2
     assert np.array_equal(d.Aw, [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-    assert np.array_equal(d.b, [2.0, 1.0, -3.0])
-    assert np.array_equal(d.Am[2], -e11.to_dense())
+    assert np.array_equal(d.b, [1.0, 0.0, 0.0])
+    assert np.array_equal(d.Am, [h.to_dense(), e11.to_dense(), e12.to_dense()])
+    d = _assemble(SdpProblem(SymMat.identity(2), h))
+    assert d.p == 0 and d.Aw.shape == (1, 0) and d.cw.shape == (0,)
 
 
 def _passes_rule(a, b, cert, tol=sdp_module.DEFAULT_TOL):
@@ -196,9 +167,8 @@ def test_gap_monotone_near_convergence():
     rng = np.random.default_rng(3)
     q = random_sym(rng, 4)
     g = random_sym(rng, 4)
-    prob = SdpProblem(n=4, objective=q,
-                      eq_constraints=((SymMat.identity(4), 1.0),),
-                      ineq_constraints=((g, ">=", -10.0),))
+    # <G + 10 I, X> >= 0 is <G,X> >= -10 on trace X = 1
+    prob = SdpProblem(q, SymMat.identity(4), (g.add(SymMat.identity(4), 10.0),))
     sol = solve(prob, tol=1e-10)
     assert sol.status == "optimal"
     tail = sol.mu_history[-5:]
@@ -217,62 +187,101 @@ def test_relaxation_problem_shape():
     p = GeoCop(n=2, Q=SymMat.diag([1.0, -1.0]), H=SymMat.identity(2),
                bset=constraint_set(2, [b, c]))
     prob = relaxation_problem(p)
-    assert len(prob.eq_constraints) == 1 and len(prob.ineq_constraints) == 2
+    assert prob == SdpProblem(p.Q, p.H, (b, c))
 
 
 def test_eq10_problem_is_bounded_refuter():
     # min <A,X> s.t. <B,X> <= 0, trace X = 1, posed with the member -B
     a, b, _ = ex61_matrices()
-    sol = solve(trace_one_problem(a, [b.scale(-1.0)]), tol=1e-9)
+    sol = solve(SdpProblem(a, SymMat.identity(4), (b.scale(-1.0),)), tol=1e-9)
     assert sol.status == "optimal"
     assert sol.value <= -0.5  # clearly negative: the pair is refuted
 
 
-# the three trace-one builders trace_one_problem replaced, as they were
-def _ref_eq10_problem(a, b):
-    return SdpProblem(n=a.n, objective=a, eq_constraints=((SymMat.identity(a.n), 1.0),),
-                      ineq_constraints=((b, "<=", 0.0),))
+# the builders of the general form (equality rows with right-hand sides,
+# ">=" and "<=" rows) that SdpProblem(objective, H, members) replaced, as
+# they were
+def _ref_slack_block(n_eq, k):
+    return np.vstack([np.zeros((n_eq, k)), np.diag(np.full(k, -1.0))])
 
 
-def _ref_inclusion_problem(a, b):
-    return SdpProblem(n=a.n, objective=a, eq_constraints=((SymMat.identity(a.n), 1.0),),
-                      ineq_constraints=((b, ">=", 0.0),))
+def _ref_assemble(n, objective, eq_constraints, ineq_constraints):
+    mats = [mat for mat, _ in eq_constraints] + [mat for mat, _, _ in ineq_constraints]
+    n_eq, k = len(eq_constraints), len(ineq_constraints)
+    sign = np.array([1.0] * n_eq + [1.0 if sense == ">=" else -1.0
+                                    for _, sense, _ in ineq_constraints])
+    rhs = np.array([r for _, r in eq_constraints] + [r for _, _, r in ineq_constraints],
+                   dtype=float)
+    return _ConicData(
+        n=n,
+        p=k,
+        Cm=objective.to_dense(),
+        cw=np.zeros(k),
+        Am=dense_stack(packed_stack(mats, n), n) * sign[:, None, None],
+        Aw=_ref_slack_block(n_eq, k),
+        b=rhs * sign,
+    )
 
 
-def _ref_slice_max_problem(f, members):
-    return SdpProblem(n=f.n, objective=f.scale(-1.0),
-                      eq_constraints=((SymMat.identity(f.n), 1.0),),
-                      ineq_constraints=tuple((m, ">=", 0.0) for m in members))
+def _ref_slater_data(members, n):
+    mats = dense_stack(packed_stack(members, n), n)
+    k = len(mats)
+    p = 1 + k
+    t_col = np.concatenate([[float(n)], np.trace(mats, axis1=1, axis2=2)])
+    cw = np.zeros(p)
+    cw[0] = -1.0
+    return _ConicData(
+        n=n,
+        p=p,
+        Cm=np.zeros((n, n)),
+        cw=cw,
+        Am=np.concatenate([np.eye(n)[None], mats]),
+        Aw=np.column_stack([t_col, _ref_slack_block(1, k)]),
+        b=np.concatenate([[1.0], np.zeros(k)]),
+    )
 
 
-def _assert_same_solve(ref, new):
-    def bits(v):
-        return np.asarray(v, dtype=float).tobytes()
-    s1, s2 = solve(ref, tol=1e-9), solve(new, tol=1e-9)
-    assert s1.status == s2.status
-    assert bits(s1.value) == bits(s2.value)
-    assert (s1.X is None) == (s2.X is None)
-    if s1.X is not None:
-        assert bits(s1.X.data) == bits(s2.X.data)
-    assert bits(s1.dual_ineq) == bits(s2.dual_ineq)
-    assert s1.iterations == s2.iterations
+def _assert_same_data(ref, new):
+    assert (ref.n, ref.p) == (new.n, new.p)
+    for name in ("Cm", "cw", "Am", "Aw", "b"):
+        a, b = getattr(ref, name), getattr(new, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-def test_trace_one_problem_solves_as_the_builders_it_replaced():
-    # the 90 ordered pairs of the normalized Figure 2 set and 40 random pairs
-    fig2 = normalize(constraint_set(3, fig2_members())).members
-    pairs = [(a, b) for i, a in enumerate(fig2) for j, b in enumerate(fig2) if i != j]
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        pairs.append((random_sym(rng, n), random_sym(rng, n)))
-    assert len(pairs) == 130
-    for a, b in pairs:
-        _assert_same_solve(_ref_eq10_problem(a, b), trace_one_problem(a, [b.scale(-1.0)]))
-        _assert_same_solve(_ref_inclusion_problem(a, b), trace_one_problem(a, [b]))
-    for f in fig2:
-        _assert_same_solve(_ref_slice_max_problem(f, fig2),
-                           trace_one_problem(f.scale(-1.0), fig2))
+def _conic_data_sets():
+    """(Q, H, members) of every gallery case, raw and normalized, and of
+    seeded random sets with n = 8 and 12."""
+    sets = []
+    for case_id in list_cases():
+        prob = build_case(case_id).problem
+        if isinstance(prob, ConstraintSet):
+            prob = GeoCop(n=prob.n, Q=SymMat.diag(np.arange(prob.n) - 1.0),
+                          H=SymMat.identity(prob.n), bset=prob)
+        for s in (prob.bset, normalize(prob.bset)):
+            sets.append((prob.Q, prob.H, s.members))
+    rng = np.random.default_rng(23)
+    for n in (8, 12):
+        sets.append((random_sym(rng, n), random_sym(rng, n),
+                     tuple(random_sym(rng, n) for _ in range(5))))
+    return sets
+
+
+def test_conic_data_matches_the_general_form_builders():
+    # the relaxation, classify's trace-one SDP and the Slater SDP give the
+    # interior-point core the very bytes the general-form builders gave it
+    sets = _conic_data_sets()
+    assert len(sets) == 2 * len(list_cases()) + 2
+    for q, h, members in sets:
+        n = q.n
+        geq = tuple((m, ">=", 0.0) for m in members)
+        _assert_same_data(_ref_assemble(n, q, ((h, 1.0),), geq),
+                          _assemble(relaxation_problem(
+                              GeoCop(n=n, Q=q, H=h, bset=constraint_set(n, members)))))
+        for m in members:
+            _assert_same_data(
+                _ref_assemble(n, m.scale(-1.0), ((SymMat.identity(n), 1.0),), geq),
+                _assemble(SdpProblem(m.scale(-1.0), SymMat.identity(n), members)))
+        _assert_same_data(_ref_slater_data(members, n), slater_data(members, n))
 
 
 def test_kkt_conditions_on_random_feasible_instances():
@@ -288,9 +297,7 @@ def test_kkt_conditions_on_random_feasible_instances():
             bmat = random_sym(rng, n).to_dense()
             bmat = bmat - (np.trace(bmat) / n - 0.3) * np.eye(n)  # Slater at I/n
             mats.append(SymMat.from_dense(bmat))
-        prob = SdpProblem(n=n, objective=q,
-                          eq_constraints=((SymMat.identity(n), 1.0),),
-                          ineq_constraints=tuple((m, ">=", 0.0) for m in mats))
+        prob = SdpProblem(q, SymMat.identity(n), tuple(mats))
         sol = solve(prob, tol=1e-9)
         assert sol.status == "optimal"
         x = sol.X
@@ -358,8 +365,8 @@ def test_non_finite_direction_ends_numerical_with_best_iterate(monkeypatch, valu
     # it reports the best of the iterates seen, as a run cut after two
     # iterations does
     monkeypatch.undo()
-    ref = solve(SdpProblem(n=4, objective=q, eq_constraints=((SymMat.identity(4), 1.0),)),
-                tol=1e-9, max_iter=2)
+    monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", 2)
+    ref = trace_one_min(q)
     assert ref.status == "max_iter"
     assert sol.value == ref.value and sol.residuals == ref.residuals
     assert sol.X == ref.X
@@ -384,8 +391,8 @@ def test_failed_cholesky_ends_numerical_with_best_iterate(monkeypatch):
     # the third iterate was measured before its scaling failed: the solve
     # reports the best of three iterates, as a run cut after three does
     monkeypatch.undo()
-    ref = solve(SdpProblem(n=4, objective=q, eq_constraints=((SymMat.identity(4), 1.0),)),
-                tol=1e-9, max_iter=3)
+    monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", 3)
+    ref = trace_one_min(q)
     assert ref.status == "max_iter"
     assert sol.value == ref.value and sol.residuals == ref.residuals
     assert sol.X == ref.X
@@ -508,7 +515,8 @@ def test_pencil_brackets_the_sdp_and_is_checked_by_numpy():
     for a, g in _pencil_pairs():
         s = max(1.0, float(np.linalg.norm(a)))
         r = _pencil(a, g)
-        sol = solve(trace_one_problem(SymMat.from_dense(a), [SymMat.from_dense(g)]), tol=1e-10)
+        sol = solve(SdpProblem(SymMat.from_dense(a), SymMat.identity(a.shape[0]),
+                               (SymMat.from_dense(g),)), tol=1e-10)
         assert (r is None) == (sol.status == "infeasible"), sol.status
         if r is None:
             nones += 1

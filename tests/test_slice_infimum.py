@@ -32,8 +32,7 @@ def corner_solve(b: SymMat):
     """min <B,X> s.t. X_nn = 1, X psd: an SDP with no inequality rows."""
     e = np.zeros((b.n, b.n))
     e[-1, -1] = 1.0
-    return solve(SdpProblem(n=b.n, objective=b, eq_constraints=((SymMat.from_dense(e), 1.0),)),
-                 tol=min(TOL, 1e-9))
+    return solve(SdpProblem(b, SymMat.from_dense(e)), tol=min(TOL, 1e-9))
 
 
 def grid_candidates(d: int, half: float, per_axis: int):
