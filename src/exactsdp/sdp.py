@@ -177,7 +177,10 @@ def _conic_solve(d: _ConicData, tol: float = DEFAULT_TOL) -> SdpSolution:
     ended as "numerical" reports the best iterate seen, the one with the
     smallest max(pres, dres, gap); an iterate within tol ends the run as
     "optimal" where it is reached.  "infeasible" and "unbounded" report the
-    current iterate, whose products are the certificate."""
+    current iterate, whose products are the certificate.  Raises ValueError
+    for DEFAULT_MAX_ITER < 1: a run needs one iterate to report."""
+    if DEFAULT_MAX_ITER < 1:
+        raise ValueError("DEFAULT_MAX_ITER must be at least 1")
     n, p, m = d.n, d.p, len(d.b)
     N = n * n
     nu = n + p

@@ -93,6 +93,17 @@ def test_run_cut_after_default_max_iter(monkeypatch):
     assert status == "max_iter" and x is not None
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_rejects_max_iter_below_one(monkeypatch, max_iter):
+    # a run needs one iteration to have metrics and a best iterate to report;
+    # a cap below one is refused before any work, by both entry points
+    monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", max_iter)
+    with pytest.raises(ValueError, match="MAX_ITER"):
+        solve(SdpProblem(SymMat.identity(2), SymMat.identity(2)))
+    with pytest.raises(ValueError, match="MAX_ITER"):
+        solve_slater([SymMat.identity(2)], 2)
+
+
 def test_equality_rows_come_first_in_conic_data():
     # the H row comes first and carries no slack; each member row subtracts
     # its own: the w block of the conic data is [0; -I], b = (1, 0, ..., 0)
