@@ -78,7 +78,9 @@ class MemberVerdict:
 
 @dataclass
 class SliceReport:
-    """Conditions (B)' (per pair) and (C)' (per member) on the z = 1 slice."""
+    """Conditions (B)' and (C)' on the z = 1 slice.  b_prime_pairs holds the
+    pairs without a condition-(B) certificate, each with its (B)' status and
+    witness point; every other pair meets (B)' through that certificate."""
 
     b_prime_status: str
     c_prime_status: str
@@ -165,11 +167,11 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
     if open_.size:
         dense = dense_stack(packed, n)
         s = scale[ia[open_]]
-        bounds = sdpmod.pencil_bounds(dense[ia[open_]], dense[ib[open_]],
-                                      (-tol * s, -_REFUTE_FACTOR * tol * s))
+        r = sdpmod.pencil_bounds(dense[ia[open_]], dense[ib[open_]],
+                                 (-tol * s, -_REFUTE_FACTOR * tol * s))
         statuses = {True: CERTIFIED, False: REFUTED, None: INCONCLUSIVE}
-        for k, r, sk in zip(open_.tolist(), bounds, s.tolist()):
-            out[k] = INCONCLUSIVE if r is None else statuses[_band(r.lower, tol, sk, r.upper)]
+        for k, lo, up, sk in zip(open_.tolist(), r.lower.tolist(), r.upper.tolist(), s.tolist()):
+            out[k] = statuses[_band(lo, tol, sk, up)]
     return out
 
 
@@ -221,30 +223,28 @@ def _pair_verdicts(members, pairs, tol: float) -> list:
     min <A,X> s.t. <B,X> <= 0, trace X = 1.  Its feasible X is reported as a
     witness when the value of X is clearly negative, and it rides along
     unrounded, so check_Bprime_Cprime can split it into (B)' witness points
-    without another solve.  A pencil without an attained supremum leaves the
-    pair inconclusive.
+    without another solve.  A pencil without an answer (NaN) leaves the pair
+    inconclusive.
     """
     n = members[0].n
     dense = dense_stack(packed_stack(members, n), n)
     norms = [m.norm() for m in members]
     scales = [norms[i] + norms[j] for i, j in pairs]
-    results = sdpmod.ab_certificates(dense[[i for i, _ in pairs]], dense[[j for _, j in pairs]],
-                                     np.array(scales), tol)
+    ys, lams, r = sdpmod.ab_certificates(dense[[i for i, _ in pairs]],
+                                         dense[[j for _, j in pairs]], np.array(scales), tol)
     verdicts = []
-    for (i, j), scale, (cert, r) in zip(pairs, scales, results):
-        if cert is not None:
-            y, lam = cert
+    for p, ((i, j), scale, y, lam, lo, up) in enumerate(zip(
+            pairs, scales, ys.tolist(), lams.tolist(), r.lower.tolist(), r.upper.tolist())):
+        if not math.isnan(y):
             verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, y),
                                         margin=lam / max(scale, 1.0)))
-        elif r is None:
-            verdicts.append(PairVerdict(pair=(i, j), status=INCONCLUSIVE))
-        else:
-            scale_a = max(1.0, norms[i])
-            refuted = _band(r.lower, tol, scale_a, r.upper) is False
-            verdicts.append(PairVerdict(
-                pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
-                witness=_canonical_witness(SymMat.from_dense(r.X)) if refuted else None,
-                margin=r.upper / scale_a, optimizer=r.X))
+            continue
+        scale_a = max(1.0, norms[i])
+        refuted = _band(lo, tol, scale_a, up) is False
+        verdicts.append(PairVerdict(
+            pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
+            witness=_canonical_witness(SymMat.from_dense(r.X[p])) if refuted else None,
+            margin=up / scale_a, optimizer=r.X[p]))
     return verdicts
 
 
@@ -303,10 +303,10 @@ def _rank_one_pieces(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _slice_witness(a: SymMat, b: SymMat, x: Optional[np.ndarray], g: np.ndarray, tol: float):
     """u with q(u,1,B) <= tol and q(u,1,A) < -tol, or None: splits the dense
-    psd x (None, from a pencil without an attained supremum, gives None)
-    into rank-one pieces of equal <G,.> and reports, among the pieces off
-    the plane at infinity, the point deepest in A that passes that test."""
-    if x is None:
+    psd x (None or NaN, from a pencil without an answer, gives None) into
+    rank-one pieces of equal <G,.> and reports, among the pieces off the
+    plane at infinity, the point deepest in A that passes that test."""
+    if x is None or not np.isfinite(x).all():
         return None
     pieces = _rank_one_pieces(x, g)
     # below |x_n| = sqrt(eps / tol) |x| rounding in q at u = x[:-1] / x_n reaches tol
@@ -339,8 +339,7 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     1e-6 stays six orders of magnitude above the roundoff."""
     g = b.to_dense()
     g[-1, -1] -= (1.0 - _SHIFT_MARGIN) * tol
-    r = sdpmod.pencil_bounds(a.to_dense()[None], -g[None])[0]
-    return None if r is None else _slice_witness(a, b, r.X, g, tol)
+    return _slice_witness(a, b, sdpmod.pencil_bounds(a.to_dense()[None], -g[None]).X[0], g, tol)
 
 
 def slice_infimum(b: SymMat, tol: float) -> tuple:
@@ -397,8 +396,9 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     witness points reported for refutations.
 
     The pairs are the verdicts of `condition_b`, check_condition_B on s
-    (run here when not given); a certified one stands as it is.  A pair
-    without a certificate takes its witness point from the X of its
+    (run here when not given).  A pair with a certificate meets (B)' through
+    it and is not listed again: b_prime_pairs holds only the other pairs, in
+    condition_b order.  Each takes its witness point from the X of its
     condition-(B) refutation pencil (min <A,X> s.t. <B,X> <= 0, trace X = 1),
     split into rank-one pieces against B (Sturm & Zhang 2003): a piece u
     with q(u,1,B) <= tol and q(u,1,A) < -tol is a witness.  Only when no
@@ -427,13 +427,13 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
         condition_b = check_condition_B(s, tol)
     b_pairs = []
     for base in condition_b.pairs:
-        if base.status != CERTIFIED:
-            a, b = (s.members[k] for k in base.pair)
-            point = (_slice_witness(a, b, base.optimizer, b.to_dense(), tol)
-                     or _pair_slice_witness(a, b, tol) or _pair_slice_witness(b, a, tol))
-            base = replace(base, status=REFUTED if point is not None else INCONCLUSIVE,
-                           witness_point=point)
-        b_pairs.append(base)
+        if base.status == CERTIFIED:
+            continue
+        a, b = (s.members[k] for k in base.pair)
+        point = (_slice_witness(a, b, base.optimizer, b.to_dense(), tol)
+                 or _pair_slice_witness(a, b, tol) or _pair_slice_witness(b, a, tol))
+        b_pairs.append(replace(base, status=REFUTED if point is not None else INCONCLUSIVE,
+                               witness_point=point))
     return SliceReport(b_prime_status=_fold_status(b_pairs),
                        c_prime_status=_fold_status(c_members),
                        b_prime_pairs=tuple(b_pairs), c_prime_members=tuple(c_members))
@@ -516,22 +516,16 @@ def certify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
             slater: Optional[tuple] = None, inclusions: Optional[dict] = None) -> CertReport:
     """All checks on s; `slater`, solved here once when not given, goes to
     check_structural and classify, and `inclusions` to check_structural.
-    The slice conditions are checked when n >= 2."""
+    The slice conditions are checked when n >= 2; (B)' holds only through
+    the certificates of (B), so `overall` is certified exactly when (B) is."""
     if slater is None:
         slater = sdpmod.solve_slater(s.members, s.n, tol=tol)
     structural = check_structural(s, tol, slater=slater, inclusions=inclusions)
     cond_b = check_condition_B(s, tol)
-    slice_rep = None
-    if s.n >= 2:
-        slice_rep = check_Bprime_Cprime(s, tol, condition_b=cond_b)
+    slice_rep = check_Bprime_Cprime(s, tol, condition_b=cond_b) if s.n >= 2 else None
     classification = None
     if cond_b.status == CERTIFIED:
         classification = classify(s, tol, slater=slater)
-    geometric_path = cond_b.status == CERTIFIED
-    slice_path = (slice_rep is not None
-                  and slice_rep.b_prime_status == CERTIFIED
-                  and slice_rep.c_prime_status == CERTIFIED)
-    if geometric_path or slice_path:
         overall = CERTIFIED
     elif cond_b.status == NOT_CERTIFIED or (
             slice_rep is not None and slice_rep.b_prime_status == NOT_CERTIFIED):

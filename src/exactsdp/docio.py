@@ -36,6 +36,8 @@ def _num(value, path: str) -> float:
         out = float(value)
     except ValueError:
         raise DocError(path, "bad decimal string %r" % (value,))
+    except OverflowError:  # an integer beyond the float range
+        raise DocError(path, "non-finite value")
     if not math.isfinite(out):
         raise DocError(path, "non-finite value")
     return out
@@ -184,8 +186,6 @@ def parse_problem(data) -> tuple:
                                    for k, m in enumerate(build_family(fam, n).members))
             except DocError:
                 raise
-            except OverflowError:
-                raise DocError(path + ".family", "entries too large: a member overflows")
             except ValueError as exc:
                 raise DocError(path + ".family", str(exc))
         else:

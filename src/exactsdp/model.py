@@ -8,7 +8,9 @@ center box).
 """
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,14 +62,12 @@ def eval_quadratic(u, z: float, b: SymMat) -> float:
 # --------------------------------------------------------------------------
 
 def integer_grid(box: Sequence[Sequence[float]]):
-    """Integer vectors inside a per-coordinate [lo, hi] box, lexicographic."""
-    ranges = []
-    for lo, hi in box:
-        ranges.append(list(range(math.ceil(lo), math.floor(hi) + 1)))
-    out = [[]]
-    for r in ranges:
-        out = [pt + [v] for pt in out for v in r]
-    return [tuple(pt) for pt in out]
+    """Integer vectors inside a per-coordinate [lo, hi] box, lexicographic.
+    A coordinate with more integers than a list can hold is a ValueError."""
+    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
+    if any(r.stop - r.start > sys.maxsize for r in ranges):
+        raise ValueError("center box too wide: more integers in one coordinate than a list holds")
+    return list(itertools.product(*ranges))
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,8 @@ class BallGrid:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
+        if not math.isfinite(self.radius * self.radius):
+            raise ValueError("entries too large: the squared radius overflows")
         if not self.centers:
             raise ValueError("empty center list")
 

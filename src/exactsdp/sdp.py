@@ -477,13 +477,17 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     tr E >= 1 + n y0, where y0 = -t_star at the optimum.  So when t_star is
     zero, E is psd within the solve's accuracy and nonzero, and on the
     feasible cone <E, X> = -sum_j y_j <B_j, X> is both <= 0 and >= 0: the
-    minimal face lies in the kernel of E.  X_star and E are None unless the
-    status is optimal or max_iter.
+    minimal face lies in the kernel of E.  An infeasible slice gives
+    (infeasible, None, -inf, None); a status other than optimal, max_iter
+    or infeasible raises ValueError, since no caller can read a margin from
+    a failed solve.
     """
     data = slater_data(members, n)
     sol = _conic_solve(data, tol=min(tol, 1e-9))
-    if sol.status not in ("optimal", "max_iter"):
+    if sol.status == "infeasible":
         return sol.status, None, -math.inf, None
+    if sol.status not in ("optimal", "max_iter"):
+        raise ValueError("max-rank detection failed with solver status %r" % sol.status)
     t = float(sol.slack[0])
     X = _sym(sol.X.to_dense() + t * np.eye(n))
     E = -np.tensordot(sol.dual_ineq, data.Am[1:], axes=1)
@@ -523,16 +527,17 @@ def _pencil_pick(k: int) -> np.ndarray:
 _PENCIL_PICK = _pencil_pick(len(_PENCIL_FIRST))
 
 
-class PencilBound(NamedTuple):
-    """Both ends of min <A,X> s.t. <G,X> >= 0, trace X = 1, X psd."""
+class PencilBounds(NamedTuple):
+    """Both ends of min <A,X> s.t. <G,X> >= 0, trace X = 1, X psd for each
+    question of a stack, NaN throughout where a question has no answer."""
 
-    lower: float     # lambda_min(A - yG): no feasible X goes below it
-    y: float         # the multiplier y >= 0 of lower, its dual certificate
-    upper: float     # <A,X> of X
-    X: np.ndarray    # feasible: psd, trace 1, <G,X> >= 0, rank <= 2
+    lower: np.ndarray   # (P,) lambda_min(A - yG): no feasible X goes below it
+    y: np.ndarray       # (P,) the multiplier y >= 0 of lower, its dual certificate
+    upper: np.ndarray   # (P,) <A,X> of X
+    X: np.ndarray       # (P, n, n) feasible: psd, trace 1, <G,X> >= 0, rank <= 2
 
 
-def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) -> list:
+def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) -> PencilBounds:
     """Solve min <A,X> s.t. <G,X> >= 0, trace X = 1, X psd for (P, n, n)
     stacks A and G through its dual, max over y >= 0 of
     phi(y) = lambda_min(A - yG), a concave function of one variable (the
@@ -548,8 +553,8 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
       - first y = 0, 1 and 2.  When v'Gv >= 0 at y = 0, X = vv' and the two
         ends meet (the constraint is inactive);
       - then, while g < 0 at every point so far, 2, 4 and 8 times the
-        largest y.  Past y = 2 ** _PENCIL_DOUBLINGS the question gets None:
-        the supremum is not attained, as when lambda_max(G) <= 0;
+        largest y.  Past y = 2 ** _PENCIL_DOUBLINGS the question has no
+        answer: the supremum is not attained, as when lambda_max(G) <= 0;
       - then a Newton step on g from each end of the bracket, exact where g
         is linear and quadratic near a smooth maximum, and the point where
         the supporting lines of phi at the two ends cross, exact where phi
@@ -565,8 +570,10 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
     <G,X> nonnegative through roundoff however its sum is taken; theta puts
     <G,X> on the lean.
 
-    Returns one entry per question: a PencilBound (lower the better phi of
-    the two bracket ends, y its multiplier, upper = <A,X>), or None.
+    Returns PencilBounds: per question, lower the better phi of the two
+    bracket ends, y its multiplier, upper = <A,X> and X.  A question has no
+    answer, and NaN in all four, when the supremum is not attained or when
+    it is still open after _PENCIL_CALLS calls.
     """
     if A.shape != G.shape:
         raise ValueError("dimension mismatch")
@@ -574,7 +581,8 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
         raise ValueError("non-finite entries")
     P, n = A.shape[:2]
     eps = np.finfo(float).eps
-    out = [None] * P
+    out = PencilBounds(np.full(P, np.nan), np.full(P, np.nan), np.full(P, np.nan),
+                       np.full((P, n, n), np.nan))
     if P == 0:
         return out
     scale = np.maximum(1.0, np.sqrt(np.einsum("pij,pij->p", A, A)))
@@ -610,14 +618,12 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
             keep = ~(done | lost)
             if not keep.all():
                 # the answers of the questions done, X built for all of them at once
-                i = np.flatnonzero(done)
+                i, k = np.flatnonzero(done), live[done]
                 vl, vh, t = ends[i, 0, 5:], ends[i, 1, 5:], theta[i, None, None]
-                xs = (t * (vl[:, :, None] * vl[:, None, :])
-                      + (1.0 - t) * (vh[:, :, None] * vh[:, None, :]))
-                y = np.where(fl[i] >= fh[i], yl[i], yh[i])
-                for k, lo, yk, up, x in zip(live[i].tolist(), lower[i].tolist(), y.tolist(),
-                                            upper[i].tolist(), xs):
-                    out[k] = PencilBound(lo, yk, up, x)
+                out.X[k] = (t * (vl[:, :, None] * vl[:, None, :])
+                            + (1.0 - t) * (vh[:, :, None] * vh[:, None, :]))
+                out.lower[k], out.upper[k] = lower[i], upper[i]
+                out.y[k] = np.where(fl[i] >= fh[i], yl[i], yh[i])
                 if not keep.any():
                     break
                 live, ag, ends, scale, lean, cut_lo, cut_hi, yl, gl, al, sl, yh, gh, ah, sh = (
@@ -657,21 +663,17 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
     lambda_min(A + yB) >= lambda_min(A) / 2 (Weyl), and lambda_min(A + yB) is
     evaluated once more for it.
 
-    Returns one (certificate, bound) per pair: the certificate
-    (y, lambda_min(A + yB)) for (1, y), or None, and the pair's PencilBound,
-    or None when the supremum is not attained.  Raises ValueError for a pair
-    of identical matrices.
+    Returns (y, lam, bounds): the certificate (1, y[p]) of pair p with
+    lam[p] = lambda_min(A + y[p] B), both NaN for a pair without one, and
+    the PencilBounds of every pair.  Raises ValueError for a pair of
+    identical matrices.
     """
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
     if np.all(A == B, axis=(1, 2)).any():
         raise ValueError("the pair certificate needs two distinct matrices")
-    P = A.shape[0]
-    if P == 0:
-        return []
-    bounds = pencil_bounds(A, -B, (np.zeros(P), np.full(P, -np.inf)))
-    y = np.array([math.nan if r is None else r.y for r in bounds])
-    lam = np.array([math.nan if r is None else r.lower for r in bounds])
+    bounds = pencil_bounds(A, -B, (np.zeros(len(A)), np.full(len(A), -np.inf)))
+    y, lam = bounds.y.copy(), bounds.lower.copy()
     inside = np.flatnonzero((y == 0.0) & (lam > 0.0))
     if inside.size:
         b = B[inside]
@@ -679,8 +681,7 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
                                              lam[inside])
         lam[inside] = lambda_min_stack(A[inside] + y[inside, None, None] * b)
     ok = (y > 0.0) & (lam >= -tol * np.minimum(1.0, y) * scale)
-    return [((yp, lp) if okp else None, r)
-            for yp, lp, okp, r in zip(y.tolist(), lam.tolist(), ok.tolist(), bounds)]
+    return np.where(ok, y, np.nan), np.where(ok, lam, np.nan), bounds
 
 
 def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):
@@ -688,6 +689,6 @@ def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):
     A + tau B psd within tol * min(1, tau) * (||A|| + ||B||), or None."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    cert, _ = ab_certificates(a.to_dense()[None], b.to_dense()[None],
-                              np.array([a.norm() + b.norm()]), tol)[0]
-    return None if cert is None else (1.0, cert[0])
+    y, _, _ = ab_certificates(a.to_dense()[None], b.to_dense()[None],
+                              np.array([a.norm() + b.norm()]), tol)
+    return None if math.isnan(y[0]) else (1.0, float(y[0]))

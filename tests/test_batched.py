@@ -197,14 +197,16 @@ def _disk_pair_stacks(draw):
     return pairs
 
 
+def _row(result, p):
+    """Pair p of an ab_certificates result: the certificate's y and lam, then
+    the pencil's lower, y, upper and X."""
+    y, lam, bounds = result
+    return (y[p], lam[p]) + tuple(field[p] for field in bounds)
+
+
 def _same(x, y):
-    """Bitwise equality of two (certificate, PencilBound) results."""
-    if repr(x[0]) != repr(y[0]) or (x[1] is None) != (y[1] is None):
-        return False
-    if x[1] is None:
-        return True
-    return (repr(x[1][:3]) == repr(y[1][:3])
-            and x[1].X.tobytes() == y[1].X.tobytes())
+    """Bitwise equality of two pair rows of ab_certificates results."""
+    return all(u.tobytes() == v.tobytes() for u, v in zip(x, y))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -216,15 +218,15 @@ def test_stacked_pairs_match_one_pair_calls(pairs, tol):
     scale = np.array([a.norm() + b.norm() for a, b in pairs])
     got = sdpmod.ab_certificates(A, B, scale, tol)
     for p, (a, b) in enumerate(pairs):
-        alone = sdpmod.ab_certificates(A[p:p + 1], B[p:p + 1], scale[p:p + 1], tol)[0]
-        assert _same(got[p], alone)
-        cert, bound = got[p]
-        assert cert is None or _passes_rule(A[p], B[p], cert[0], tol)
+        alone = sdpmod.ab_certificates(A[p:p + 1], B[p:p + 1], scale[p:p + 1], tol)
+        assert _same(_row(got, p), _row(alone, 0))
+        y, lower = got[0][p], got[2].lower[p]
+        assert math.isnan(y) or _passes_rule(A[p], B[p], y, tol)
         # the two searches read different points of the pencil, so where its
         # best margin lies in the tolerance band [-tol scale, 0) each may
         # certify a pair the other leaves open; outside it they agree
-        if bound is None or not -tol * scale[p] <= bound.lower < 0.0:
-            assert (cert is None) == (_ref_ab_search(a, b, tol) is None)
+        if not -tol * scale[p] <= lower < 0.0:
+            assert math.isnan(y) == (_ref_ab_search(a, b, tol) is None)
 
 
 def _seeded_pairs():
@@ -253,10 +255,10 @@ def test_uncertified_pairs_have_no_passing_grid_point(tol):
     certified = 0
     for a, b in _seeded_pairs():
         s = float(np.linalg.norm(a) + np.linalg.norm(b))
-        cert, _ = sdpmod.ab_certificates(a[None], b[None], np.array([s]), tol)[0]
-        if cert is not None:
+        y = sdpmod.ab_certificates(a[None], b[None], np.array([s]), tol)[0][0]
+        if not math.isnan(y):
             certified += 1
-            assert _passes_rule(a, b, cert[0], tol)
+            assert _passes_rule(a, b, y, tol)
         else:
             lam = np.linalg.eigvalsh(a + tau[:, None, None] * b)[:, 0]
             assert (lam < -tol * np.minimum(1.0, tau) * s).all()

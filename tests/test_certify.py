@@ -3,6 +3,7 @@ import sys
 import types
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from exactsdp.sdp import SdpProblem, solve, solve_ab_certificate
 from exactsdp.symmat import SymMat, inner, is_psd, lambda_min
 from exactsdp.gallery import (FIG1_COMBOS, build_case, disk_member, ex61_matrices,
                               ex61_reduced_matrices, fig1_member, fig2_members,
-                              hyperbola_family, overlap_disks)
+                              hyperbola_family, list_cases, overlap_disks)
 
 TOL = 1e-8
 
@@ -103,7 +104,7 @@ def test_inclusion_sdp_between_the_edges_is_inconclusive(monkeypatch):
     # edges, and the pencil gives no X to refute with
     assert inclusion_status(SymMat.diag([-5e-8, 1.0]), SymMat.diag([0.0, -1.0]),
                             TOL) == INCONCLUSIVE
-    assert len(calls) == 3 and sdpmod.pencil_bounds(*calls[2]) == [None]
+    assert len(calls) == 3 and all(np.isnan(f).all() for f in sdpmod.pencil_bounds(*calls[2]))
     # B negative definite: J+(B) = {0}, and A - 4B psd is a dual certificate
     # of the inclusion, though no trace-one X has <B,X> >= 0
     assert inclusion_status(SymMat.diag([-2.0, 1.0]), SymMat.diag([-1.0, -1.0]),
@@ -195,7 +196,8 @@ def test_pair_slice_witness_reports_only_checked_points():
 def test_pair_slice_witness_needs_an_attained_supremum(monkeypatch):
     first, second = disk_member((0.0, 0.0), 0.5), disk_member((0.5, 0.0), 0.5)
     assert _pair_slice_witness(first, second, TOL) is not None
-    monkeypatch.setattr(sdpmod, "pencil_bounds", lambda a, g, band=None: [None] * len(a))
+    monkeypatch.setattr(sdpmod, "pencil_bounds", lambda a, g, band=None: sdpmod.PencilBounds(
+        *(np.full(a.shape[:k], np.nan) for k in (1, 1, 1, 3))))
     assert _pair_slice_witness(first, second, TOL) is None
 
 
@@ -315,6 +317,42 @@ def test_pair_never_certified_in_one_order_and_refuted_in_the_other(members, tol
     a, b = members
     assert {check_pair_B(a, b, tol).status,
             check_pair_B(b, a, tol).status} != {CERTIFIED, REFUTED}
+
+
+def _check_pairs_recorded_once(s, tol=TOL):
+    """certify(s) is certified exactly when condition (B) is, and the slice
+    report lists the pairs (B) leaves without a certificate, in order."""
+    rep = certify(s, tol)
+    assert (rep.overall == CERTIFIED) == (rep.condition_b.status == CERTIFIED)
+    if rep.slice_conditions is not None:
+        assert ([v.pair for v in rep.slice_conditions.b_prime_pairs]
+                == [v.pair for v in rep.condition_b.pairs if v.status != CERTIFIED])
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("case_id", list_cases())
+def test_gallery_pairs_recorded_once(case_id, normalized):
+    p = build_case(case_id).problem
+    s = p.bset if isinstance(p, GeoCop) else p
+    _check_pairs_recorded_once(normalize(s) if normalized else s)
+
+
+@st.composite
+def _disk_sets(draw):
+    """Two to six disks of radius 0.3, 0.5 or 0.8 at half-integer centres:
+    pairs that lie apart, touch or overlap."""
+    centers = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=2, max_size=6, unique=True))
+    return constraint_set(3, [disk_member((x / 2.0, y / 2.0),
+                                           draw(st.sampled_from([0.3, 0.5, 0.8])))
+                              for x, y in centers])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_disk_sets())
+def test_disk_family_pairs_recorded_once(s):
+    _check_pairs_recorded_once(s)
 
 
 def test_structural_on_reduced_example():

@@ -106,6 +106,8 @@ _MALFORMED = {
     "negative_seed": ({"options": {"seed": -1}}, "$.options.seed"),
     "zero_samples": ({"options": {"samples": 0}}, "$.options.samples"),
     "negative_samples": ({"options": {"samples": -5}}, "$.options.samples"),
+    # json reads it as an int that float() cannot take
+    "huge_integer": ({"Q": {"upper": [10 ** 400, "0", "0", "-1", "0", "0"]}}, "$.Q.upper[0]"),
     "boolean_sign": ({"constraints": [{"family": {"kind": "parabola_set", "members": [
         {"lambdas": ["1", "1"], "sign": True}]}}]},
         "$.constraints[0].family.members[0].sign"),
@@ -322,9 +324,10 @@ def test_overflowing_matrix_exit_one(tmp_path, capsys, command):
     assert err.startswith("error: $.constraints[0].matrix:")
 
 
-@pytest.mark.parametrize("command", ["pipeline", "reduce"])
+@pytest.mark.parametrize("command", ["pipeline", "reduce", "certify"])
 def test_unreachable_tol_exit_one_without_traceback(capsys, command):
-    # at tol 1e-16 the Slater solve of facial reduction ends "numerical"
+    # at tol 1e-16 the Slater solve ends "numerical": facial reduction's for
+    # pipeline and reduce, certify's own for certify
     path = os.path.join(os.path.dirname(RESTRICTED), "worked-example.json")
     code, out, err = run([command, "--input", path, "--tol", "1e-16"], capsys)
     assert code == 1

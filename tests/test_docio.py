@@ -63,9 +63,11 @@ def test_overflowing_matrix_reports_path(where):
 @pytest.mark.parametrize("family,message", [
     ({"centers": [[0, 0], [1e160, 0]], "radius": "0.5"}, "member 1: entries too large"),
     ({"centers": [[0, 0]], "radius": "1e200"}, "entries too large"),
+    ({"center_box": [[0, 1e300], [0, 1]], "radius": "0.5"}, "center box too wide"),
 ])
 def test_overflowing_family_member_reports_path(family, message):
-    # the realized member overflows (numpy) or its r^2 does (Python float)
+    # the realized member overflows (numpy), its r^2 does (Python float), or
+    # the box holds more centers than a list can
     doc = dict(MINIMAL, n=3, Q={"upper": ["1", "0", "0", "-1", "0", "0"]},
                H={"upper": ["1", "0", "0", "1", "0", "1"]},
                constraints=[{"family": dict(family, kind="ball_grid")}])

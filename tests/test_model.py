@@ -148,6 +148,15 @@ def test_integer_grid_counting():
     assert len(integer_grid([(-2, 2), (-2, 2)])) == 25
 
 
+def test_overflowing_family_parameters_are_value_errors():
+    # Python float and int arithmetic raise OverflowError where numpy gives
+    # inf: the squared radius, and a range too long for a list
+    with pytest.raises(ValueError, match="squared radius overflows"):
+        build_family(BallGrid(centers=((0.0, 0.0),), radius=1e200), 3)
+    with pytest.raises(ValueError, match="too wide"):
+        integer_grid([(0, 1e300), (0, 1)])
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         HyperbolaSeq(breakpoints=(1.0, 1.0), r2=0.5)

@@ -516,7 +516,8 @@ def _pencil_pairs():
 
 
 def _pencil(a, g):
-    return sdp_module.pencil_bounds(a[None], g[None])[0]
+    """The answer to one question: lower, y, upper and X, NaN without one."""
+    return sdp_module.PencilBounds(*(f[0] for f in sdp_module.pencil_bounds(a[None], g[None])))
 
 
 def test_pencil_brackets_the_sdp_and_is_checked_by_numpy():
@@ -528,9 +529,10 @@ def test_pencil_brackets_the_sdp_and_is_checked_by_numpy():
         r = _pencil(a, g)
         sol = solve(SdpProblem(SymMat.from_dense(a), SymMat.identity(a.shape[0]),
                                (SymMat.from_dense(g),)), tol=1e-10)
-        assert (r is None) == (sol.status == "infeasible"), sol.status
-        if r is None:
+        assert math.isnan(r.lower) == (sol.status == "infeasible"), sol.status
+        if math.isnan(r.lower):
             nones += 1
+            assert math.isnan(r.y) and math.isnan(r.upper) and np.isnan(r.X).all()
             assert np.linalg.eigvalsh(g)[-1] <= 0.0
             continue
         if sol.status == "optimal":
@@ -552,8 +554,8 @@ def test_pencil_value_invariant_under_congruence():
     for a, g in _pencil_pairs():
         u, _ = np.linalg.qr(rng.standard_normal(a.shape))
         r, rot = _pencil(a, g), _pencil(u.T @ a @ u, u.T @ g @ u)
-        assert (r is None) == (rot is None)
-        if r is not None:
+        assert math.isnan(r.lower) == math.isnan(rot.lower)
+        if not math.isnan(r.lower):
             s = max(1.0, float(np.linalg.norm(a)))
             assert abs(rot.lower - r.lower) <= 1e-12 * s
             assert abs(rot.upper - r.upper) <= 1e-12 * s
@@ -565,13 +567,11 @@ def test_pencil_answers_a_stack_as_one_question_each():
         same = [(a, g) for a, g in pairs if a.shape[0] == n]
         stacked = sdp_module.pencil_bounds(np.array([a for a, _ in same]),
                                            np.array([g for _, g in same]))
-        for (a, g), r in zip(same, stacked):
-            alone = _pencil(a, g)
-            assert (r is None) == (alone is None)
-            if r is not None:
-                assert (r.lower, r.y, r.upper) == (alone.lower, alone.y, alone.upper)
-                assert np.array_equal(r.X, alone.X)
-    assert sdp_module.pencil_bounds(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) == []
+        for p, (a, g) in enumerate(same):
+            for field, alone in zip(stacked, _pencil(a, g)):
+                assert np.array_equal(field[p], alone, equal_nan=True)
+    empty = sdp_module.pencil_bounds(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
+    assert [f.shape for f in empty] == [(0,), (0,), (0,), (0, 3, 3)]
 
 
 def test_pencil_at_y_zero_and_at_a_kink():
