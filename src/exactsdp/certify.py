@@ -11,7 +11,7 @@ lower bound and the value of a feasible X.  A condition-(B) pair asks the
 pencil of its refutation problem min <A,X> s.t. <B,X> <= 0, trace X = 1
 once: its dual end gives the (alpha, beta) certificate when some A + yB is
 psd, and otherwise its feasible X refutes the pair or leaves it open.  An
-inclusion the PSD test and the probes leave open asks its own pencil.  The
+inclusion the covariant probes leave open asks its own pencil.  The
 band reads the lower bound at its nonnegative end and the value of X at its
 negative end, so both rest on checked numbers, not on a solve within
 tolerance.  Only classify solves an interior-point SDP here, besides the
@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ConstraintSet, quadform_packed
-from .symmat import (SymMat, dense_stack, gram, inner, inner_packed, is_psd,
-                     lambda_min_stack, packed_stack)
+from .symmat import SymMat, dense_stack, inner, is_psd, packed_stack
 from . import sdp as sdpmod
 
 CERTIFIED = "certified"
@@ -120,52 +119,37 @@ class CertReport:
 
 
 # --------------------------------------------------------------------------
-# covariant PSD probes (cheap disprovers for inclusion-type questions)
+# inclusion between members ((A-5) and pruning)
 # --------------------------------------------------------------------------
 
-def psd_probes(n: int, members):
-    """I / n and the top and bottom eigenvector rank-ones of each member:
-    every probe follows a congruence of the members."""
-    probes = [SymMat.identity(n).scale(1.0 / n)]
-    for m in members:
-        _, vecs = np.linalg.eigh(m.to_dense())
-        probes.append(gram(vecs[:, -1]))  # top eigvec: makes <m, probe> = lambda_max
-        probes.append(gram(vecs[:, 0]))
-    return probes
-
-
-def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
+def _inclusion_statuses(members, pairs, tol: float) -> list:
     """Is J+(members[j]) a subset of J+(members[i])?  One status per ordered
     pair (i, j): 'certified' / 'refuted' / 'inconclusive'.
 
-    A - B psd is sufficient; a probe X with <B,X> >= 0 and <A,X> clearly
-    negative refutes.  Both tests run on all pairs at once, and only the
-    pairs they leave open go, together, to the pencil of
-    min <A,X> s.t. <B,X> >= 0, trace X = 1 (sdp.pencil_bounds): a
-    nonnegative value means inclusion, read through the band from its dual
-    lower bound, and a clearly negative one refutes it, read from the
-    feasible X's value.  Each question stops as soon as the band is decided.
+    The probes, I/n and each member's top and bottom eigenvector v from one
+    stacked eigh, follow a congruence of the members; a probe with
+    <B,X> >= 0 and <A,X> (trace A / n or v'Av) clearly negative refutes.
+    The pairs they leave open go, together, to the pencil of
+    min <A,X> s.t. <B,X> >= 0, trace X = 1 (sdp.pencil_bounds), whose first
+    call reads y = 1, lambda_min(A - B): a nonnegative value means
+    inclusion, read through the band from its dual lower bound, and a
+    clearly negative one refutes it, read from the feasible X's value.
+    Each question stops as soon as the band is decided.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     n = members[0].n
-    packed = packed_stack(members, n)
-    ia = np.array([i for i, _ in pairs], dtype=int)
-    ib = np.array([j for _, j in pairs], dtype=int)
-    diff = packed[ia] - packed[ib]
-    diff_psd = (lambda_min_stack(dense_stack(diff, n))
-                >= -tol * np.maximum(1.0, np.sqrt(inner_packed(diff, diff, n))))
-    scale = np.maximum(1.0, np.sqrt(inner_packed(packed, packed, n)))
-    xs = packed_stack(probes, n)
-    vals = inner_packed(packed[:, None, :], xs[None, :, :], n)  # <member, probe>
-    probe_scale = np.maximum(1.0, np.sqrt(inner_packed(xs, xs, n)))
-    clearly_negative = vals < -_REFUTE_FACTOR * tol * scale[:, None] * probe_scale
-    probed_out = ((vals >= 0.0)[ib] & clearly_negative[ia]).any(axis=1)
-    out = [CERTIFIED if psd else REFUTED if refuted else INCONCLUSIVE
-           for psd, refuted in zip(diff_psd.tolist(), probed_out.tolist())]
-    open_ = np.flatnonzero(~diff_psd & ~probed_out)
+    dense = dense_stack(packed_stack(members, n), n)
+    scale = np.maximum(1.0, [m.norm() for m in members])
+    ia, ib = np.array(pairs, dtype=int).reshape(-1, 2).T
+    vecs = np.linalg.eigh(dense)[1][:, :, [-1, 0]].transpose(0, 2, 1).reshape(-1, n)
+    vals = np.concatenate((np.trace(dense, axis1=1, axis2=2)[:, None] / n,
+                           np.einsum("pi,mij,pj->mp", vecs, dense, vecs)), axis=1)
+    probed_out = ((vals >= 0.0)[ib]
+                  & (vals < -_REFUTE_FACTOR * tol * scale[:, None])[ia]).any(axis=1)
+    out = [REFUTED] * len(pairs)
+    open_ = np.flatnonzero(~probed_out)
     if open_.size:
-        dense = dense_stack(packed, n)
         s = scale[ia[open_]]
         r = sdpmod.pencil_bounds(dense[ia[open_]], dense[ib[open_]],
                                  (-tol * s, -_REFUTE_FACTOR * tol * s))
@@ -177,19 +161,19 @@ def _inclusion_statuses(members, pairs, tol: float, probes) -> list:
 
 def inclusion_status(a: SymMat, b: SymMat, tol: float) -> str:
     """Is J+(B) a subset of J+(A)?  The one-pair call of the batched
-    inclusion layer, with psd_probes over (A, B)."""
+    inclusion layer, with the probes of (A, B)."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    return _inclusion_statuses((a, b), [(0, 1)], tol, psd_probes(a.n, (a, b)))[0]
+    return _inclusion_statuses((a, b), [(0, 1)], tol)[0]
 
 
-def inclusion_table(n: int, members, tol: float) -> dict:
+def inclusion_table(members, tol: float) -> dict:
     """Inclusion status of every ordered pair of members, with one probe
     set: entry (i, j) says whether J+(members[j]) lies in J+(members[i])."""
     pairs = [(i, j) for i in range(len(members)) for j in range(len(members)) if i != j]
     if not pairs:
         return {}
-    return dict(zip(pairs, _inclusion_statuses(members, pairs, tol, psd_probes(n, members))))
+    return dict(zip(pairs, _inclusion_statuses(members, pairs, tol)))
 
 
 def _fold_status(verdicts) -> str:
@@ -467,7 +451,7 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     a4 = _is_trivial_zero_set(s) or not psd_members
     # (A-5)
     if inclusions is None:
-        inclusions = inclusion_table(s.n, s.members, tol)
+        inclusions = inclusion_table(s.members, tol)
     violations = [ij for ij in sorted(inclusions) if inclusions[ij] == CERTIFIED]
     undecided = [ij for ij in sorted(inclusions) if inclusions[ij] == INCONCLUSIVE]
     a5 = len(s.members) <= 1 or not violations

@@ -54,15 +54,17 @@ def _int(value, path: str) -> int:
 
 
 _OPTION_FLOOR = {"seed": 0, "samples": 1}
+# below it, whether a solve's residuals reach tol is decided by roundoff
+TOL_FLOOR = 1e-14
 
 
 def check_option(name: str, value, path: str):
     """The option `name`, or a DocError at path when it is out of range: tol
-    must be positive and finite, an integer option at least its floor.  The
-    CLI checks the flags that override options with it too."""
+    must be finite and at least TOL_FLOOR, an integer option at least its
+    floor.  The CLI checks the flags that override options with it too."""
     if name == "tol":
-        if not 0.0 < value < math.inf:
-            raise DocError(path, "need a positive finite tolerance")
+        if not TOL_FLOOR <= value < math.inf:
+            raise DocError(path, "need a finite tolerance >= %g" % TOL_FLOOR)
     elif value < _OPTION_FLOOR[name]:
         raise DocError(path, "need an integer >= %d" % _OPTION_FLOOR[name])
     return value
@@ -117,7 +119,10 @@ def _family(node, n: int, path: str):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise DocError(bp, "expected [lo, hi]")
                 box.append(_nums(pair, bp))
-            centers = tuple(integer_grid(box))
+            try:
+                centers = tuple(integer_grid(box))
+            except ValueError as exc:
+                raise DocError(path + ".center_box", str(exc))
         else:
             raise DocError(path, "ball_grid needs centers or center_box")
         return BallGrid(centers=centers, radius=_num(node.get("radius"), path + ".radius"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -61,12 +60,17 @@ def eval_quadratic(u, z: float, b: SymMat) -> float:
 # parametric constraint families
 # --------------------------------------------------------------------------
 
+# memory grows with the k^2 member pairs: 441 disks peak near 400 MB
+MAX_GRID_POINTS = 500
+
+
 def integer_grid(box: Sequence[Sequence[float]]):
     """Integer vectors inside a per-coordinate [lo, hi] box, lexicographic.
-    A coordinate with more integers than a list can hold is a ValueError."""
+    A box of more than MAX_GRID_POINTS vectors is a ValueError, raised before
+    any is built."""
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
-    if any(r.stop - r.start > sys.maxsize for r in ranges):
-        raise ValueError("center box too wide: more integers in one coordinate than a list holds")
+    if math.prod(max(r.stop - r.start, 0) for r in ranges) > MAX_GRID_POINTS:
+        raise ValueError("center box too wide: more than %d centers" % MAX_GRID_POINTS)
     return list(itertools.product(*ranges))
 
 

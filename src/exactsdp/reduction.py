@@ -183,7 +183,7 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
         return zero_set, tuple(sorted(removed)), {}
 
     alive = [i for i in range(len(members)) if i not in removed]
-    table = inclusion_table(s.n, [members[i] for i in alive], tol)
+    table = inclusion_table([members[i] for i in alive], tol)
     # included[a, b]: J+(members[b]) subset of J+(members[a]) ?
     included = {(alive[i], alive[j]): st for (i, j), st in table.items()}
     order = sorted(alive, key=lambda i: members[i].data)

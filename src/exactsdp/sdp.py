@@ -511,22 +511,6 @@ _PENCIL_FIRST = (0.0, 1.0, 2.0)
 _PENCIL_GROWTH = (2.0, 4.0, 8.0)
 
 
-def _pencil_pick(k: int) -> np.ndarray:
-    """(low end, high end) as indices into (low end, high end, probes) for
-    each pattern of probes with g >= lean, the pattern read as bits: the
-    last low probe, or the old low end, and the first high probe, or the
-    old high end."""
-    pick = []
-    for code in range(2 ** k):
-        high = [bool(code >> i & 1) for i in range(k)]
-        low = [i for i in range(k) if not high[i]]
-        pick.append((2 + low[-1] if low else 0, 2 + high.index(True) if any(high) else 1))
-    return np.array(pick)
-
-
-_PENCIL_PICK = _pencil_pick(len(_PENCIL_FIRST))
-
-
 class PencilBounds(NamedTuple):
     """Both ends of min <A,X> s.t. <G,X> >= 0, trace X = 1, X psd for each
     question of a stack, NaN throughout where a question has no answer."""
@@ -605,8 +589,12 @@ def pencil_bounds(A: np.ndarray, G: np.ndarray, band: Optional[tuple] = None) ->
             probes = np.concatenate((ys[..., None], np.einsum("pkmi,pki->pkm", agv, v),
                                      lam[..., :1], slope[..., None], v), axis=2)
             # the probes lie inside the bracket, in ascending order: the low end
-            # becomes the last low probe, the high end the first high one
-            pick = _PENCIL_PICK[(probes[:, :, 2] >= lean[:, None]) @ (1, 2, 4)]
+            # becomes the last low probe, or stays, and the high end the first
+            # high one, or stays; indices into (low end, high end, probes)
+            high = probes[:, :, 2] >= lean[:, None]
+            last_low = 1 + high.shape[1] - np.argmax(~high[:, ::-1], axis=1)
+            pick = np.stack((np.where(high.all(axis=1), 0, last_low),
+                             np.where(high.any(axis=1), 2 + np.argmax(high, axis=1), 1)), axis=1)
             ends = np.concatenate((ends, probes), axis=1)[rows, pick]
             (yl, al, gl, fl, sl), (yh, ah, gh, fh, sh) = ends[:, 0, :5].T, ends[:, 1, :5].T
             theta = (gh - lean) / (gh - gl)

@@ -126,9 +126,9 @@ def inner(a: SymMat, b: SymMat) -> float:
 
 
 # --------------------------------------------------------------------------
-# stacks: the batched twins of to_dense, inner and lambda_min.  Each runs the
-# scalar function's operations in the same order, so a layer that works on a
-# whole stack returns bitwise what a loop over single matrices would.
+# stacks: the batched twins of to_dense and lambda_min.  Each runs the scalar
+# function's operations in the same order, so a layer that works on a whole
+# stack returns bitwise what a loop over single matrices would.
 # --------------------------------------------------------------------------
 
 def packed_stack(mats, n: int) -> np.ndarray:
@@ -142,16 +142,6 @@ def dense_stack(packed: np.ndarray, n: int) -> np.ndarray:
     for k, (i, j) in enumerate(_packed_indices(n)):
         idx[i, j] = idx[j, i] = k
     return packed[..., idx]
-
-
-def inner_packed(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """<A,B> for packed rows a and b (leading axes broadcast), accumulated in
-    packed order exactly as inner() does."""
-    s = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    for k, (i, j) in enumerate(_packed_indices(n)):
-        v = a[..., k] * b[..., k]
-        s = s + (v if i == j else 2.0 * v)
-    return s
 
 
 def lambda_min_stack(mats: np.ndarray) -> np.ndarray:

@@ -382,6 +382,23 @@ def test_structural_a4_flags_psd_member():
     assert not rep.a4 and rep.a4_psd_members == (0,)
 
 
+def test_inclusion_with_psd_difference_certified_by_the_pencil(monkeypatch):
+    # A - B psd gives <A,X> >= <B,X> >= 0 for every X: the pencil's first
+    # call reads lambda_min(A - B) at y = 1 and certifies, with no
+    # interior-point solve
+    rng = np.random.default_rng(11)
+    g, v = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    b = SymMat.from_dense((g + g.T) / 2.0)
+    pairs = [(disk_member((0.0, 0.0), 0.5), disk_member((0.0, 0.0), 1.0)),
+             (b.add(SymMat.from_dense(np.outer(v, v))), b)]
+    calls = _count_calls(monkeypatch, "pencil_bounds")
+    solves = _count_calls(monkeypatch, "solve")
+    for a, b in pairs:
+        assert is_psd(a.add(b, -1.0), TOL)
+        assert inclusion_status(a, b, TOL) == CERTIFIED
+    assert len(calls) == 2 and not solves
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(sdpmod, name)

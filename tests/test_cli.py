@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from exactsdp import cli, docio
+from exactsdp import sdp as sdpmod
 from exactsdp.gallery import build_case, overlap_disks
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.symmat import SymMat
@@ -102,6 +104,11 @@ _MALFORMED = {
                 "$.constraints[0].family.centers[0]"),
     "zero_tol": ({"options": {"tol": "0"}}, "$.options.tol"),
     "negative_tol": ({"options": {"tol": "-1"}}, "$.options.tol"),
+    "tol_below_floor": ({"options": {"tol": "1e-15"}}, "$.options.tol"),
+    # refused before any center is built: the product would fill memory
+    "center_box_over_cap": ({"constraints": [{"family": {
+        "kind": "ball_grid", "center_box": [[0, 1e18], [0, 1]], "radius": "0.5"}}]},
+        "$.constraints[0].family.center_box"),
     "fractional_seed": ({"options": {"seed": 1.5}}, "$.options.seed"),
     "negative_seed": ({"options": {"seed": -1}}, "$.options.seed"),
     "zero_samples": ({"options": {"samples": 0}}, "$.options.samples"),
@@ -326,10 +333,23 @@ def test_overflowing_matrix_exit_one(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["pipeline", "reduce", "certify"])
 def test_unreachable_tol_exit_one_without_traceback(capsys, command):
-    # at tol 1e-16 the Slater solve ends "numerical": facial reduction's for
-    # pipeline and reduce, certify's own for certify
+    # below the tolerance floor the solver's status would be set by roundoff
     path = os.path.join(os.path.dirname(RESTRICTED), "worked-example.json")
     code, out, err = run([command, "--input", path, "--tol", "1e-16"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --tol: need a finite tolerance >= 1e-14\n"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "reduce", "certify"])
+def test_numerical_slater_solve_exit_one_without_traceback(monkeypatch, capsys, command):
+    # the Slater solve comes first: facial reduction's for pipeline and
+    # reduce, certify's own for certify
+    solve = sdpmod._conic_solve
+    monkeypatch.setattr(sdpmod, "_conic_solve",
+                        lambda *a, **k: dataclasses.replace(solve(*a, **k), status="numerical"))
+    path = os.path.join(os.path.dirname(RESTRICTED), "worked-example.json")
+    code, out, err = run([command, "--input", path], capsys)
     assert code == 1
     assert out == ""
     assert err == "error: max-rank detection failed with solver status 'numerical'\n"

@@ -67,14 +67,31 @@ def test_overflowing_matrix_reports_path(where):
 ])
 def test_overflowing_family_member_reports_path(family, message):
     # the realized member overflows (numpy), its r^2 does (Python float), or
-    # the box holds more centers than a list can
+    # the box holds more centers than the cap (reported at the box)
     doc = dict(MINIMAL, n=3, Q={"upper": ["1", "0", "0", "-1", "0", "0"]},
                H={"upper": ["1", "0", "0", "1", "0", "1"]},
                constraints=[{"family": dict(family, kind="ball_grid")}])
     with pytest.raises(docio.DocError) as err:
         docio.parse_problem(json.dumps(doc))
-    assert err.value.path == "$.constraints[0].family"
+    box = ".center_box" if "center_box" in family else ""
+    assert err.value.path == "$.constraints[0].family" + box
     assert message in str(err.value)
+
+
+def test_center_box_cap():
+    # the centers are counted before any is built: 21 x 21 = 441 disks parse,
+    # 23 x 23 = 529 are refused at the box
+    def box_doc(side):
+        return json.dumps(dict(MINIMAL, n=3, Q={"upper": ["1", "0", "0", "-1", "0", "0"]},
+                               H={"upper": ["1", "0", "0", "1", "0", "1"]},
+                               constraints=[{"family": {
+                                   "kind": "ball_grid", "radius": "0.5",
+                                   "center_box": [[-side, side], [-side, side]]}}]))
+    assert len(docio.parse_problem(box_doc(10))[0].bset.members) == 441
+    with pytest.raises(docio.DocError) as err:
+        docio.parse_problem(box_doc(11))
+    assert err.value.path == "$.constraints[0].family.center_box"
+    assert str(err.value).endswith("center box too wide: more than 500 centers")
 
 
 def test_ball_family_document_realizes_members():

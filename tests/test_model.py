@@ -149,12 +149,20 @@ def test_integer_grid_counting():
 
 
 def test_overflowing_family_parameters_are_value_errors():
-    # Python float and int arithmetic raise OverflowError where numpy gives
-    # inf: the squared radius, and a range too long for a list
+    # Python float arithmetic raises OverflowError where numpy gives inf (the
+    # squared radius), and a box too long for a list must not reach one
     with pytest.raises(ValueError, match="squared radius overflows"):
         build_family(BallGrid(centers=((0.0, 0.0),), radius=1e200), 3)
     with pytest.raises(ValueError, match="too wide"):
         integer_grid([(0, 1e300), (0, 1)])
+
+
+def test_integer_grid_cap_counts_before_building():
+    assert len(integer_grid([(0, 499), (0, 0)])) == 500
+    with pytest.raises(ValueError, match="more than 500 centers"):
+        integer_grid([(0, 500), (0, 0)])
+    # reversed coordinates count zero integers each, not a positive product
+    assert integer_grid([(10, -20), (10, -20)]) == []
 
 
 def test_family_validation():

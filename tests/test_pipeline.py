@@ -170,7 +170,7 @@ def test_pipeline_tests_inclusion_only_in_pruning(monkeypatch):
     assert k >= 2
     # one table over the non-psd members, built by pruning and reused by (A-5)
     assert len(calls) == 1
-    assert len(calls[0][1]) == k
+    assert len(calls[0][0]) == k
 
 
 def _embedded_disk_pair():
