@@ -14,8 +14,9 @@ psd, and otherwise its feasible X refutes the pair or leaves it open.  An
 inclusion the covariant probes leave open asks its own pencil.  The
 band reads the lower bound at its nonnegative end and the value of X at its
 negative end, so both rest on checked numbers, not on a solve within
-tolerance.  Only classify solves an interior-point SDP here, besides the
-Slater point.
+tolerance.  classify asks the pencil too, with A = -B, for a set of at most
+two members.  Only classify on a larger set, or on a member whose pencil
+has no answer, solves an interior-point SDP here, besides the Slater point.
 """
 from __future__ import annotations
 
@@ -473,21 +474,43 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     """Case (a) at the first member B with max <B,X> within tol * max(1, ||B||)
     of zero over the trace-one feasible slice (a boundary member), case (b)
     when no member is one.  A member positive at an optimal Slater point
-    (`slater`, as in check_structural) is clearly interior and needs no SDP;
-    the others take one each, in order, until the first boundary member.
-    Each is solved at min(tol / 10, 1e-9): a solve at t can leave its value
-    a few t times the scale above the optimum, and the band reads a
-    boundary member at -tol times the scale."""
+    (`slater`, as in check_structural) is clearly interior and needs no SDP.
+
+    A set of at most two members asks the pencil (sdp.pencil_bounds) of
+    min <-B,X> s.t. <B',X> >= 0, trace X = 1 for the others, all at once,
+    with B' the other member (B itself when it is alone).  B's own row is
+    implied whenever the slice is nonempty: the minimum over the larger set
+    is at most -max <B,X> <= 0, so a minimizer meets it.  The pencil runs to
+    convergence, and a member is a boundary member when the dual lower bound
+    is >= -tol s and the feasible value is <= tol s.
+
+    A member of a larger set, or one whose pencil has no answer (as when
+    lambda_max(B') <= 0 and the supremum is not attained), solves the
+    trace-one SDP with every member row at min(tol / 10, 1e-9): a solve at t
+    can leave its value a few t times the scale above the optimum, and the
+    band reads a boundary member at -tol times the scale."""
     if slater is None:
         slater = sdpmod.solve_slater(s.members, s.n, tol=tol)
     status, x, _, _ = slater
-    for idx, m in enumerate(s.members):
-        scale = max(1.0, m.norm())
-        if status == "optimal" and inner(m, x) > _REFUTE_FACTOR * tol * scale:
-            continue
-        sol = sdpmod.solve(sdpmod.SdpProblem(m.scale(-1.0), SymMat.identity(s.n), s.members),
-                           tol=min(tol / 10.0, 1e-9))
-        if _band(sol.value if sol.status == "optimal" else math.nan, tol, scale):
+    k = len(s.members)
+    scales = [max(1.0, m.norm()) for m in s.members]
+    open_ = [idx for idx, (m, scale) in enumerate(zip(s.members, scales))
+             if not (status == "optimal" and inner(m, x) > _REFUTE_FACTOR * tol * scale)]
+    lower = upper = [math.nan] * len(open_)
+    if k <= 2:
+        dense = dense_stack(packed_stack(s.members, s.n), s.n)
+        r = sdpmod.pencil_bounds(-dense[open_], dense[[k - 1 - idx for idx in open_]])
+        lower, upper = r.lower.tolist(), r.upper.tolist()
+    for idx, lo, up in zip(open_, lower, upper):
+        scale = scales[idx]
+        if math.isnan(lo):
+            sol = sdpmod.solve(sdpmod.SdpProblem(s.members[idx].scale(-1.0),
+                                                 SymMat.identity(s.n), s.members),
+                               tol=min(tol / 10.0, 1e-9))
+            boundary = _band(sol.value if sol.status == "optimal" else math.nan, tol, scale)
+        else:
+            boundary = lo >= -tol * scale and up <= tol * scale
+        if boundary:
             return Classification(case="a", exposing_index=idx)
     return Classification(case="b")
 

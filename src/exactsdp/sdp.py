@@ -4,7 +4,15 @@ Every interior-point SDP of the package has one form (SdpProblem):
 min <C,X> s.t. <H,X> = 1, <B_j,X> >= 0 for every member, X psd.  The
 relaxation takes C = Q, and classify's trace-one SDP takes C = -B and
 H = I.  The member rows carry slacks w >= 0, and the Slater solve poses the
-same rows on Z = X - tI with t as one more entry of w.  The core solves
+same rows on Z = X - tI with t as one more entry of w.
+
+solve and solve_slater first solve their problem without the member rows,
+an eigenvalue problem: the bottom eigenvector of the pencil (C, H) for an
+SdpProblem with H positive definite and a simple bottom eigenvalue, and
+X = I/n with t = 1/n for the Slater SDP.  That answer is exact, with
+multipliers 0 on the member rows and iterations = 0, and it is returned
+whenever it meets every member row; the interior-point core answers the
+rest.  The core solves
 min <C,X> + c.w  s.t.  linear rows on (X, w),  X psd,  w >= 0
 through a homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, which yields infeasibility/unboundedness
@@ -185,11 +193,13 @@ def _conic_solve(d: _ConicData, tol: float = DEFAULT_TOL) -> SdpSolution:
     N = n * n
     nu = n + p
 
-    # row/objective scaling for conditioning, on the flattened rows; undone
-    # on exit
-    A2 = d.Am.reshape(m, N)
-    rho = np.maximum(np.sqrt((A2 * A2).sum(axis=1) + (d.Aw * d.Aw).sum(axis=1)), 1e-12)
-    AA = np.hstack([A2, d.Aw]) / rho[:, None]
+    # row/objective scaling for conditioning, on C-ordered copies of the
+    # rows: the row sums below follow the memory layout, and the solve must
+    # depend on the numbers alone; undone on exit
+    A2 = np.ascontiguousarray(d.Am).reshape(m, N)
+    Aw = np.ascontiguousarray(d.Aw)
+    rho = np.maximum(np.sqrt((A2 * A2).sum(axis=1) + (Aw * Aw).sum(axis=1)), 1e-12)
+    AA = np.hstack([A2, Aw]) / rho[:, None]
     b = d.b / rho
     cc = np.concatenate([d.Cm.ravel(), d.cw])
     rho_c = max(1.0, math.sqrt(float(cc @ cc)))
@@ -441,14 +451,58 @@ def _assemble(p: SdpProblem) -> _ConicData:
     )
 
 
+def _eigen_answer(p: SdpProblem, tol: float) -> Optional[SdpSolution]:
+    """The optimum of p without its member rows, when it is unique and meets
+    every one of them; None otherwise.
+
+    Without the member rows, min <C,X> s.t. <H,X> = 1, X psd is an
+    eigenvalue problem.  With H = V diag(d) V' positive definite (d > 0),
+    W = V diag(d)^-1/2 has W'HW = I, and its value is the bottom eigenvalue
+    lambda of the pencil (C, H): the bottom eigenvalue of W'CW, with
+    eigenvector u, attained by X = vv' with v = Wu.  y0 = lambda proves the
+    value, since C - lambda H is psd exactly when W'CW - lambda I is.  When
+    the next eigenvalue lies more than tol * max(1, ||C||) above lambda, vv'
+    is the only optimum, and when <B_j, vv'> >= 0 for every member it is the
+    only optimum of p too, with multipliers 0 on the member rows.  The
+    answer reports iterations = 0, residuals (|<H,X> - 1|, 0, relative gap
+    of <C,X> and lambda) and the values <B_j, X> as its slacks.
+    """
+    n = p.objective.n
+    C, H = p.objective.to_dense(), p.H.to_dense()
+    if not np.isfinite(H).all():
+        return None
+    d, V = np.linalg.eigh(H)
+    if not d[0] > 0.0:
+        return None
+    W = V / np.sqrt(d)
+    lam, U = np.linalg.eigh(_sym(W.T @ C @ W))
+    if not (lam[1:2] - lam[0] > tol * max(1.0, p.objective.norm())).all():
+        return None
+    v = W @ U[:, 0]
+    rows = dense_stack(packed_stack(p.members, n), n) @ v @ v
+    if not (rows >= 0.0).all():
+        return None
+    value, y0 = float(v @ C @ v), float(lam[0])
+    return SdpSolution(
+        status="optimal", X=SymMat.from_dense(np.outer(v, v)),
+        dual_eq=np.array([y0]), dual_ineq=np.zeros(len(p.members)),
+        value=value, dual_value=y0,
+        residuals=(abs(float(v @ H @ v) - 1.0), 0.0,
+                   abs(value - y0) / (1.0 + abs(value) + abs(y0))),
+        slack=rows)
+
+
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve the SDP; optimal solutions come with primal/dual residuals, and
-    infeasibility / unboundedness are reported through Farkas-type certificates."""
+    infeasibility / unboundedness are reported through Farkas-type
+    certificates.  The optimum without the member rows (_eigen_answer)
+    answers exactly, with iterations = 0, when it is unique and meets every
+    member row; the interior-point core answers otherwise."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if not p.objective.is_finite():
         raise ValueError("non-finite objective")
-    return _conic_solve(_assemble(p), tol=tol)
+    return _eigen_answer(p, tol) or _conic_solve(_assemble(p), tol=tol)
 
 
 def relaxation_problem(p: GeoCop) -> SdpProblem:
@@ -470,8 +524,13 @@ def slater_data(members, n: int) -> _ConicData:
 def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     """Returns (status, X_star, t_star, E): a max-rank feasible point, its
     margin, and the dual certificate E = -sum_j y_j B_j of the member rows.
-    The solve runs at min(tol, 1e-9): facial reduction and (A-3) compare
-    t_star with tol itself, so the solve is held below it.
+
+    Without the member rows the optimum is X = I/n with t = 1/n, since
+    lambda_min(X) <= trace X / n.  When every member has trace B >= 0, I/n
+    meets every row, and the answer is exact: ("optimal", I/n, 1/n, 0), with
+    multipliers 0 on the member rows.  Otherwise the interior-point core
+    solves it at min(tol, 1e-9): facial reduction and (A-3) compare t_star
+    with tol itself, so the solve is held below it.
 
     Dual feasibility reads E = S + y0 I with S psd and y_j >= 0, and
     tr E >= 1 + n y0, where y0 = -t_star at the optimum.  So when t_star is
@@ -483,6 +542,8 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     a failed solve.
     """
     data = slater_data(members, n)
+    if (np.trace(data.Am[1:], axis1=1, axis2=2) >= 0.0).all():
+        return "optimal", SymMat.identity(n).scale(1.0 / n), 1.0 / n, SymMat.zeros(n)
     sol = _conic_solve(data, tol=min(tol, 1e-9))
     if sol.status == "infeasible":
         return sol.status, None, -math.inf, None

@@ -416,9 +416,9 @@ def test_classify_cases(monkeypatch):
     calls = _count_calls(monkeypatch, "solve")
     cl = classify(constraint_set(2, [b, c]), TOL)
     # both members are boundary members (the slice is <B,X> = 0); the first
-    # settles case (a) with one SDP
+    # settles case (a) through the pencil, with no interior-point SDP
     assert cl == Classification(case="a", exposing_index=0)
-    assert len(calls) == 1
+    assert not calls
     cl2 = classify(normalize(constraint_set(3, fig2_members())), TOL)
     assert cl2.case == "b"
     cl3 = classify(constraint_set(2, [SymMat.zeros(2)]), TOL)
@@ -428,8 +428,11 @@ def test_classify_cases(monkeypatch):
 def test_classify_solves_below_the_band_at_small_tol(monkeypatch):
     # a solve at tol t can leave its value about 2.6 t max(1, ||A||) above the
     # optimum, and the band reads a boundary member at -tol; so at
-    # tol = 1e-9 the SDP is solved at 1e-10, and at the default 1e-8 at 1e-9
+    # tol = 1e-9 the SDP is solved at 1e-10, and at the default 1e-8 at 1e-9.
+    # The third member, I, keeps the set on the interior-point route and is
+    # clearly interior at the Slater point
     b, c = ex61_reduced_matrices()
+    members = [b, c, SymMat.identity(2)]
     tols = []
     original = sdpmod.solve
 
@@ -438,20 +441,85 @@ def test_classify_solves_below_the_band_at_small_tol(monkeypatch):
         return original(p, tol=tol, **kwargs)
 
     monkeypatch.setattr(sdpmod, "solve", recording)
-    assert classify(constraint_set(2, [b, c]), 1e-9).case == "a"
-    assert tols and max(tols) <= 1e-10
+    assert classify(constraint_set(2, members), 1e-9) == Classification("a", 0)
+    assert tols == [1e-10]
     del tols[:]
-    classify(constraint_set(2, [b, c]), TOL)
+    classify(constraint_set(2, members), TOL)
     assert tols == [1e-9]
 
 
 def test_classify_checks_every_member_before_case_b(monkeypatch):
-    # X11 >= X22 >= X33: the Slater point I/3 is zero on both members, so
-    # neither is clearly interior, and neither is a boundary member
-    members = [SymMat.diag([1.0, -1.0, 0.0]), SymMat.diag([0.0, 1.0, -1.0])]
+    # X11 >= X22 >= X33, and the implied X11 >= X33: the Slater point I/3 is
+    # zero on every member, so none is clearly interior, and none is a
+    # boundary member.  Three members take one interior-point SDP each
+    members = [SymMat.diag([1.0, -1.0, 0.0]), SymMat.diag([0.0, 1.0, -1.0]),
+               SymMat.diag([1.0, 0.0, -1.0])]
     calls = _count_calls(monkeypatch, "solve")
     assert classify(constraint_set(3, members), TOL) == Classification(case="b")
-    assert len(calls) == 2
+    assert len(calls) == 3
+    # the first two alone ask one stacked pencil for both, with no SDP
+    pencils = _count_calls(monkeypatch, "pencil_bounds")
+    assert classify(constraint_set(3, members[:2]), TOL) == Classification(case="b")
+    assert len(calls) == 3 and len(pencils) == 1 and len(pencils[0][0]) == 2
+
+
+def _classify_by_solves(s, tol, slater):
+    """classify's interior-point route on a set of any size: one core solve
+    of the trace-one SDP per member not clearly interior, at
+    min(tol / 10, 1e-9).  Returns (Classification, every solve optimal)."""
+    _, x, _, _ = slater
+    optimal = True
+    for idx, m in enumerate(s.members):
+        scale = max(1.0, m.norm())
+        if inner(m, x) > 10.0 * tol * scale:
+            continue
+        p = SdpProblem(m.scale(-1.0), SymMat.identity(s.n), s.members)
+        sol = sdpmod._conic_solve(sdpmod._assemble(p), tol=min(tol / 10.0, 1e-9))
+        optimal = optimal and sol.status == "optimal"
+        if _band(sol.value if sol.status == "optimal" else math.nan, tol, scale):
+            return Classification(case="a", exposing_index=idx), optimal
+    return Classification(case="b"), optimal
+
+
+_ENTRY = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def _member_pairs(draw):
+    """Two members in S^n, n = 2-4: random, B = -A, and rank-one negative
+    semidefinite ones (-ww', a boundary member wherever the slice is not
+    empty)."""
+    n = draw(st.integers(2, 4))
+
+    def member(kind, other=None):
+        if kind == "opposite":
+            return -other
+        if kind == "rank_one":
+            w = np.array(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+            return -np.outer(w, w)
+        a = np.array(draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+        return (a + a.T) / 2.0
+
+    kinds = draw(st.tuples(st.sampled_from(("random", "rank_one")),
+                           st.sampled_from(("random", "rank_one", "opposite"))))
+    first = member(kinds[0])
+    members = [first, member(kinds[1], first)]
+    if draw(st.booleans()):
+        members.reverse()
+    return constraint_set(n, [SymMat.from_dense(m) for m in members])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_member_pairs())
+def test_classify_pencil_route_matches_the_interior_point_route(s):
+    # wherever the Slater solve and every trace-one solve end optimal, the
+    # pencil's case and exposing index are those of the interior-point route
+    slater = sdpmod.solve_slater(s.members, s.n, tol=TOL)
+    assume(slater[0] == "optimal")
+    by_solves, optimal = _classify_by_solves(s, TOL, slater)
+    assume(optimal)
+    assert classify(s, TOL, slater=slater) == by_solves
 
 
 def test_certificate_and_sdp_paths_agree_under_structure():

@@ -3,13 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import exactsdp.sdp as sdp_module
 from exactsdp.model import ConstraintSet, GeoCop, constraint_set
 from exactsdp.model import normalize
-from exactsdp.sdp import (SdpProblem, _assemble, _ConicData, _schur_complement,
-                          relaxation_problem, slater_data, solve, solve_ab_certificate,
-                          solve_slater)
+from exactsdp.sdp import (SdpProblem, _assemble, _conic_solve, _ConicData, _eigen_answer,
+                          _schur_complement, relaxation_problem, slater_data, solve,
+                          solve_ab_certificate, solve_slater)
 from exactsdp.symmat import SymMat, dense_stack, eigvals_sym, lambda_min, packed_stack
 from exactsdp.gallery import build_case, ex61_matrices, ex61_reduced_matrices, list_cases
 from test_acceptance import _certified_instances
@@ -22,13 +25,27 @@ def random_sym(rng, n):
     return SymMat.from_dense((a + a.T) / 2.0)
 
 
+def core_solve(p, tol=sdp_module.DEFAULT_TOL):
+    """The interior-point core on p, past the closed form that solve tries
+    first."""
+    return _conic_solve(_assemble(p), tol=tol)
+
+
 def trace_one_min(q, tol=1e-9):
-    return solve(SdpProblem(q, SymMat.identity(q.n)), tol=tol)
+    return core_solve(SdpProblem(q, SymMat.identity(q.n)), tol=tol)
+
+
+# a relaxation whose bottom eigenvector (e1) violates its member row, and a
+# Slater set whose member has a negative trace (I/n violates it): solve and
+# solve_slater hand both to the interior-point core
+ACTIVE_ROW = SdpProblem(SymMat.diag([-1.0, 1.0]), SymMat.identity(2),
+                        (SymMat.diag([-1.0, 0.5]),))
+ACTIVE_SLATER = [SymMat.diag([1.0, -2.0])]
 
 
 def test_trace_one_gives_lambda_min():
     sol = trace_one_min(SymMat.diag([2.0, 5.0]))
-    assert sol.status == "optimal"
+    assert sol.status == "optimal" and sol.iterations > 0
     assert abs(sol.value - 2.0) <= 1e-8
 
 
@@ -39,7 +56,7 @@ def test_trace_one_random_battery():
         q = random_sym(rng, n)
         sol = trace_one_min(q)
         lam = float(eigvals_sym(q)[-1])
-        assert sol.status == "optimal"
+        assert sol.status == "optimal" and sol.iterations > 0
         assert abs(sol.value - lam) <= 1e-8 * (1.0 + abs(lam))
         assert max(sol.residuals) <= 1e-8
 
@@ -86,10 +103,10 @@ def test_run_cut_after_default_max_iter(monkeypatch):
     # the iteration cap is read when a solve starts; a run cut after one
     # iteration reports the one iterate it has
     monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", 1)
-    sol = solve(SdpProblem(SymMat.identity(2), SymMat.identity(2)))
+    sol = solve(ACTIVE_ROW)
     assert sol.status == "max_iter" and sol.iterations == 1
     assert len(sol.mu_history) == 1 and sol.X is not None
-    status, x, _, _ = solve_slater([SymMat.identity(2)], 2)
+    status, x, _, _ = solve_slater(ACTIVE_SLATER, 2)
     assert status == "max_iter" and x is not None
 
 
@@ -99,9 +116,9 @@ def test_rejects_max_iter_below_one(monkeypatch, max_iter):
     # a cap below one is refused before any work, by both entry points
     monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(ValueError, match="MAX_ITER"):
-        solve(SdpProblem(SymMat.identity(2), SymMat.identity(2)))
+        solve(ACTIVE_ROW)
     with pytest.raises(ValueError, match="MAX_ITER"):
-        solve_slater([SymMat.identity(2)], 2)
+        solve_slater(ACTIVE_SLATER, 2)
 
 
 def test_equality_rows_come_first_in_conic_data():
@@ -180,8 +197,8 @@ def test_gap_monotone_near_convergence():
     g = random_sym(rng, 4)
     # <G + 10 I, X> >= 0 is <G,X> >= -10 on trace X = 1
     prob = SdpProblem(q, SymMat.identity(4), (g.add(SymMat.identity(4), 10.0),))
-    sol = solve(prob, tol=1e-10)
-    assert sol.status == "optimal"
+    sol = core_solve(prob, tol=1e-10)
+    assert sol.status == "optimal" and sol.iterations > 5
     tail = sol.mu_history[-5:]
     assert all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
 
@@ -309,8 +326,8 @@ def test_kkt_conditions_on_random_feasible_instances():
             bmat = bmat - (np.trace(bmat) / n - 0.3) * np.eye(n)  # Slater at I/n
             mats.append(SymMat.from_dense(bmat))
         prob = SdpProblem(q, SymMat.identity(n), tuple(mats))
-        sol = solve(prob, tol=1e-9)
-        assert sol.status == "optimal"
+        sol = core_solve(prob, tol=1e-9)
+        assert sol.status == "optimal" and sol.iterations > 0
         x = sol.X
         assert abs(inner(SymMat.identity(n), x) - 1.0) <= 1e-7
         assert lambda_min(x) >= -1e-7
@@ -443,8 +460,8 @@ def test_certified_relaxations_solve_to_1e9():
         for k in range(60):
             q = random_sym(rng, s.n)
             prob = GeoCop(n=s.n, Q=q, H=SymMat.identity(s.n), bset=s)
-            sol = solve(relaxation_problem(prob), tol=1e-9)
-            if sol.status != "optimal":
+            sol = core_solve(relaxation_problem(prob), tol=1e-9)
+            if sol.status != "optimal" or sol.iterations == 0:
                 failed.append((name, k, sol.status))
     assert not failed
 
@@ -463,8 +480,8 @@ def test_scaled_schur_solve_finishes_a_stalled_relaxation():
     for _ in range(40):
         random_sym(rng, ball.n)
     prob = GeoCop(n=ball.n, Q=random_sym(rng, ball.n), H=SymMat.identity(ball.n), bset=ball)
-    sol = solve(relaxation_problem(prob), tol=1e-9)
-    assert sol.status == "optimal"
+    sol = core_solve(relaxation_problem(prob), tol=1e-9)
+    assert sol.status == "optimal" and sol.iterations > 0
 
 
 def test_nt_scaling_refuses_an_iterate_outside_the_interior():
@@ -492,8 +509,8 @@ def test_end_game_breakdown_ends_without_overflow():
     prob = GeoCop(n=3, Q=random_sym(rng, 3), H=SymMat.identity(3), bset=s)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        sol = solve(relaxation_problem(prob), tol=1e-9)
-    assert sol.status in ("optimal", "numerical")
+        sol = core_solve(relaxation_problem(prob), tol=1e-9)
+    assert sol.status in ("optimal", "numerical") and sol.iterations > 0
     assert math.isfinite(sol.value) and max(sol.residuals) <= 1e-7
 
 
@@ -584,3 +601,154 @@ def test_pencil_at_y_zero_and_at_a_kink():
     r = _pencil(a, g)
     assert r.upper - r.lower <= 1e-12 and abs(r.lower + 1e-7 / (1.0 - 1e-7)) <= 1e-15
     assert np.linalg.matrix_rank(r.X, tol=1e-6) == 2
+
+
+# --------------------------------------------------------------------------
+# the answers without member rows, in closed form
+# --------------------------------------------------------------------------
+
+def test_solve_answers_the_bottom_eigenvector_exactly():
+    # no member row: X = e1 e1' at lambda = 2, proved by y0 = 2
+    sol = solve(SdpProblem(SymMat.diag([2.0, 5.0]), SymMat.identity(2)))
+    assert sol.status == "optimal" and sol.iterations == 0 and sol.mu_history == ()
+    assert sol.X == SymMat.diag([1.0, 0.0]) and sol.value == sol.dual_value == 2.0
+    assert sol.dual_eq.tolist() == [2.0] and sol.residuals == (0.0, 0.0, 0.0)
+    # a member row the bottom eigenvector meets: multiplier 0, slack <B,X>
+    sol = solve(SdpProblem(SymMat.diag([2.0, 5.0]), SymMat.diag([4.0, 1.0]),
+                           (SymMat.diag([1.0, -3.0]),)))
+    assert sol.iterations == 0 and sol.X == SymMat.diag([0.25, 0.0])
+    assert sol.value == 0.5 and sol.dual_ineq.tolist() == [0.0] and sol.slack.tolist() == [0.25]
+
+
+def test_solve_hands_other_problems_to_the_core():
+    # a violated member row, a double bottom eigenvalue (no unique optimum)
+    # and an H that is not positive definite take interior-point iterations
+    i2 = SymMat.identity(2)
+    for p in (ACTIVE_ROW, SdpProblem(i2, i2), SdpProblem(SymMat.diag([1.0, 1.0 + 1e-9]), i2),
+              SdpProblem(SymMat.diag([2.0, 5.0]), SymMat.diag([1.0, 0.0]))):
+        assert _eigen_answer(p, sdp_module.DEFAULT_TOL) is None
+        assert solve(p).iterations > 0
+    # nor does a non-finite H
+    assert _eigen_answer(SdpProblem(i2, SymMat.diag([1.0, math.nan])), 1e-8) is None
+
+
+def test_slater_answers_trace_nonnegative_sets_exactly():
+    # I/n meets every member with trace B >= 0 and attains t = 1/n, the
+    # largest lambda_min(X) on trace X = 1
+    for members, n in (([SymMat.zeros(3)], 3), ([SymMat.diag([1.0, -1.0])], 2),
+                       ([SymMat.diag([2.0, -1.0, 0.0]), SymMat.identity(3)], 3)):
+        status, x, t, e = solve_slater(members, n)
+        assert status == "optimal" and t == 1.0 / n
+        assert x == SymMat.identity(n).scale(1.0 / n) and e == SymMat.zeros(n)
+    # a negative trace sends the set to the core, whose t is below 1/2
+    status, _, t, _ = solve_slater(ACTIVE_SLATER, 2)
+    assert status == "optimal" and abs(t - 1.0 / 3.0) <= 1e-8
+
+
+def _same_solution(a, b):
+    assert (a.status, a.value, a.dual_value, a.residuals, a.iterations, a.mu_history) == (
+        b.status, b.value, b.dual_value, b.residuals, b.iterations, b.mu_history)
+    assert a.X == b.X and a.certificate is None and b.certificate is None
+    for name in ("dual_eq", "dual_ineq", "slack"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_conic_solve_reads_the_numbers_not_the_memory_layout():
+    # _assemble's row stack is a strided view; a Fortran-ordered copy of the
+    # same numbers gives the bitwise-same solution
+    sets = _conic_data_sets()
+    for q, h, members in sets[::3] + [sets[-1]]:
+        for d in (_assemble(SdpProblem(q, SymMat.identity(q.n), members)),
+                  slater_data(members, q.n)):
+            assert not d.Am.flags.c_contiguous
+            ref = _conic_solve(d)
+            assert ref.iterations > 0
+            moved = _ConicData(d.n, d.p, np.asfortranarray(d.Cm), d.cw,
+                               np.asfortranarray(d.Am), np.asfortranarray(d.Aw), d.b)
+            _same_solution(ref, _conic_solve(moved))
+
+
+_ENTRY = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+def _sym_matrix(n):
+    return arrays(np.float64, (n, n), elements=_ENTRY).map(lambda a: (a + a.T) / 2.0)
+
+
+@st.composite
+def _eigen_problems(draw):
+    """C, a positive definite H (I or G G' + I/2) and zero to three members:
+    random ones shifted up by 0 to 3 times I, zero and rank-one negative
+    semidefinite ones."""
+    n = draw(st.integers(1, 4))
+    c = draw(_sym_matrix(n))
+    if draw(st.booleans()):
+        h = np.eye(n)
+    else:
+        g = draw(arrays(np.float64, (n, n), elements=_ENTRY))
+        h = g @ g.T + 0.5 * np.eye(n)
+    members = []
+    for kind in draw(st.lists(st.sampled_from(("shifted", "zero", "rank_one")), max_size=3)):
+        if kind == "shifted":
+            members.append(draw(_sym_matrix(n)) + draw(st.floats(0.0, 3.0)) * np.eye(n))
+        elif kind == "zero":
+            members.append(np.zeros((n, n)))
+        else:
+            w = draw(arrays(np.float64, (n,), elements=_ENTRY))
+            members.append(-np.outer(w, w))
+    return SdpProblem(SymMat.from_dense(c), SymMat.from_dense(h),
+                      tuple(SymMat.from_dense(m) for m in members))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_eigen_problems())
+def test_closed_form_agrees_with_the_core_and_is_checked_by_numpy(p):
+    tol = sdp_module.DEFAULT_TOL
+    ans = _eigen_answer(p, tol)
+    assume(ans is not None)
+    c, h = p.objective.to_dense(), p.H.to_dense()
+    x, y0 = ans.X.to_dense(), float(ans.dual_eq[0])
+    scale = max(1.0, p.objective.norm())
+    assert ans.status == "optimal" and ans.iterations == 0
+    assert ans.dual_ineq.tolist() == [0.0] * len(p.members)
+    # the certificate: X psd of rank one with <H,X> = 1 and every row met,
+    # C - y0 H psd, and <C,X> = y0
+    assert np.linalg.matrix_rank(x) == 1 and abs(np.sum(h * x) - 1.0) <= 1e-12
+    assert all(np.sum(m.to_dense() * x) >= 0.0 for m in p.members)
+    assert np.linalg.eigvalsh(c - y0 * h)[0] >= -1e-13 * (scale + abs(y0) * np.linalg.norm(h))
+    assert abs(np.sum(c * x) - y0) <= 1e-13 * scale * max(1.0, np.linalg.norm(x))
+    # the core stops within tol on its scaled data, which leaves its value
+    # up to about 2.6 tol max(1, ||C||) from the optimum
+    ref = core_solve(p, tol)
+    if ref.status == "optimal":
+        assert abs(ref.value - ans.value) <= 3.0 * tol * scale * (1.0 + abs(ans.value))
+
+
+@st.composite
+def _slater_sets(draw):
+    """One to three members of trace n s, s in [0, 2]."""
+    n = draw(st.integers(1, 4))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(_sym_matrix(n))
+        members.append(a + (draw(st.floats(0.0, 2.0)) - np.trace(a) / n) * np.eye(n))
+    return n, [SymMat.from_dense(m) for m in members]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_slater_sets())
+def test_slater_closed_form_agrees_with_the_core(case):
+    n, members = case
+    data = slater_data(members, n)
+    assume((np.trace(data.Am[1:], axis1=1, axis2=2) >= 0.0).all())
+    status, x, t, e = solve_slater(members, n)
+    assert status == "optimal" and t == 1.0 / n and e == SymMat.zeros(n)
+    xd = x.to_dense()
+    assert np.array_equal(xd, np.eye(n) / n)
+    assert all(np.sum(m.to_dense() * xd) >= 0.0 for m in members)
+    # the core's margin, at the tolerance solve_slater gives it
+    ref = _conic_solve(data, tol=1e-9)
+    assert ref.status == "optimal" and ref.iterations > 0
+    assert abs(float(ref.slack[0]) - t) <= 1e-9 * (1.0 + t)
