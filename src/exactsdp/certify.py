@@ -2,21 +2,25 @@
 
 Structural conditions (A-1)..(A-5), the pairwise condition (B), the slice
 conditions (B)'/(C)' on the z = 1 sections ((C)' in closed form, through
-the Schur complement of each member), and the boundary-member
-classification.  The pair layer (condition (B)) and the inclusion layer
-((A-5) and pruning) run over all pairs at once on dense stacks.  Both end
-in one stacked pencil search (sdp.pencil_bounds, the two-constraint
-S-lemma) of a trace-one SDP with one member row, which returns a dual
-lower bound and the value of a feasible X.  A condition-(B) pair asks the
-pencil of its refutation problem min <A,X> s.t. <B,X> <= 0, trace X = 1
-once: its dual end gives the (alpha, beta) certificate when some A + yB is
-psd, and otherwise its feasible X refutes the pair or leaves it open.  An
-inclusion the covariant probes leave open asks its own pencil.  The
-band reads the lower bound at its nonnegative end and the value of X at its
-negative end, so both rest on checked numbers, not on a solve within
-tolerance.  classify asks the pencil too, with A = -B, for a set of at most
-two members.  Only classify on a larger set, or on a member whose pencil
-has no answer, solves an interior-point SDP here, besides the Slater point.
+the Schur complement of each member, from one stacked eigh of the members'
+quadratic blocks), and the boundary-member classification.  The pair layer
+(condition (B)) and the inclusion layer ((A-5) and pruning) run over all
+pairs at once on dense stacks.  Both end in one stacked pencil search
+(sdp.pencil_bounds, the two-constraint S-lemma) of a trace-one SDP with one
+member row, which returns a dual lower bound and the value of a feasible X.
+A condition-(B) pair asks the pencil of its refutation problem
+min <A,X> s.t. <B,X> <= 0, trace X = 1 once: its dual end gives the
+(alpha, beta) certificate when some A + yB is psd, and otherwise its
+feasible X refutes the pair or leaves it open.  Pairs that are translates
+of one another up to positive scaling (a lattice family) form a class that
+asks once; every other pair of a certified class checks the mapped
+certificate on its own matrices.  An inclusion the covariant probes leave
+open asks its own pencil.  The band reads the lower bound at its
+nonnegative end and the value of X at its negative end, so both rest on
+checked numbers, not on a solve within tolerance.  classify asks the pencil
+too, with A = -B, for a set of at most two members.  Only classify on a
+larger set, or on a member whose pencil has no answer, solves an
+interior-point SDP here, besides the Slater point.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ConstraintSet, quadform_packed
-from .symmat import SymMat, dense_stack, inner, is_psd, packed_stack
+from .symmat import SymMat, dense_stack, inner, is_psd, lambda_min_stack, packed_stack
 from . import sdp as sdpmod
 
 CERTIFIED = "certified"
@@ -199,37 +203,139 @@ def _canonical_witness(x: SymMat) -> SymMat:
     return SymMat(x.n, cleaned)
 
 
+# pairs share a search when their keys agree to this many decimals; the
+# check of each pair on its own matrices, not the key, decides its status
+_KEY_DECIMALS = 9
+# a block whose smallest |eigenvalue| is below this fraction of its largest
+# counts as singular: its member has no centre to key on
+_KEY_CONDITION = 1e-8
+
+
+def _translation_classes(dense, ia, ib):
+    """Classes of the pairs (A, B) = (dense[i], dense[j]) that are one pair up
+    to a translation and a positive scaling of each member.
+
+    With A = [[P, c], [c', s]] and P nonsingular, T = [[I, t], [0, 1]] at the
+    centre t = -P^-1 c is a congruence, so alpha A + beta B is psd exactly
+    when T'(alpha A + beta B)T is, and T'AT has no linear part.  The key of
+    (A, B) is T'AT and T'BT, each over the Frobenius norm of its quadratic
+    block, rounded to _KEY_DECIMALS with -0.0 folded to 0.0, and one void
+    view of the key rows takes np.unique (np.unique(axis=0) is several times
+    slower).  A pair takes no key, and class -1, when a member is not
+    finite, when A has no centre (a singular block), or when A == B.
+
+    Returns (cls, first, ratio): the class of every pair, the index of the
+    first pair of every class, and ||P_A|| / ||P_B|| for every pair.
+    """
+    n = dense.shape[1]
+    finite = np.isfinite(dense).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], dense, 0.0)
+    block, c, s = safe[:, :-1, :-1], safe[:, :-1, -1], safe[:, -1, -1]
+    lam, vecs = np.linalg.eigh(block)
+    mag = np.abs(lam)
+    centred = finite & (mag.min(axis=1) > _KEY_CONDITION * mag.max(axis=1))
+    # t = -P^-1 c through the eigenpairs, on the centred members only
+    t = -np.einsum("kij,kj->ki", vecs, np.einsum("kji,kj->ki", vecs, c)
+                   / np.where(centred[:, None], lam, 1.0))
+    bnorm = np.sqrt(np.einsum("kij,kij->k", block, block))
+    bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
+    cls = np.full(len(ia), -1)
+    keyed = np.flatnonzero(centred[ia] & finite[ib] & (dense[ia] != dense[ib]).any(axis=(1, 2)))
+    iu = np.triu_indices(n - 1)
+    ka, kb, tp = ia[keyed], ib[keyed], t[ia[keyed]]
+    # a key or a ratio that overflows only groups pairs: the check on each
+    # pair's own matrices decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = bnorm[ia] / bnorm[ib]
+        upper = block[:, iu[0], iu[1]] / bnorm[:, None]
+        # each first member at its own centre: the block and the corner
+        # t'Pt + 2c't + s = c't + s; the linear part P t + c is zero
+        own = np.concatenate((upper, ((np.einsum("ki,ki->k", t, c) + s) / bnorm)[:, None]),
+                             axis=1)
+        pt = np.einsum("pij,pj->pi", block[kb], tp)
+        keys = np.concatenate((own[ka], upper[kb], (pt + c[kb]) / bnorm[kb, None],
+                               ((np.einsum("pi,pi->p", tp, pt + 2.0 * c[kb]) + s[kb])
+                                / bnorm[kb])[:, None]), axis=1)
+        keys = np.round(keys, _KEY_DECIMALS) + 0.0
+    if not keyed.size:
+        return cls, keyed, ratio
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    cls[keyed] = inverse.ravel()
+    return cls, keyed[first], ratio
+
+
 def _pair_verdicts(members, pairs, tol: float) -> list:
     """Decide J_0(B) subset of J_+(A) for each pair (i, j), A = members[i].
 
-    One stacked pencil search (sdp.ab_certificates) covers every pair: it
-    certifies a pair with (1, y) when A + yB is psd to the tolerance, and
-    otherwise returns its bounds on the refutation problem
-    min <A,X> s.t. <B,X> <= 0, trace X = 1.  Its feasible X is reported as a
-    witness when the value of X is clearly negative, and it rides along
-    unrounded, so check_Bprime_Cprime can split it into (B)' witness points
-    without another solve.  A pencil without an answer (NaN) leaves the pair
+    Translates of one pair share a search (_translation_classes).  A stacked
+    pencil search (sdp.ab_certificates) runs once on the first pair of every
+    class and on every pair without a class; it certifies a pair with (1, y)
+    when A + yB is psd to the tolerance, and otherwise returns its bounds on
+    the refutation problem min <A,X> s.t. <B,X> <= 0, trace X = 1.  Every
+    other pair of a certified class maps the first pair's y by the ratio of
+    the block norms and is checked on its own matrices by the unchanged rule
+    (sdp.certificate_holds), all in one stacked lambda_min, which also gives
+    its margin.  The pairs that fail the check, and those of a class whose
+    first pair has no certificate, take the full search, so a refutation
+    always comes from a pair's own pencil.  Sets of one pair build no keys.
+
+    A refuted pair reports the pencil's feasible X as a witness when the
+    value of X is clearly negative, and X rides along unrounded, so
+    check_Bprime_Cprime can split it into (B)' witness points without
+    another solve.  A pencil without an answer (NaN) leaves the pair
     inconclusive.
     """
     n = members[0].n
     dense = dense_stack(packed_stack(members, n), n)
     norms = [m.norm() for m in members]
-    scales = [norms[i] + norms[j] for i, j in pairs]
-    ys, lams, r = sdpmod.ab_certificates(dense[[i for i, _ in pairs]],
-                                         dense[[j for _, j in pairs]], np.array(scales), tol)
-    verdicts = []
-    for p, ((i, j), scale, y, lam, lo, up) in enumerate(zip(
-            pairs, scales, ys.tolist(), lams.tolist(), r.lower.tolist(), r.upper.tolist())):
-        if not math.isnan(y):
-            verdicts.append(PairVerdict(pair=(i, j), status=CERTIFIED, certificate=(1.0, y),
-                                        margin=lam / max(scale, 1.0)))
-            continue
-        scale_a = max(1.0, norms[i])
-        refuted = _band(lo, tol, scale_a, up) is False
-        verdicts.append(PairVerdict(
-            pair=(i, j), status=REFUTED if refuted else INCONCLUSIVE,
-            witness=_canonical_witness(SymMat.from_dense(r.X[p])) if refuted else None,
-            margin=up / scale_a, optimizer=r.X[p]))
+    ia, ib = np.array(pairs, dtype=int).reshape(-1, 2).T
+    scales = np.take(norms, ia) + np.take(norms, ib)
+    # the certificate of each pair, and the refutation bounds and X of each
+    # pair that ran its own search
+    y, lam, lower, upper = np.full((4, len(pairs)), np.nan)
+    X = np.empty((len(pairs), n, n))
+
+    def search(idx):
+        ys, lams, r = sdpmod.ab_certificates(dense[ia[idx]], dense[ib[idx]], scales[idx], tol)
+        y[idx], lam[idx], lower[idx], upper[idx], X[idx] = ys, lams, r.lower, r.upper, r.X
+
+    cls, first = np.full(len(pairs), -1), np.zeros(0, dtype=int)
+    if len(pairs) > 1 and n > 1:
+        cls, first, ratio = _translation_classes(dense, ia, ib)
+    lead = cls < 0
+    lead[first] = True
+    search(np.flatnonzero(lead))
+    if first.size:
+        share = np.flatnonzero(~lead)
+        head = first[cls[share]]
+        # NaN where the class has no certificate; a y or a sum that
+        # overflows takes the full search too
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = y[head] * (ratio[share] / ratio[head])
+            sums = dense[ia[share]] + ys[:, None, None] * dense[ib[share]]
+        ok = np.isfinite(sums).all(axis=(1, 2))
+        take, ys = share[ok], ys[ok]
+        if take.size:
+            lams = lambda_min_stack(sums[ok])
+            held = sdpmod.certificate_holds(ys, lams, scales[take], tol)
+            y[take[held]], lam[take[held]] = ys[held], lams[held]
+        rest = share[np.isnan(y[share])]
+        if rest.size:
+            search(rest)
+
+    # the certified pairs first, then each other pair from its own search
+    margins = (lam / np.maximum(scales, 1.0)).tolist()
+    # positional: (pair, status, certificate, witness, margin)
+    verdicts = [PairVerdict(pair, CERTIFIED, (1.0, yp), None, mp) if yp == yp else None
+                for pair, yp, mp in zip(pairs, y.tolist(), margins)]
+    for p in np.flatnonzero(np.isnan(y)).tolist():
+        up, scale_a = float(upper[p]), max(1.0, norms[pairs[p][0]])
+        refuted = _band(float(lower[p]), tol, scale_a, up) is False
+        verdicts[p] = PairVerdict(
+            pair=pairs[p], status=REFUTED if refuted else INCONCLUSIVE,
+            witness=_canonical_witness(SymMat.from_dense(X[p])) if refuted else None,
+            margin=up / scale_a, optimizer=X[p])
     return verdicts
 
 
@@ -327,8 +433,50 @@ def _pair_slice_witness(a: SymMat, b: SymMat, tol: float):
     return _slice_witness(a, b, sdpmod.pencil_bounds(a.to_dense()[None], -g[None]).X[0], g, tol)
 
 
+def _slice_infima(dense: np.ndarray, norms: np.ndarray, tol: float) -> tuple:
+    """slice_infimum of every member of a (k, n, n) stack, with norms[m] =
+    ||B_m||, from one stacked eigh of the quadratic blocks: (values, points),
+    the infima as a (k,) array and the witness points as a list of tuples or
+    None.  A finite infimum sums over the eigenvalues that are not flat, a
+    suffix of the ascending eigenvalues, taken per count of flat ones."""
+    k = len(dense)
+    cut = tol * np.maximum(1.0, norms)
+    lam, vecs = np.linalg.eigh(dense[:, :-1, :-1])
+    w = (vecs.transpose(0, 2, 1) @ dense[:, :-1, -1:])[..., 0]
+    s = dense[:, -1, -1]
+    flat = np.abs(lam) <= cut[:, None]
+    loose = np.where(flat, np.abs(w), 0.0)
+    ray = lam[:, 0] < -cut  # eigh sorts ascending
+    i = np.where(ray, 0, np.argmax(loose, axis=1))
+    rows = np.arange(k)
+    down = ray | (loose[rows, i] > cut)
+    values, u, t = np.where(down, -np.inf, 0.0), np.zeros(w.shape), np.zeros(k)
+    d = np.flatnonzero(ray)
+    t[d] = 2.0 * np.sqrt(np.maximum(s[d], 0.0) / -lam[d, 0]) + 1.0
+    d = np.flatnonzero(down & ~ray)
+    li, lami = loose[d, i[d]], lam[d, i[d]]
+    t[d] = (np.maximum(s[d], 0.0) + 1.0) / li
+    pos = lami > 0.0
+    t[d[pos]] = np.minimum(t[d[pos]], li[pos] / lami[pos])
+    d = np.flatnonzero(down)
+    u[d] = np.where(w[d, i[d]] > 0.0, -t[d], t[d])[:, None] * vecs[d, :, i[d]]
+    finite = np.flatnonzero(~down)
+    nflat = flat[finite].sum(axis=1)
+    for f in sorted(set(nflat.tolist())):
+        g, keep = finite[nflat == f], np.arange(f, w.shape[1])
+        lk, wk = lam[g, f:], w[g, f:]
+        values[g] = s[g] - np.sum(wk ** 2 / lk, axis=1)
+        # an index array on the last axis copies the columns in the layout
+        # that sets the matrix-vector product's summation order
+        u[g] = (-vecs[g][:, :, keep] @ (wk / lk)[..., None])[..., 0]
+    x = np.concatenate((u, np.ones((k, 1))), axis=1)
+    passed = np.einsum("ki,kij,kj->k", x, dense, x) < -tol
+    return values, [tuple(p) if ok else None for p, ok in zip(u.tolist(), passed.tolist())]
+
+
 def slice_infimum(b: SymMat, tol: float) -> tuple:
-    """inf over u of q(u, 1, B) in closed form, with a witness point.
+    """inf over u of q(u, 1, B) in closed form, with a witness point: the
+    one-member call of the stacked (C)' layer.
 
     With B = [[P, c], [c', s]], q(u, 1, B) = u'Pu + 2c'u + s.  Its infimum is
     -inf when P has a negative eigenvalue or c has a component in ker P, and
@@ -344,35 +492,14 @@ def slice_infimum(b: SymMat, tol: float) -> tuple:
     """
     if b.n < 2:
         raise ValueError("the slice infimum needs n >= 2")
-    a = b.to_dense()
-    cut = tol * max(1.0, b.norm())
-    lam, vecs = np.linalg.eigh(a[:-1, :-1])
-    w = vecs.T @ a[:-1, -1]
-    s = a[-1, -1]
-    flat = np.abs(lam) <= cut
-    loose = np.where(flat, np.abs(w), 0.0)
-    if lam[0] < -cut:  # eigh sorts ascending
-        value, i = -math.inf, 0
-        t = 2.0 * math.sqrt(max(s, 0.0) / -lam[0]) + 1.0
-    elif loose.max() > cut:
-        value, i = -math.inf, int(np.argmax(loose))
-        t = (max(s, 0.0) + 1.0) / loose[i]
-        if lam[i] > 0.0:
-            t = min(t, loose[i] / lam[i])
-    else:
-        keep = ~flat
-        value = float(s - np.sum(w[keep] ** 2 / lam[keep]))
-        u = -vecs[:, keep] @ (w[keep] / lam[keep])
-    if value == -math.inf:
-        u = (-t if w[i] > 0.0 else t) * vecs[:, i]
-    if float(_slice_values(b, u[None, :])[0]) < -tol:
-        return value, tuple(float(v) for v in u)
-    return value, None
+    values, points = _slice_infima(b.to_dense()[None], np.array([b.norm()]), tol)
+    return float(values[0]), points[0]
 
 
 def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
                         condition_b: Optional[ConditionBReport] = None) -> SliceReport:
-    """(C)' per member through the closed-form slice infimum (slice_infimum):
+    """(C)' per member through the closed-form slice infimum (slice_infimum,
+    here for all members from one stacked eigh of their quadratic blocks):
     certified when it is at most -10 tol * max(1, ||B||), with the witness
     point slice_infimum gives (the minimizer -P^+ c, or a point on a descent
     ray when the infimum is -inf), refuted when it is at least
@@ -401,10 +528,12 @@ def check_Bprime_Cprime(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     if s.n < 2:
         raise ValueError("slice conditions need n >= 2")
     statuses = {False: CERTIFIED, True: REFUTED, None: INCONCLUSIVE}
+    norms = [m.norm() for m in s.members]
+    values, points = _slice_infima(dense_stack(packed_stack(s.members, s.n), s.n),
+                                   np.array(norms), tol)
     c_members = []
-    for idx, m in enumerate(s.members):
-        value, point = slice_infimum(m, tol)
-        status = statuses[_band(value, tol, max(1.0, m.norm()))]
+    for idx, (value, point, norm) in enumerate(zip(values.tolist(), points, norms)):
+        status = statuses[_band(value, tol, max(1.0, norm))]
         c_members.append(MemberVerdict(index=idx, status=status, value=value,
                                        witness_point=point if status == CERTIFIED else None))
 
@@ -488,7 +617,9 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     lambda_max(B') <= 0 and the supremum is not attained), solves the
     trace-one SDP with every member row at min(tol / 10, 1e-9): a solve at t
     can leave its value a few t times the scale above the optimum, and the
-    band reads a boundary member at -tol times the scale."""
+    band reads a boundary member at -tol times the scale.  A solve that ends
+    "numerical" or "max_iter" is read at its best iterate when that
+    iterate's residuals are within tol, and as no answer otherwise."""
     if slater is None:
         slater = sdpmod.solve_slater(s.members, s.n, tol=tol)
     status, x, _, _ = slater
@@ -507,7 +638,11 @@ def classify(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
             sol = sdpmod.solve(sdpmod.SdpProblem(s.members[idx].scale(-1.0),
                                                  SymMat.identity(s.n), s.members),
                                tol=min(tol / 10.0, 1e-9))
-            boundary = _band(sol.value if sol.status == "optimal" else math.nan, tol, scale)
+            # a solve that stalled ("numerical", "max_iter") reports its best
+            # iterate, which is read when its residuals are within tol
+            settled = sol.status == "optimal" or (
+                sol.status in ("numerical", "max_iter") and max(sol.residuals) <= tol)
+            boundary = _band(sol.value if settled else math.nan, tol, scale)
         else:
             boundary = lo >= -tol * scale and up <= tol * scale
         if boundary:

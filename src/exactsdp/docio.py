@@ -259,8 +259,72 @@ def problem_doc(p: GeoCop, options: Optional[dict] = None) -> dict:
     return doc
 
 
+# json's string escaper: its C accelerator where the interpreter has one
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float(o) -> str:
+    if o != o:
+        return "NaN"
+    if o in (math.inf, -math.inf):
+        return "Infinity" if o > 0 else "-Infinity"
+    return float.__repr__(o)
+
+
+def _scalar(o) -> str:
+    """json's text for None, a bool, an int or a float, subclasses read
+    through int.__repr__ and float.__repr__ as json reads them."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+# the writer of each exact leaf type, looked up before any isinstance test
+_LEAF = {str: _escape, int: int.__repr__, float: _float, bool: _scalar, type(None): _scalar}
+
+
+def _key(k) -> str:
+    """A dict key as the JSON string json writes for it."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):
+        return _escape(_scalar(k))
+    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(k).__name__)
+
+
+def _text(o, indent: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it at indent."""
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        items = [leaf(v) if (leaf := _LEAF.get(type(v))) else _text(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = [(_escape(k) if type(k) is str else _key(k)) + ": "
+                 + (leaf(v) if (leaf := _LEAF.get(type(v))) else _text(v, inner))
+                 for k, v in sorted(o.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _scalar(o)
+
+
 def serialize(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document as json.dumps(doc, indent=2, sort_keys=True) + newline,
+    byte for byte, without the pure-Python indenting encoder."""
+    return _text(doc, "") + "\n"
 
 
 def _vec(v) -> list:

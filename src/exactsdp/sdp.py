@@ -729,8 +729,15 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
         y[inside] = lam[inside] / np.maximum(2.0 * np.sqrt(np.einsum("pij,pij->p", b, b)),
                                              lam[inside])
         lam[inside] = lambda_min_stack(A[inside] + y[inside, None, None] * b)
-    ok = (y > 0.0) & (lam >= -tol * np.minimum(1.0, y) * scale)
+    ok = certificate_holds(y, lam, scale, tol)
     return np.where(ok, y, np.nan), np.where(ok, lam, np.nan), bounds
+
+
+def certificate_holds(y, lam, scale, tol: float):
+    """The acceptance rule of the pair certificate (1, y), elementwise, with
+    lam = lambda_min(A + yB) and scale = ||A|| + ||B||: y > 0 and
+    lam >= -tol * min(1, y) * scale."""
+    return (y > 0.0) & (lam >= -tol * np.minimum(1.0, y) * scale)
 
 
 def solve_ab_certificate(a: SymMat, b: SymMat, tol: float = DEFAULT_TOL):

@@ -463,6 +463,31 @@ def test_classify_checks_every_member_before_case_b(monkeypatch):
     assert len(calls) == 3 and len(pencils) == 1 and len(pencils[0][0]) == 2
 
 
+def test_classify_reads_a_stalled_solve_at_its_best_iterate(monkeypatch):
+    # [-ww', two random members] in S^3 from seed 76: -ww' is a boundary
+    # member wherever the slice is not empty, and the trace-one solve of
+    # min <ww',X> over the three rows stalls ("numerical") with its best
+    # iterate's residuals within tol; that iterate reads case (a) at index 0
+    rng = np.random.default_rng(76)
+    n = int(rng.integers(2, 5))
+    w = rng.standard_normal(n)
+    g = rng.standard_normal((2, n, n))
+    s = constraint_set(n, [SymMat.from_dense(m)
+                           for m in [-np.outer(w, w)] + [(x + x.T) / 2.0 for x in g]])
+    slater = sdpmod.solve_slater(s.members, n, tol=TOL)
+    assert n == 3 and slater[0] == "optimal"
+    solves = []
+    original = sdpmod.solve
+
+    def recording(p, tol=sdpmod.DEFAULT_TOL):
+        solves.append(original(p, tol=tol))
+        return solves[-1]
+
+    monkeypatch.setattr(sdpmod, "solve", recording)
+    assert classify(s, TOL, slater=slater) == Classification(case="a", exposing_index=0)
+    assert solves[0].status == "numerical" and max(solves[0].residuals) <= TOL
+
+
 def _classify_by_solves(s, tol, slater):
     """classify's interior-point route on a set of any size: one core solve
     of the trace-one SDP per member not clearly interior, at

@@ -1,13 +1,21 @@
 import json
+import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from exactsdp import docio
+from exactsdp import docio, gallery
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.pipeline import PipelineConfig, run_pipeline
 from exactsdp.symmat import SymMat
 from exactsdp.gallery import build_case
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+EXAMPLES = os.path.join(ROOT, "docs", "examples")
 
 MINIMAL = {
     "schema_version": 1,
@@ -145,3 +153,72 @@ def test_lift_and_restriction_matrices_roundtrip():
     p2, _ = docio.parse_problem(text)
     assert p2.lift == L
     assert p2.restrict_to == R
+
+
+# --------------------------------------------------------------------------
+# the document writer: json.dumps(indent=2, sort_keys=True), byte for byte
+# --------------------------------------------------------------------------
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_STRINGS = st.text(alphabet=st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+_LEAVES = st.one_of(_STRINGS, st.integers(), st.booleans(), st.none(), _FLOATS,
+                    _FLOATS.map(np.float64))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=10), st.tuples(inner, inner),
+                            st.dictionaries(_STRINGS, inner, max_size=4),
+                            st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(_STRINGS, _VALUES, max_size=5))
+def test_serialize_writes_json_indented_text(doc):
+    assert docio.serialize(doc) == _json_text(doc)
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(1), np.bool_(True), {1j: 1},
+                                   [1, {"a": {b"bytes": 1}}], {"a": {"b": set()}}])
+def test_serialize_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps({"k": value}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        docio.serialize({"k": value})
+
+
+def _corpus_documents():
+    """Every docs/examples pipeline result, the gallery report and both
+    benchmark workloads' pipeline results at seeds 1-5."""
+    docs = []
+    for name in sorted(os.listdir(EXAMPLES)):
+        with open(os.path.join(EXAMPLES, name), "rb") as fh:
+            problem, opts = docio.parse_problem(fh.read())
+        cfg = PipelineConfig(tol=opts["tol"], cert_tol=opts["tol"], seed=opts["seed"])
+        docs.append(docio.verdict_doc(run_pipeline(problem, cfg)))
+    docs.append({"schema_version": docio.SCHEMA_VERSION, "command": "gallery",
+                 "cases": gallery.run_acceptance()})
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name in ("ball-family", "reduce-refute"):
+        for seed in range(1, 6):
+            for op in workloads.build(name, seed).ops:
+                for item in op:
+                    problem, opts = docio.parse_problem(item.doc)
+                    cfg = PipelineConfig(tol=opts["tol"], cert_tol=opts["tol"], seed=opts["seed"])
+                    docs.append(docio.verdict_doc(run_pipeline(problem, cfg)))
+    return docs
+
+
+def test_serialize_matches_json_on_every_corpus_document():
+    docs = _corpus_documents()
+    assert len(docs) >= 4 + 1 + 5 * 2
+    for doc in docs:
+        assert docio.serialize(doc) == _json_text(doc)

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exactsdp import docio
-from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, _slice_values,
-                              check_Bprime_Cprime, slice_infimum)
+from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, ConditionBReport,
+                              _slice_values, check_Bprime_Cprime, slice_infimum)
 from exactsdp.gallery import build_case, list_cases
 from exactsdp.model import GeoCop, constraint_set, normalize
 from exactsdp.sdp import SdpProblem, solve
@@ -190,6 +190,46 @@ def test_identity_is_refuted():
     b = SymMat.identity(3)
     assert slice_infimum(b, TOL)[0] == 1.0
     assert check_Bprime_Cprime(constraint_set(3, [b]), TOL).c_prime_members[0].status == REFUTED
+
+
+def _seeded_members():
+    """Random members of S^2..S^8, with psd, singular and zero blocks among
+    them, so every branch of the closed form and flat eigenvalues occur."""
+    rng = np.random.default_rng(11)
+    members = []
+    for k in range(240):
+        n = int(rng.integers(2, 9))
+        g = rng.standard_normal((n, n))
+        a = (g + g.T) / 2.0
+        kind = k % 5
+        if kind in (1, 2):
+            r = n - 1 if kind == 1 else int(rng.integers(1, n))
+            f = rng.standard_normal((n - 1, r))
+            a[:-1, :-1] = f @ f.T
+            if kind == 2 and k % 2:
+                a[:-1, -1] = a[-1, :-1] = f @ rng.standard_normal(r)
+        elif kind == 3:
+            a[:-1, :-1] = 0.0
+        members.append(SymMat.from_dense(a))
+    return members
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-3])
+def test_stacked_c_prime_is_bitwise_the_one_member_call(tol):
+    # the (C)' layer takes one stacked eigh over a set's members; each value
+    # and witness point is bitwise what slice_infimum gives for its member
+    # alone (repr tells -0.0 from 0.0)
+    by_n = {}
+    for b in fixture_members() + _seeded_members():
+        by_n.setdefault(b.n, []).append(b)
+    nothing = ConditionBReport(status=CERTIFIED, pairs=())
+    for n, members in by_n.items():
+        rep = check_Bprime_Cprime(constraint_set(n, members), tol, condition_b=nothing)
+        for b, verdict in zip(members, rep.c_prime_members):
+            value, point = slice_infimum(b, tol)
+            assert repr(verdict.value) == repr(value)
+            assert repr(verdict.witness_point) == repr(point if verdict.status == CERTIFIED
+                                                       else None)
 
 
 def test_rejects_dimension_one():
