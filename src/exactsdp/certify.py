@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .model import ConstraintSet, quadform_packed
-from .symmat import SymMat, dense_stack, inner, is_psd, lambda_min_stack, packed_stack
+from .symmat import (SymMat, dense_stack, inner, is_psd_stack, lambda_min_stack,
+                     packed_stack)
 from . import sdp as sdpmod
 
 CERTIFIED = "certified"
@@ -577,7 +578,7 @@ def check_structural(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL,
     status, _, tstar, _ = slater
     a3 = status == "optimal" and tstar > tol
     # (A-4)
-    psd_members = tuple(i for i, m in enumerate(s.members) if is_psd(m, tol))
+    psd_members = tuple(np.flatnonzero(is_psd_stack(s.members, s.n, tol)).tolist())
     a4 = _is_trivial_zero_set(s) or not psd_members
     # (A-5)
     if inclusions is None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import CERTIFIED, inclusion_table
 from .model import ConstraintSet, GeoCop, constraint_set
-from .symmat import SymMat, canonical_sign, is_psd
+from .symmat import SymMat, canonical_sign, is_psd, is_psd_stack
 from . import sdp as sdpmod
 
 _RANK_TOL = 1e-7
@@ -177,7 +177,7 @@ def remove_redundant(s: ConstraintSet, tol: float = sdpmod.DEFAULT_TOL):
     zero_set = constraint_set(s.n, [SymMat.zeros(s.n)])
     if _all_zero(members):
         return zero_set, tuple(), {}
-    removed = {i for i, m in enumerate(members) if is_psd(m, tol)}
+    removed = set(np.flatnonzero(is_psd_stack(members, s.n, tol)).tolist())
     if len(removed) == len(members):
         # every inequality holds on all of S^n_+: canonical trivial set {O}
         return zero_set, tuple(sorted(removed)), {}

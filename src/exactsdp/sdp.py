@@ -11,8 +11,13 @@ an eigenvalue problem: the bottom eigenvector of the pencil (C, H) for an
 SdpProblem with H positive definite and a simple bottom eigenvalue, and
 X = I/n with t = 1/n for the Slater SDP.  That answer is exact, with
 multipliers 0 on the member rows and iterations = 0, and it is returned
-whenever it meets every member row; the interior-point core answers the
-rest.  The core solves
+whenever it meets every member row.  Otherwise they solve it with one
+active member row, again with iterations = 0: the SdpProblem with the one
+row that its bottom eigenvector violates through the pencil
+(pencil_bounds), and the Slater SDP with each row of negative trace in
+closed form.  Either answer is returned when it meets every other row, since
+a problem with one row relaxes the whole.  The interior-point core answers
+the rest.  The core solves
 min <C,X> + c.w  s.t.  linear rows on (X, w),  X psd,  w >= 0
 through a homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, which yields infeasibility/unboundedness
@@ -452,20 +457,32 @@ def _assemble(p: SdpProblem) -> _ConicData:
 
 
 def _eigen_answer(p: SdpProblem, tol: float) -> Optional[SdpSolution]:
-    """The optimum of p without its member rows, when it is unique and meets
-    every one of them; None otherwise.
+    """The optimum of p without its member rows, or with the one member row
+    that this optimum violates, when it meets every other row; None
+    otherwise.
 
     Without the member rows, min <C,X> s.t. <H,X> = 1, X psd is an
     eigenvalue problem.  With H = V diag(d) V' positive definite (d > 0),
     W = V diag(d)^-1/2 has W'HW = I, and its value is the bottom eigenvalue
-    lambda of the pencil (C, H): the bottom eigenvalue of W'CW, with
-    eigenvector u, attained by X = vv' with v = Wu.  y0 = lambda proves the
-    value, since C - lambda H is psd exactly when W'CW - lambda I is.  When
-    the next eigenvalue lies more than tol * max(1, ||C||) above lambda, vv'
-    is the only optimum, and when <B_j, vv'> >= 0 for every member it is the
-    only optimum of p too, with multipliers 0 on the member rows.  The
-    answer reports iterations = 0, residuals (|<H,X> - 1|, 0, relative gap
-    of <C,X> and lambda) and the values <B_j, X> as its slacks.
+    lambda of the pencil (C, H): the bottom eigenvalue of W'CW = U diag(lam)
+    U', with eigenvector u, attained by X = vv' with v = Wu.  y0 = lambda
+    proves the value, since C - lambda H is psd exactly when W'CW - lambda I
+    is.  When the next eigenvalue lies more than tol * max(1, ||C||) above
+    lambda, vv' is the only optimum, and when <B_j, vv'> >= 0 for every
+    member it is the only optimum of p too, with multipliers 0 on the member
+    rows.  The answer reports iterations = 0, residuals (|<H,X> - 1|, 0,
+    relative gap of <C,X> and lambda) and the values <B_j, X> as its slacks.
+
+    When vv' violates exactly one row j, the problem with that row alone is
+    a trace-one SDP in the basis WU, min <diag(lam), Y> s.t.
+    <(WU)'B_j(WU), Y> >= 0, trace Y = 1, which pencil_bounds answers with
+    lower <= value <= upper, a feasible Y and the multiplier y of its lower
+    bound: C - lower H - y B_j is psd.  X = (WU) Y (WU)' solves p too when
+    it meets every row within tol * max(1, ||B_i||) and the gap
+    upper - lower is within tol relative to 1 + |upper| + |lower|.  That
+    answer reports value upper, dual_eq [lower], y on row j and 0 on the
+    others, iterations = 0 and residuals (the largest row violation, 0, the
+    relative gap).
     """
     n = p.objective.n
     C, H = p.objective.to_dense(), p.H.to_dense()
@@ -479,16 +496,37 @@ def _eigen_answer(p: SdpProblem, tol: float) -> Optional[SdpSolution]:
     if not (lam[1:2] - lam[0] > tol * max(1.0, p.objective.norm())).all():
         return None
     v = W @ U[:, 0]
-    rows = dense_stack(packed_stack(p.members, n), n) @ v @ v
-    if not (rows >= 0.0).all():
+    B = dense_stack(packed_stack(p.members, n), n)
+    rows = B @ v @ v
+    violated = np.flatnonzero(~(rows >= 0.0))
+    if not violated.size:
+        value, y0 = float(v @ C @ v), float(lam[0])
+        return SdpSolution(
+            status="optimal", X=SymMat.from_dense(np.outer(v, v)),
+            dual_eq=np.array([y0]), dual_ineq=np.zeros(len(p.members)),
+            value=value, dual_value=y0,
+            residuals=(abs(float(v @ H @ v) - 1.0), 0.0,
+                       abs(value - y0) / (1.0 + abs(value) + abs(y0))),
+            slack=rows)
+    if violated.size > 1 or not np.isfinite(B).all():
         return None
-    value, y0 = float(v @ C @ v), float(lam[0])
+    j, WU = violated[0], W @ U
+    r = pencil_bounds(np.diag(lam)[None], _sym(WU.T @ B[j] @ WU)[None])
+    lower, y, upper = float(r.lower[0]), float(r.y[0]), float(r.upper[0])
+    if math.isnan(lower):
+        return None
+    X = _sym(WU @ r.X[0] @ WU.T)
+    rows = np.einsum("kij,ij->k", B, X)
+    gap = (upper - lower) / (1.0 + abs(upper) + abs(lower))
+    if not ((rows >= -tol * np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", B, B)))).all()
+            and gap <= tol):
+        return None
+    dual_ineq = np.zeros(len(p.members))
+    dual_ineq[j] = y
+    pres = max(abs(float(np.sum(H * X)) - 1.0), float(np.max(-rows, initial=0.0)))
     return SdpSolution(
-        status="optimal", X=SymMat.from_dense(np.outer(v, v)),
-        dual_eq=np.array([y0]), dual_ineq=np.zeros(len(p.members)),
-        value=value, dual_value=y0,
-        residuals=(abs(float(v @ H @ v) - 1.0), 0.0,
-                   abs(value - y0) / (1.0 + abs(value) + abs(y0))),
+        status="optimal", X=SymMat.from_dense(X), dual_eq=np.array([lower]),
+        dual_ineq=dual_ineq, value=upper, dual_value=lower, residuals=(pres, 0.0, gap),
         slack=rows)
 
 
@@ -497,7 +535,9 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     infeasibility / unboundedness are reported through Farkas-type
     certificates.  The optimum without the member rows (_eigen_answer)
     answers exactly, with iterations = 0, when it is unique and meets every
-    member row; the interior-point core answers otherwise."""
+    member row, and so does the pencil's optimum with the one row it
+    violates, when that optimum meets the others within tol; the
+    interior-point core answers otherwise."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if not p.objective.is_finite():
@@ -521,6 +561,41 @@ def slater_data(members, n: int) -> _ConicData:
                    Aw=np.column_stack([np.trace(d.Am, axis1=1, axis2=2), d.Aw]))
 
 
+def _slater_answer(dense: np.ndarray, trace: np.ndarray) -> Optional[tuple]:
+    """The Slater SDP with one active member row, in closed form; None when
+    no one-row answer meets every row.
+
+    With member j's row alone, X = tI + Z, Z psd, trace Z = 1 - nt, and the
+    row reads t tr B_j + <B_j, Z> >= 0, whose largest left side is
+    t tr B_j + (1 - nt) lambda with lambda = lambda_max(B_j) and top
+    eigenvector v.  For tr B_j < 0 < lambda the largest t is
+    t_j = lambda / (n lambda - tr B_j), attained by
+    X_j = t_j I + (1 - n t_j) vv', and proved by the dual
+    S = (lambda I - B_j) / (n lambda - tr B_j), psd with trace 1, and
+    E = -B_j / (n lambda - tr B_j).  Each one-row problem relaxes the whole,
+    so t* <= t_j for every j, and t* = t_j for any X_j that meets every row:
+    the smallest t_j whose X_j meets every row within the pencil's roundoff
+    lean 8 n^2 eps ||B_i|| is the answer, ("optimal", X_j, t_j, E)."""
+    if not np.isfinite(dense).all():
+        return None
+    n = dense.shape[1]
+    cand = np.flatnonzero(trace < 0.0)
+    lam, vec = np.linalg.eigh(dense[cand])
+    top, v = lam[:, -1], vec[:, :, -1]
+    # tr B <= n lambda_max(B), so the denominator is positive where top > 0
+    ok = top > 0.0
+    denom = np.where(ok, n * top - trace[cand], 1.0)
+    t = np.where(ok, top / denom, 0.0)[:, None, None]
+    X = t * np.eye(n) + (1.0 - n * t) * (v[:, :, None] * v[:, None, :])
+    lean = 8.0 * n * n * np.finfo(float).eps * np.sqrt(np.einsum("kij,kij->k", dense, dense))
+    met = (np.einsum("kij,cij->ck", dense, X) >= -lean).all(axis=1) & ok
+    if not met.any():
+        return None
+    c = int(np.argmin(np.where(met, t[:, 0, 0], np.inf)))
+    return ("optimal", SymMat.from_dense(X[c]), float(t[c, 0, 0]),
+            SymMat.from_dense(-dense[cand[c]] / denom[c]))
+
+
 def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     """Returns (status, X_star, t_star, E): a max-rank feasible point, its
     margin, and the dual certificate E = -sum_j y_j B_j of the member rows.
@@ -528,9 +603,11 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     Without the member rows the optimum is X = I/n with t = 1/n, since
     lambda_min(X) <= trace X / n.  When every member has trace B >= 0, I/n
     meets every row, and the answer is exact: ("optimal", I/n, 1/n, 0), with
-    multipliers 0 on the member rows.  Otherwise the interior-point core
-    solves it at min(tol, 1e-9): facial reduction and (A-3) compare t_star
-    with tol itself, so the solve is held below it.
+    multipliers 0 on the member rows.  Otherwise a member row of negative
+    trace may be the only active one (_slater_answer), and its closed form
+    answers with no interior-point solve.  The core solves the rest at
+    min(tol, 1e-9): facial reduction and (A-3) compare t_star with tol
+    itself, so the solve is held below it.
 
     Dual feasibility reads E = S + y0 I with S psd and y_j >= 0, and
     tr E >= 1 + n y0, where y0 = -t_star at the optimum.  So when t_star is
@@ -541,9 +618,14 @@ def solve_slater(members, n: int, tol: float = DEFAULT_TOL):
     or infeasible raises ValueError, since no caller can read a margin from
     a failed solve.
     """
-    data = slater_data(members, n)
-    if (np.trace(data.Am[1:], axis1=1, axis2=2) >= 0.0).all():
+    dense = dense_stack(packed_stack(members, n), n)
+    trace = np.trace(dense, axis1=1, axis2=2)
+    if (trace >= 0.0).all():
         return "optimal", SymMat.identity(n).scale(1.0 / n), 1.0 / n, SymMat.zeros(n)
+    answer = _slater_answer(dense, trace)
+    if answer is not None:
+        return answer
+    data = slater_data(members, n)
     sol = _conic_solve(data, tol=min(tol, 1e-9))
     if sol.status == "infeasible":
         return sol.status, None, -math.inf, None

@@ -198,6 +198,15 @@ def is_psd(x: SymMat, tol: float = DEFAULT_PSD_TOL) -> bool:
     return lambda_min(x) >= -tol * max(1.0, x.norm())
 
 
+def is_psd_stack(mats, n: int, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
+    """is_psd of every SymMat in S^n of a sequence, as one boolean array,
+    from one lambda_min_stack call: bitwise the decisions of is_psd."""
+    if tol < 0.0:
+        raise ValueError("tol must be nonnegative")
+    lmin = lambda_min_stack(dense_stack(packed_stack(mats, n), n))
+    return lmin >= -tol * np.array([max(1.0, m.norm()) for m in mats])
+
+
 def gram(x) -> SymMat:
     """Rank-one PSD matrix x x^T."""
     x = np.asarray(x, dtype=float)

@@ -23,7 +23,7 @@ from exactsdp.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, check_condition_
 from exactsdp.gallery import ball_family, disk_member, ex61_matrices, fig2_members
 from exactsdp.model import build_family, constraint_set, normalize
 from exactsdp.sdp import solve_ab_certificate
-from exactsdp.symmat import (SymMat, dense_stack, inner, is_psd, lambda_min,
+from exactsdp.symmat import (SymMat, dense_stack, inner, is_psd, is_psd_stack, lambda_min,
                              lambda_min_stack, packed_stack)
 
 TOL = 1e-8
@@ -294,6 +294,42 @@ def test_stack_helpers_match_scalar_kernels():
             assert repr(m.norm()) == repr(_ref_norm(m))
     with pytest.raises(ValueError):
         lambda_min_stack(np.full((1, 2, 2), np.nan))
+
+
+def _psd_border_members(rng, n, tol):
+    """Rotated diagonal matrices whose smallest eigenvalue sits within a few
+    roundoff steps of is_psd's border -tol max(1, ||x||), on both sides,
+    with exact psd, rank-one and negative semidefinite ones."""
+    mats = [SymMat.zeros(n), SymMat.identity(n), SymMat.diag([1.0] + [0.0] * (n - 1))]
+    w = rng.standard_normal(n)
+    mats += [SymMat.from_dense(np.outer(w, w)), SymMat.from_dense(-np.outer(w, w))]
+    for k in range(-6, 7):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        d = np.concatenate((rng.uniform(0.5, 3.0, n - 1), [0.0]))
+        # the border of this spectrum, the last eigenvalue moving it little
+        border = -tol * max(1.0, float(np.linalg.norm(d)))
+        d[-1] = border * (1.0 + k * 1e-12)
+        mats.append(SymMat.from_dense(u @ np.diag(d) @ u.T))
+    return mats
+
+
+def test_psd_stack_decides_as_scalar_is_psd():
+    # one lambda_min_stack call with is_psd's own rule and SymMat.norm: the
+    # same decision on every member, borders included
+    rng = np.random.default_rng(11)
+    seen = set()
+    for n in (1, 2, 3, 5):
+        for tol in (0.0, 1e-9, 1e-8, 1e-3):
+            mats = _psd_border_members(rng, n, tol) if n > 1 else [
+                SymMat.diag([v]) for v in (0.0, 1.0, -tol, -tol * (1.0 + 1e-15), -1.0)]
+            flags = is_psd_stack(mats, n, tol)
+            assert flags.tolist() == [is_psd(m, tol) for m in mats]
+            seen.update(flags.tolist())
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        is_psd_stack([SymMat.identity(2)], 2, -1.0)
+    with pytest.raises(ValueError):
+        is_psd_stack([SymMat.diag([1.0, math.nan])], 2, 1e-8)
 
 
 # --------------------------------------------------------------------------

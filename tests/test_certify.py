@@ -467,7 +467,9 @@ def test_classify_reads_a_stalled_solve_at_its_best_iterate(monkeypatch):
     # [-ww', two random members] in S^3 from seed 76: -ww' is a boundary
     # member wherever the slice is not empty, and the trace-one solve of
     # min <ww',X> over the three rows stalls ("numerical") with its best
-    # iterate's residuals within tol; that iterate reads case (a) at index 0
+    # iterate's residuals within tol; that iterate reads case (a) at index 0.
+    # ww' has a double bottom eigenvalue (0), so no closed-form answer
+    # applies and the solve reaches the interior-point core
     rng = np.random.default_rng(76)
     n = int(rng.integers(2, 5))
     w = rng.standard_normal(n)
@@ -486,6 +488,7 @@ def test_classify_reads_a_stalled_solve_at_its_best_iterate(monkeypatch):
     monkeypatch.setattr(sdpmod, "solve", recording)
     assert classify(s, TOL, slater=slater) == Classification(case="a", exposing_index=0)
     assert solves[0].status == "numerical" and max(solves[0].residuals) <= TOL
+    assert solves[0].iterations > 0
 
 
 def _classify_by_solves(s, tol, slater):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import exactsdp.certify as certmod
 from exactsdp import sdp as sdpmod
-from exactsdp.docio import verdict_doc
+from exactsdp.docio import parse_problem, verdict_doc
 from exactsdp.model import BallGrid, GeoCop, build_family, constraint_set, integer_grid
 from exactsdp.oracle import solve_sphere
 from exactsdp.pipeline import PipelineConfig, run_pipeline, top_eigenvector
@@ -255,6 +256,41 @@ def test_rotated_worked_example_reaches_the_value_to_tol():
         v = run_pipeline(_rotated_ex61(seed), ROTATED_CFG)
         assert v.exactness == "certified_exact"
         assert abs(v.value + SQRT3_OVER_2) <= 1e-9
+
+
+def test_one_active_row_needs_no_interior_point_solve(monkeypatch):
+    # the worked example reduces to S^2, where C' = -c B' leaves one
+    # equality: the reduced Slater margin is 1/4 in closed form and the
+    # relaxation comes from the pencil, with no interior-point iteration
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    with open(os.path.join(root, "docs", "examples", "worked-example.json"), "rb") as fh:
+        problem, _ = parse_problem(fh.read())
+    v = run_pipeline(problem, PipelineConfig(tol=1e-9, cert_tol=1e-9))
+    assert v.sdp.status == "optimal" and v.sdp.iterations == 0
+    assert abs(v.value + SQRT3_OVER_2) <= 1e-11
+    assert v.reduction.slater_margin == 0.25
+    # one reduce-refute batch of the benchmark (seed 1): only the four Slater
+    # solves of the rotated examples at n = 4, whose face needs two rows,
+    # reach the core
+    calls = []
+    core = sdpmod._conic_solve
+
+    def counting(d, tol=sdpmod.DEFAULT_TOL):
+        calls.append(d.n)
+        return core(d, tol=tol)
+
+    monkeypatch.setattr(sdpmod, "_conic_solve", counting)
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for op in workloads.build("reduce-refute", 1).ops:
+        for item in op:
+            problem, opts = parse_problem(item.doc)
+            run_pipeline(problem, PipelineConfig(tol=opts["tol"], cert_tol=opts["tol"],
+                                                 seed=opts["seed"]))
+    assert calls == [4, 4, 4, 4]
 
 
 def test_face_moves_at_roundoff_under_roundoff_rescaling():

@@ -36,11 +36,19 @@ def trace_one_min(q, tol=1e-9):
 
 
 # a relaxation whose bottom eigenvector (e1) violates its member row, and a
-# Slater set whose member has a negative trace (I/n violates it): solve and
-# solve_slater hand both to the interior-point core
+# Slater set whose member has a negative trace (I/n violates it): each has
+# one active member row, which solve and solve_slater answer without the core
 ACTIVE_ROW = SdpProblem(SymMat.diag([-1.0, 1.0]), SymMat.identity(2),
                         (SymMat.diag([-1.0, 0.5]),))
 ACTIVE_SLATER = [SymMat.diag([1.0, -2.0])]
+# X11 <= X33 and X22 <= X33: the bottom eigenvector e1 violates the first
+# row, the pencil's answer e2 e2' the second, and the optimum diag(1, 1, 1)/3
+# makes both active.  The Slater set X11 >= 2 X22, X22 >= 2 X33 has each
+# one-row answer violate the other row (t* = 1/7 at diag(4, 2, 1)/7).  solve
+# and solve_slater hand both to the interior-point core
+TWO_ROWS = SdpProblem(SymMat.diag([-2.0, -1.0, 1.0]), SymMat.identity(3),
+                      (SymMat.diag([-1.0, 0.0, 1.0]), SymMat.diag([0.0, -1.0, 1.0])))
+TWO_ROW_SLATER = [SymMat.diag([1.0, -2.0, 0.0]), SymMat.diag([0.0, 1.0, -2.0])]
 
 
 def test_trace_one_gives_lambda_min():
@@ -103,10 +111,10 @@ def test_run_cut_after_default_max_iter(monkeypatch):
     # the iteration cap is read when a solve starts; a run cut after one
     # iteration reports the one iterate it has
     monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", 1)
-    sol = solve(ACTIVE_ROW)
+    sol = solve(TWO_ROWS)
     assert sol.status == "max_iter" and sol.iterations == 1
     assert len(sol.mu_history) == 1 and sol.X is not None
-    status, x, _, _ = solve_slater(ACTIVE_SLATER, 2)
+    status, x, _, _ = solve_slater(TWO_ROW_SLATER, 3)
     assert status == "max_iter" and x is not None
 
 
@@ -116,9 +124,12 @@ def test_rejects_max_iter_below_one(monkeypatch, max_iter):
     # a cap below one is refused before any work, by both entry points
     monkeypatch.setattr(sdp_module, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(ValueError, match="MAX_ITER"):
-        solve(ACTIVE_ROW)
+        solve(TWO_ROWS)
     with pytest.raises(ValueError, match="MAX_ITER"):
-        solve_slater(ACTIVE_SLATER, 2)
+        solve_slater(TWO_ROW_SLATER, 3)
+    # the closed-form answers run no iteration and need none
+    assert solve(ACTIVE_ROW).iterations == 0
+    assert solve_slater(ACTIVE_SLATER, 2)[0] == "optimal"
 
 
 def test_equality_rows_come_first_in_conic_data():
@@ -621,10 +632,10 @@ def test_solve_answers_the_bottom_eigenvector_exactly():
 
 
 def test_solve_hands_other_problems_to_the_core():
-    # a violated member row, a double bottom eigenvalue (no unique optimum)
+    # two active member rows, a double bottom eigenvalue (no unique optimum)
     # and an H that is not positive definite take interior-point iterations
     i2 = SymMat.identity(2)
-    for p in (ACTIVE_ROW, SdpProblem(i2, i2), SdpProblem(SymMat.diag([1.0, 1.0 + 1e-9]), i2),
+    for p in (TWO_ROWS, SdpProblem(i2, i2), SdpProblem(SymMat.diag([1.0, 1.0 + 1e-9]), i2),
               SdpProblem(SymMat.diag([2.0, 5.0]), SymMat.diag([1.0, 0.0]))):
         assert _eigen_answer(p, sdp_module.DEFAULT_TOL) is None
         assert solve(p).iterations > 0
@@ -640,7 +651,7 @@ def test_slater_answers_trace_nonnegative_sets_exactly():
         status, x, t, e = solve_slater(members, n)
         assert status == "optimal" and t == 1.0 / n
         assert x == SymMat.identity(n).scale(1.0 / n) and e == SymMat.zeros(n)
-    # a negative trace sends the set to the core, whose t is below 1/2
+    # a negative trace puts t below 1/2: one active row, in closed form
     status, _, t, _ = solve_slater(ACTIVE_SLATER, 2)
     assert status == "optimal" and abs(t - 1.0 / 3.0) <= 1e-8
 
@@ -707,6 +718,10 @@ def test_closed_form_agrees_with_the_core_and_is_checked_by_numpy(p):
     tol = sdp_module.DEFAULT_TOL
     ans = _eigen_answer(p, tol)
     assume(ans is not None)
+    if ans.dual_ineq.any():
+        # vv' violates one row: the pencil's answer, checked below
+        _check_one_row_answer(p, ans, tol)
+        return
     c, h = p.objective.to_dense(), p.H.to_dense()
     x, y0 = ans.X.to_dense(), float(ans.dual_eq[0])
     scale = max(1.0, p.objective.norm())
@@ -752,3 +767,106 @@ def test_slater_closed_form_agrees_with_the_core(case):
     ref = _conic_solve(data, tol=1e-9)
     assert ref.status == "optimal" and ref.iterations > 0
     assert abs(float(ref.slack[0]) - t) <= 1e-9 * (1.0 + t)
+
+
+def _unit_member(draw, n, shifts):
+    """A random member shifted by a multiple of I, of unit Frobenius norm as
+    normalize gives them: the core floors a row's norm at 1e-12 when it
+    scales its data, so it reads a row of norm 1e-100 as met."""
+    b = draw(_sym_matrix(n)) + draw(shifts) * np.eye(n)
+    norm = np.linalg.norm(b)
+    assume(norm > 0.0)
+    return b / norm
+
+
+@st.composite
+def _one_row_slater_sets(draw):
+    """One to four members in S^n, n = 2-5: random ones shifted by -2 to 1
+    times I (unit norm), and equality pairs (B, -cB)."""
+    n = draw(st.integers(2, 5))
+    members = []
+    while len(members) < draw(st.integers(1, 4)):
+        b = _unit_member(draw, n, st.floats(-2.0, 1.0))
+        members.append(b)
+        if draw(st.booleans()):
+            members.append(-draw(st.floats(0.1, 10.0)) * b)
+    return n, [SymMat.from_dense(m) for m in members]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_one_row_slater_sets())
+def test_slater_one_row_answer_agrees_with_the_core(case):
+    # X_j = t_j I + (1 - n t_j) vv' from one member's row, with its dual
+    # S = E + t I psd of trace 1; the core on the same data agrees
+    n, members = case
+    dense = np.array([m.to_dense() for m in members])
+    trace = np.trace(dense, axis1=1, axis2=2)
+    ans = sdp_module._slater_answer(dense, trace)
+    assume(ans is not None and (trace < 0.0).any())
+    status, x, t, e = ans
+    assert solve_slater(members, n) == ans
+    xd, s = x.to_dense(), e.to_dense() + t * np.eye(n)
+    assert status == "optimal" and 0.0 < t <= 1.0 / n
+    assert abs(np.trace(xd) - 1.0) <= 1e-14 and abs(np.linalg.eigvalsh(xd)[0] - t) <= 1e-14
+    norms = np.linalg.norm(dense, axis=(1, 2))
+    assert (np.einsum("kij,ij->k", dense, xd) >= -1e-14 * np.maximum(1.0, norms)).all()
+    assert np.linalg.eigvalsh(s)[0] >= -1e-14 and abs(np.trace(s) - 1.0) <= 1e-14
+    ref = _conic_solve(slater_data(members, n), tol=1e-9)
+    assert ref.status == status and ref.iterations > 0
+    assert abs(float(ref.slack[0]) - t) <= 1e-8
+
+
+@st.composite
+def _one_row_problems(draw):
+    """C, a random positive definite H = G G' + I/2 and one to four members
+    in S^n, n = 2-5: random ones shifted by -1 to 2 times I (unit norm), and
+    equality pairs (B, -cB)."""
+    n = draw(st.integers(2, 5))
+    c = draw(_sym_matrix(n))
+    g = draw(arrays(np.float64, (n, n), elements=_ENTRY))
+    members = []
+    while len(members) < draw(st.integers(1, 4)):
+        b = _unit_member(draw, n, st.floats(-1.0, 2.0))
+        members.append(b)
+        if draw(st.booleans()):
+            members.append(-draw(st.floats(0.1, 10.0)) * b)
+    return SdpProblem(SymMat.from_dense(c), SymMat.from_dense(g @ g.T + 0.5 * np.eye(n)),
+                      tuple(SymMat.from_dense(m) for m in members))
+
+
+def _check_one_row_answer(p, ans, tol):
+    """The pencil's answer to p: y >= 0 on one row j and 0 on the others,
+    X psd with <H,X> = 1 meeting every row within tol, C - y0 H - y B_j psd
+    within roundoff, and the value of the core where the core ends optimal."""
+    c, h = p.objective.to_dense(), p.H.to_dense()
+    dense = np.array([m.to_dense() for m in p.members])
+    x, y0 = ans.X.to_dense(), float(ans.dual_eq[0])
+    (j,) = np.flatnonzero(ans.dual_ineq)
+    y = float(ans.dual_ineq[j])
+    assert ans.status == "optimal" and ans.iterations == 0 and y > 0.0
+    assert ans.value >= y0 and max(ans.residuals) <= tol
+    scale = max(1.0, p.objective.norm())
+    assert np.linalg.eigvalsh(x)[0] >= -1e-14 * np.linalg.norm(x)
+    assert abs(np.sum(h * x) - 1.0) <= tol
+    norms = np.linalg.norm(dense, axis=(1, 2))
+    assert (np.einsum("kij,ij->k", dense, x) >= -tol * np.maximum(1.0, norms)).all()
+    assert abs(np.sum(c * x) - ans.value) <= 1e-12 * scale * max(1.0, np.linalg.norm(x))
+    z = c - y0 * h - y * dense[j]
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12 * (scale + abs(y0) * np.linalg.norm(h)
+                                                 + y * norms[j])
+    ref = core_solve(p, tol / 100.0)
+    if ref.status == "optimal":
+        assert abs(ref.value - ans.value) <= tol * max(1.0, abs(ans.value))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_one_row_problems())
+def test_one_row_answer_agrees_with_the_core(p):
+    tol = sdp_module.DEFAULT_TOL
+    ans = _eigen_answer(p, tol)
+    assume(ans is not None and ans.dual_ineq.any())
+    sol = solve(p, tol)
+    assert sol.iterations == 0 and sol.X == ans.X and sol.value == ans.value
+    _check_one_row_answer(p, ans, tol)
