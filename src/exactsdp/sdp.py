@@ -794,6 +794,13 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
     lambda_min(A + yB) >= lambda_min(A) / 2 (Weyl), and lambda_min(A + yB) is
     evaluated once more for it.
 
+    The search runs on A 2^-a and B 2^-b, each scaled by a power of two to
+    a norm in [1/2, 2) (_pow2_exponents), so a pair whose members differ in
+    norm by many orders needs no y beyond the pencil's bracket; y, lam and
+    the bounds map back exactly (y by 2^(a-b), lam, lower and upper by
+    2^a).  A member whose norm is already in [1/2, 2), as normalize and the
+    projections of facial reduction leave them, keeps factor 1.
+
     Returns (y, lam, bounds): the certificate (1, y[p]) of pair p with
     lam[p] = lambda_min(A + y[p] B), both NaN for a pair without one, and
     the PencilBounds of every pair.  Raises ValueError for a pair of
@@ -803,6 +810,8 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
         raise ValueError("dimension mismatch")
     if np.all(A == B, axis=(1, 2)).any():
         raise ValueError("the pair certificate needs two distinct matrices")
+    ea, eb = _pow2_exponents(A), _pow2_exponents(B)
+    A, B = np.ldexp(A, -ea[:, None, None]), np.ldexp(B, -eb[:, None, None])
     bounds = pencil_bounds(A, -B, (np.zeros(len(A)), np.full(len(A), -np.inf)))
     y, lam = bounds.y.copy(), bounds.lower.copy()
     inside = np.flatnonzero((y == 0.0) & (lam > 0.0))
@@ -811,8 +820,22 @@ def ab_certificates(A: np.ndarray, B: np.ndarray, scale: np.ndarray, tol: float 
         y[inside] = lam[inside] / np.maximum(2.0 * np.sqrt(np.einsum("pij,pij->p", b, b)),
                                              lam[inside])
         lam[inside] = lambda_min_stack(A[inside] + y[inside, None, None] * b)
-    ok = certificate_holds(y, lam, scale, tol)
+    # a y beyond the float range (members some 2^1000 apart in norm) is no
+    # certificate
+    with np.errstate(over="ignore"):
+        y, lam = np.ldexp(y, ea - eb), np.ldexp(lam, ea)
+        bounds = bounds._replace(lower=np.ldexp(bounds.lower, ea), y=np.ldexp(bounds.y, ea - eb),
+                                 upper=np.ldexp(bounds.upper, ea))
+    ok = certificate_holds(y, lam, scale, tol) & np.isfinite(y)
     return np.where(ok, y, np.nan), np.where(ok, lam, np.nan), bounds
+
+
+def _pow2_exponents(M: np.ndarray) -> np.ndarray:
+    """k with ||M[p]|| 2^-k in [1/2, 2) for every matrix of a (P, n, n)
+    stack: 0 for a norm already there, and 0 where the norm is 0 or not
+    finite.  Scaling by 2^-k is exact."""
+    m, k = np.frexp(np.sqrt(np.einsum("pij,pij->p", M, M)))
+    return np.where(np.isfinite(m) & (m > 0.0) & ((k < 0) | (k > 1)), k, 0)
 
 
 def certificate_holds(y, lam, scale, tol: float):

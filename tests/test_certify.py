@@ -72,6 +72,44 @@ def test_pair_status_scale_invariant():
             assert check_pair_B(a.scale(ca), b.scale(cb), TOL).status == base
 
 
+def test_far_apart_member_norms_keep_the_certificate():
+    # a member 1e-150 times the other's size: the pencil searches the pair
+    # at unit norms and maps y back, so y = 2**40 is no limit
+    a = disk_member((0.0, 0.0), 0.5)
+    for s in (1e-14, 1e-16, 1e-150, 1e150):
+        b = disk_member((2.0, 0.0), 0.5).scale(s)
+        for pair in ((a, b), (b, a)):
+            v = check_pair_B(*pair, TOL)
+            assert v.status == CERTIFIED
+            alpha, beta = v.certificate
+            assert lambda_min(pair[0].scale(alpha).add(pair[1], beta)) >= 0.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(-400, 400), st.booleans())
+def test_pair_status_invariant_under_power_of_two_scaling(disks, seed, k, first):
+    # unit-norm members, as normalize gives them, one scaled by 2**k
+    rng = np.random.default_rng(seed)
+    if disks:
+        a, b = (disk_member(tuple(rng.uniform(-2.0, 2.0, 2)), float(rng.uniform(0.2, 1.0)))
+                for _ in range(2))
+    else:
+        n = int(rng.integers(2, 5))
+        a, b = (SymMat.from_dense(g + g.T + rng.uniform(-2.0, 2.0) * np.eye(n))
+                for g in rng.standard_normal((2, n, n)))
+    a, b = normalize(constraint_set(a.n, [a, b])).members
+    base = check_pair_B(a, b, TOL).status
+    scaled = check_pair_B(a.scale(2.0 ** k), b, TOL) if first else check_pair_B(
+        a, b.scale(2.0 ** k), TOL)
+    if base == REFUTED and first and k < 0:
+        # a refutation reads min <A,X> against tol max(1, ||A||): below
+        # norm 1 the floor is absolute, and a shrunk A may read inconclusive
+        assert scaled.status in (REFUTED, INCONCLUSIVE)
+    else:
+        assert scaled.status == base
+
+
 def test_pair_inconclusive_band():
     # engineered so the best certificate margin sits between -10*tol and -tol
     a = SymMat.diag([1.0, -1.0])

@@ -10,6 +10,7 @@ from exactsdp import sdp as sdpmod
 from exactsdp.gallery import build_case, overlap_disks
 from exactsdp.model import GeoCop, constraint_set
 from exactsdp.symmat import SymMat
+from test_reduction import three_member_face
 
 
 # the worked example in R^3, restricted to the plane x3 = 0 (Q33 = -5)
@@ -342,13 +343,15 @@ def test_unreachable_tol_exit_one_without_traceback(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["pipeline", "reduce", "certify"])
-def test_numerical_slater_solve_exit_one_without_traceback(monkeypatch, capsys, command):
+def test_numerical_slater_solve_exit_one_without_traceback(monkeypatch, tmp_path, capsys,
+                                                          command):
     # the Slater solve comes first: facial reduction's for pipeline and
-    # reduce, certify's own for certify
+    # reduce, certify's own for certify.  No member or pair of this set
+    # exposes its face, so facial reduction asks the interior-point core
     solve = sdpmod._conic_solve
     monkeypatch.setattr(sdpmod, "_conic_solve",
                         lambda *a, **k: dataclasses.replace(solve(*a, **k), status="numerical"))
-    path = os.path.join(os.path.dirname(RESTRICTED), "worked-example.json")
+    path = write_problem(tmp_path, three_member_face())
     code, out, err = run([command, "--input", path], capsys)
     assert code == 1
     assert out == ""

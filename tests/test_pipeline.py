@@ -105,9 +105,10 @@ def test_rank_deficient_restriction_appends_kernel_penalty(monkeypatch):
     L = (3, 2, (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
     prob = GeoCop(n=3, Q=SymMat.diag([1.0, -1.0, -5.0]), H=SymMat.identity(3),
                   bset=constraint_set(3, [b, c]), restrict_to=L)
-    # facial reduction projects onto the named face with no SDP: one Slater
-    # solve fewer than the same face written as the member -N N^T, no note,
-    # and N N^T (N = e3) is the exposing matrix
+    # facial reduction projects onto the named face with no SDP, no note,
+    # and N N^T (N = e3) is the exposing matrix.  The same face written as
+    # the member -N N^T is exposed by that member, with no SDP either: both
+    # make only the final Slater solve
     penalty = GeoCop(n=3, Q=prob.Q, H=prob.H, bset=constraint_set(
         3, [b, c, SymMat.diag([0.0, 0.0, -1.0])]))
     calls = _count_calls(monkeypatch, sdpmod, "solve_slater")
@@ -115,7 +116,7 @@ def test_rank_deficient_restriction_appends_kernel_penalty(monkeypatch):
     penalty_calls = len(calls)
     del calls[:]
     v = run_pipeline(prob, CFG)
-    assert len(calls) == penalty_calls - 1 == 1
+    assert len(calls) == penalty_calls == 1
     assert not v.stage_notes
     assert np.array_equal(v.reduction.exposing.to_dense(), np.diag([0.0, 0.0, 1.0]))
     assert v.reduction.reduced_n == 2
@@ -156,10 +157,11 @@ def test_pipeline_solves_slater_only_in_facial_reduction(monkeypatch):
     calls = _count_calls(monkeypatch, sdpmod, "solve_slater")
     v = run_pipeline(build_case("ex6.1").problem, CFG)
     assert v.cert.structural.a3
-    # one Slater solve per reduction round plus the final one on the
-    # reduced members; the structural checks reuse the final one
+    # the reduction round is exposed by -(B + C) with no SDP, so the one
+    # Slater solve is the final one on the reduced members, which the
+    # structural checks reuse
     assert v.reduction.rounds == 1
-    assert len(calls) == v.reduction.rounds + 1 == 2
+    assert len(calls) == 1
     assert v.cert.structural.slater_margin == v.reduction.slater_margin
 
 
@@ -269,9 +271,9 @@ def test_one_active_row_needs_no_interior_point_solve(monkeypatch):
     assert v.sdp.status == "optimal" and v.sdp.iterations == 0
     assert abs(v.value + SQRT3_OVER_2) <= 1e-11
     assert v.reduction.slater_margin == 0.25
-    # one reduce-refute batch of the benchmark (seed 1): only the four Slater
-    # solves of the rotated examples at n = 4, whose face needs two rows,
-    # reach the core
+    # one reduce-refute batch of the benchmark (seed 1): the faces of the
+    # rotated examples at n = 4, which need two rows, are exposed by the
+    # pair (B, C) with no SDP, so nothing reaches the core
     calls = []
     core = sdpmod._conic_solve
 
@@ -290,7 +292,7 @@ def test_one_active_row_needs_no_interior_point_solve(monkeypatch):
             problem, opts = parse_problem(item.doc)
             run_pipeline(problem, PipelineConfig(tol=opts["tol"], cert_tol=opts["tol"],
                                                  seed=opts["seed"]))
-    assert calls == [4, 4, 4, 4]
+    assert calls == []
 
 
 def test_face_moves_at_roundoff_under_roundoff_rescaling():
